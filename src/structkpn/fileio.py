@@ -7,6 +7,7 @@ small text sidecar next to the image. Tensors use a fixed tagged layout so
 round-trips are byte-identical.
 """
 
+import os
 import struct
 from pathlib import Path
 
@@ -19,11 +20,50 @@ __all__ = [
     "read_minmax",
     "write_tensor",
     "read_tensor",
+    "read_exact",
+    "read_u32",
+    "write_array",
+    "read_array",
     "TENSOR_MAGIC",
 ]
 
 TENSOR_MAGIC = b"SKTD"
 TENSOR_VERSION = 1
+
+
+def read_exact(f, size, path):
+    """Exactly ``size`` bytes from ``f``, or a ValueError naming ``path`` and the offset.
+
+    The size is checked against the file before reading, so a corrupt length
+    field cannot allocate more than the file holds.
+    """
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if size > left:
+        raise ValueError(f"{path}: truncated at byte {offset}: need {size} bytes, {max(left, 0)} left")
+    return f.read(size)
+
+
+def read_u32(f, path, count=1):
+    """``count`` little-endian uint32 values, as a tuple."""
+    return struct.unpack(f"<{count}I", read_exact(f, 4 * count, path))
+
+
+def write_array(f, arr):
+    """Append one float64 array record: rank, dims, little-endian payload."""
+    arr = np.asarray(arr, dtype=np.float64)
+    f.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+    f.write(arr.astype("<f8").tobytes())
+
+
+def read_array(f, path):
+    """Read one record written by :func:`write_array`."""
+    rank, = read_u32(f, path)
+    if rank > 32:
+        raise ValueError(f"{path}: implausible tensor rank {rank} at byte {f.tell() - 4}")
+    dims = read_u32(f, path, rank)
+    n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    return np.frombuffer(read_exact(f, 8 * n, path), dtype="<f8").reshape(dims).astype(np.float64)
 
 
 def _read_header_tokens(f, count):
@@ -61,9 +101,7 @@ def read_pgm(path):
         if not 0 < maxval < 65536:
             raise ValueError(f"{path}: PGM maxval {maxval} out of range")
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        raw = f.read(w * h * dtype.itemsize)
-        if len(raw) != w * h * dtype.itemsize:
-            raise ValueError(f"{path}: truncated PGM pixel data")
+        raw = read_exact(f, w * h * dtype.itemsize, path)
     img = np.frombuffer(raw, dtype=dtype).reshape(h, w)
     return img.astype(np.float64) / maxval
 
@@ -108,18 +146,12 @@ def read_minmax(sidecar_path):
 
 
 def write_tensor(path, arr):
-    """Serialize one float64 array: magic, version, rank, dims, LE payload."""
-    # ascontiguousarray would turn 0-d scalars into shape (1,)
-    arr = np.asarray(arr, dtype=np.float64)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
+    """Serialize one float64 array: magic, version, then a :func:`write_array` record."""
     path = Path(path)
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)
         f.write(struct.pack("<I", TENSOR_VERSION))
-        f.write(struct.pack("<I", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(arr.astype("<f8").tobytes())
+        write_array(f, arr)
     return path
 
 
@@ -128,15 +160,7 @@ def read_tensor(path):
     with open(path, "rb") as f:
         if f.read(4) != TENSOR_MAGIC:
             raise ValueError(f"{path}: not a tensor file (bad magic)")
-        version, = struct.unpack("<I", f.read(4))
+        version, = read_u32(f, path)
         if version != TENSOR_VERSION:
             raise ValueError(f"{path}: unsupported tensor version {version}")
-        rank, = struct.unpack("<I", f.read(4))
-        if rank > 32:
-            raise ValueError(f"{path}: implausible tensor rank {rank}")
-        dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = f.read(8 * n)
-        if len(raw) != 8 * n:
-            raise ValueError(f"{path}: truncated tensor payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
+        return read_array(f, path)

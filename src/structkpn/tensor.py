@@ -4,7 +4,10 @@ Values are stored as contiguous float64 numpy arrays (N,C,H,W order for image
 batches). Every operation that involves a gradient-requiring input records a
 tape node (parents + backward closure); ``Tensor.backward()`` replays the tape
 in reverse topological order with a fixed accumulation order, so repeated runs
-on identical inputs are bit-identical. Single-threaded by design.
+on identical inputs are bit-identical at a fixed BLAS thread count.
+
+``conv2d`` stays NCHW: every kernel tap is a contiguous shifted slice of the
+flattened edge-padded input, so one batched GEMM covers all taps and groups.
 """
 
 import numpy as np
@@ -345,13 +348,6 @@ def reduce_sum(a):
 
 # -- convolution --------------------------------------------------------------
 
-def _im2col(xp, kh, kw):
-    """(N,C,Hp,Wp) -> (N*H*W, C*kh*kw) patch matrix, H = Hp-kh+1."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    n, c, h, w = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * kh * kw), h, w
-
-
 def _collapse_replication(gpad, ph, pw):
     """Fold the gradient of a replication-padded array back onto the source.
 
@@ -378,6 +374,12 @@ def conv2d(x, weights, bias, groups=1):
 
     x: (N, Cin, H, W); weights: (Cout, Cin/groups, kh, kw) with kh, kw odd;
     bias: (Cout,). Output: (N, Cout, H, W). Differentiable w.r.t. all three.
+
+    Flat-shift layout: the edge-padded input is viewed as (N, Cin, Hp*Wp), in
+    which tap (dy, dx) is the contiguous slice starting at dy*Wp + dx and
+    output pixel (i, j) sits at flat index i*Wp + j. The stacked tap slices
+    (for a 1x1 kernel, the input itself) meet every group's weights in one
+    batched GEMM, and the H x W block is cropped from the padded row pitch.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -399,45 +401,38 @@ def conv2d(x, weights, bias, groups=1):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({cout},)", axis=0)
 
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge")
-    cout_g = cout // groups
-
-    out_data = np.empty((n, cout, h, w), dtype=np.float64)
-    cols_per_group = []
-    save_cols = weights.requires_grad
-    for gi in range(groups):
-        ci = slice(gi * cin_g, (gi + 1) * cin_g)
-        co = slice(gi * cout_g, (gi + 1) * cout_g)
-        cols, _, _ = _im2col(xp[:, ci], kh, kw)
-        wmat = weights.data[co].reshape(cout_g, cin_g * kh * kw)
-        res = cols @ wmat.T                                  # (N*H*W, Cout_g)
-        out_data[:, co] = res.reshape(n, h, w, cout_g).transpose(0, 3, 1, 2)
-        cols_per_group.append(cols if save_cols else None)
-    out_data += bias.data[None, :, None, None]
+    hp, wp = h + 2 * ph, w + 2 * pw
+    taps = kh * kw
+    span = (h - 1) * wp + w                      # flat index of the last output pixel + 1
+    shifts = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
+    if taps == 1:
+        cols = x.data.reshape(n, groups, cin_g, span)
+    else:
+        xf = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge").reshape(n, cin, hp * wp)
+        cols = np.stack([xf[:, :, s:s + span] for s in shifts], axis=2).reshape(n, groups, cin_g * taps, span)
+        del xf                                   # not held beside cols during the GEMM
+    wmat = weights.data.reshape(groups, cout // groups, cin_g * taps)
+    res = np.matmul(wmat, cols).reshape(n, cout, span)
+    sn, sc, sx = res.strides
+    out_data = np.lib.stride_tricks.as_strided(res, (n, cout, h, w), (sn, sc, wp * sx, sx)) \
+        + bias.data[:, None, None]
+    if not weights.requires_grad:
+        cols = None
 
     def bwd(g):
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
+        gf = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - w))) if pw else g    # padded row pitch
+        gf = gf.reshape(n, groups, cout // groups, h * wp)[..., :span]
         if weights.requires_grad:
-            wgrad = np.empty_like(weights.data)
-            for gi in range(groups):
-                co = slice(gi * cout_g, (gi + 1) * cout_g)
-                gg = g[:, co].transpose(0, 2, 3, 1).reshape(n * h * w, cout_g)
-                wgrad[co] = (gg.T @ cols_per_group[gi]).reshape(cout_g, cin_g, kh, kw)
-            accumulate_grad(weights, wgrad)
+            dw = np.matmul(gf, cols.swapaxes(-1, -2)).sum(axis=0)
+            accumulate_grad(weights, dw.reshape(weights.data.shape))
         if x.requires_grad:
-            # d/dx(padded) is the full correlation of g with the flipped
-            # kernel (in/out channels swapped), then the padding is folded.
-            gxp = np.empty((n, cin, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-            gz = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            for gi in range(groups):
-                ci = slice(gi * cin_g, (gi + 1) * cin_g)
-                co = slice(gi * cout_g, (gi + 1) * cout_g)
-                wt = weights.data[co, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gcols, hh, ww = _im2col(gz[:, co], kh, kw)
-                wmat = wt.reshape(cin_g, cout_g * kh * kw)
-                gxp[:, ci] = (gcols @ wmat.T).reshape(n, hh, ww, cin_g).transpose(0, 3, 1, 2)
-            accumulate_grad(x, _collapse_replication(gxp, ph, pw))
+            dcols = np.matmul(wmat.swapaxes(-1, -2), gf).reshape(n, cin, taps, span)
+            gxf = np.zeros((n, cin, hp * wp), dtype=np.float64)
+            for t, s in enumerate(shifts):
+                gxf[:, :, s:s + span] += dcols[:, :, t]
+            accumulate_grad(x, _collapse_replication(gxf.reshape(n, cin, hp, wp), ph, pw))
 
     return make_op(out_data, (x, weights, bias), bwd, "conv2d")
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_array, read_exact, read_u32, write_array
 from .gradstats import stats_map
 from .kpn import KpnConfig, build_model, denoise_image, kpn_apply, params_to_tensors, plain_cnn_apply
 from .losses import SsimConstants, l1_pixel, l2_pixel, loss_weights, struct_loss
@@ -329,33 +330,6 @@ class Checkpoint:
     rng_state: dict
 
 
-def _write_named(f, name, arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    nb = name.encode("utf-8")
-    f.write(struct.pack("<I", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<I", arr.ndim))
-    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    f.write(arr.astype("<f8").tobytes())
-
-
-def _read_named(f):
-    head = f.read(4)
-    if not head:
-        return None
-    nlen, = struct.unpack("<I", head)
-    name = f.read(nlen).decode("utf-8")
-    rank, = struct.unpack("<I", f.read(4))
-    dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-    n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    raw = f.read(8 * n)
-    if len(raw) != 8 * n:
-        raise ValueError(f"checkpoint: truncated tensor {name!r}")
-    return name, np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
-
-
 def save_checkpoint(path, ckpt):
     """Write magic, version, JSON metadata, then named tensors (sorted).
 
@@ -374,7 +348,9 @@ def save_checkpoint(path, ckpt):
                               ("adam.m.", ckpt.adam_m),
                               ("adam.v.", ckpt.adam_v)):
             for name in sorted(group):
-                _write_named(f, prefix + name, group[name])
+                nb = (prefix + name).encode("utf-8")
+                f.write(struct.pack("<I", len(nb)) + nb)
+                write_array(f, group[name])
     return path
 
 
@@ -383,17 +359,16 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        version, = struct.unpack("<I", f.read(4))
+        version, = read_u32(f, path)
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        blob_len, = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(blob_len).decode("utf-8"))
+        blob_len, = read_u32(f, path)
+        meta = json.loads(read_exact(f, blob_len, path).decode("utf-8"))
         groups = {"param.": {}, "adam.m.": {}, "adam.v.": {}}
-        while True:
-            item = _read_named(f)
-            if item is None:
-                break
-            name, arr = item
+        while f.peek(1):
+            nlen, = read_u32(f, path)
+            name = read_exact(f, nlen, path).decode("utf-8")
+            arr = read_array(f, path)
             for prefix in groups:
                 if name.startswith(prefix):
                     groups[prefix][name[len(prefix):]] = arr
@@ -410,6 +385,8 @@ def load_checkpoint(path):
             f"{path}: config keys mismatch: unknown {extra}, missing {missing}")
     cfg = TrainConfig(**cfg_dict)
     params = groups["param."]
+    if not params:
+        raise ValueError(f"{path}: checkpoint holds no parameters")
     if set(groups["adam.m."]) != set(params) or set(groups["adam.v."]) != set(params):
         raise ValueError(f"{path}: optimizer tensors do not match parameters")
     return Checkpoint(config=cfg, step=int(meta["step"]), params=params,

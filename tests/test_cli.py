@@ -175,6 +175,24 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_truncated_checkpoint_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--count", "2", "--size", "48", "--seed", "5"])
+    cfg = write_cfg(tmp_path / "t.cfg", steps=1, val_interval=0)
+    ckpt = tmp_path / "t.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt)]) == 0
+    full = ckpt.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for size in (10, len(full) // 2, len(full) - 1):
+        cut.write_bytes(full[:size])
+        capsys.readouterr()
+        rc = main(["denoise", "--ckpt", str(cut), "--input", str(data / "img_000.pgm"),
+                   "--output", str(tmp_path / "o.pgm")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "cut.ckpt" in err and "Traceback" not in err
+
+
 def test_synth_determinism(tmp_path):
     main(["synth", "--out", str(tmp_path / "a"), "--count", "2",
           "--size", "48", "--seed", "7"])

@@ -91,8 +91,8 @@ def test_tensor_file_errors(tmp_path):
     p.write_bytes(b"XXXX" + b"\x00" * 8)
     with pytest.raises(ValueError):
         read_tensor(p)
-    good = write_tensor(tmp_path / "g.bin", np.ones(3))
-    clipped = good.read_bytes()[:-8]
-    p.write_bytes(clipped)
-    with pytest.raises(ValueError):
-        read_tensor(p)
+    full = write_tensor(tmp_path / "g.bin", np.ones((2, 3))).read_bytes()
+    for cut in range(len(full)):
+        p.write_bytes(full[:cut])
+        with pytest.raises(ValueError, match="bad.bin"):
+            read_tensor(p)

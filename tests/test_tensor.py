@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from structkpn.tensor import (Tensor, ShapeError, add, sub, mul, div, neg, abs_val,
                               relu, softmax_vec, reduce_mean, reduce_sum, conv2d,
@@ -129,6 +130,33 @@ def test_conv2d_matches_naive_oracle():
         assert np.allclose(out.data, ref, rtol=0, atol=1e-12)
 
 
+@st.composite
+def conv_cases(draw):
+    groups = draw(st.sampled_from([1, 2]))
+    return (draw(st.integers(1, 3)), groups * draw(st.integers(1, 2)),
+            groups * draw(st.integers(1, 3)), groups,
+            draw(st.sampled_from([1, 3, 5, 11])), draw(st.sampled_from([1, 3, 5, 11])),
+            draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conv_cases())
+@example((2, 1, 1, 1, 1, 11, 6, 9, 0))    # struct_loss row window, k_r = 11
+@example((2, 1, 1, 1, 11, 1, 9, 6, 1))    # struct_loss column window
+@example((2, 1, 4, 1, 3, 3, 5, 7, 2))     # stem: Cin = 1
+@example((2, 3, 9, 1, 1, 1, 4, 6, 3))     # head: 1x1, Cout > Cin
+@example((3, 4, 6, 2, 3, 3, 4, 7, 4))     # grouped residual block
+def test_conv2d_property_matches_naive_oracle(case):
+    n, cin, cout, groups, kh, kw, h, w, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, cin, h, w))
+    wt = rng.normal(size=(cout, cin // groups, kh, kw))
+    b = rng.normal(size=cout)
+    out = conv2d(Tensor(x), Tensor(wt), Tensor(b), groups=groups)
+    assert out.data.shape == (n, cout, h, w)
+    assert np.allclose(out.data, naive_conv2d(x, wt, b, groups=groups), rtol=0, atol=1e-12)
+
+
 def test_conv2d_1x1_kernel():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 3, 4, 4))
@@ -155,16 +183,20 @@ def test_conv2d_validation_errors():
 
 def test_conv2d_gradients_finite_difference():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True, name="x")
-    w = Tensor(rng.normal(size=(4, 1, 3, 3)), requires_grad=True, name="w")
-    b = Tensor(rng.normal(size=4), requires_grad=True, name="b")
-    u = Tensor(rng.normal(size=(1, 4, 5, 5)))   # projection, makes grads dense
+    # (N, Cin, Cout, groups, kh, kw, H, W): depthwise-like, 1xk window, grouped
+    for n, cin, cout, groups, kh, kw, h, w in ((1, 2, 4, 2, 3, 3, 5, 5),
+                                               (2, 1, 1, 1, 1, 5, 4, 7),
+                                               (2, 4, 6, 2, 3, 3, 4, 6)):
+        x = Tensor(rng.normal(size=(n, cin, h, w)), requires_grad=True, name="x")
+        wt = Tensor(rng.normal(size=(cout, cin // groups, kh, kw)), requires_grad=True, name="w")
+        b = Tensor(rng.normal(size=cout), requires_grad=True, name="b")
+        u = Tensor(rng.normal(size=(n, cout, h, w)))   # projection, makes grads dense
 
-    def f(params):
-        return reduce_sum(mul(conv2d(params[0], params[1], params[2], groups=2), u))
+        def f(params):
+            return reduce_sum(mul(conv2d(params[0], params[1], params[2], groups=groups), u))
 
-    report = grad_check(f, [x, w, b], coords_per_param=12)
-    assert report.passed, report.per_param
+        report = grad_check(f, [x, wt, b], coords_per_param=12)
+        assert report.passed, ((kh, kw, groups), report.per_param)
 
 
 def test_backward_driver_returns_zero_for_unused_param():

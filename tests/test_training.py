@@ -212,6 +212,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_every_truncation_raises_value_error(tmp_path):
+    cfg = TrainConfig(steps=1, val_interval=0, kernel_size=3, stem_channels=2,
+                      num_res_blocks=1, groups=1, patch_size=16, batch_size=1, seed=3)
+    ckpt, _ = train(cfg, small_corpus(n=2, size=32))
+    full = save_checkpoint(tmp_path / "full.ckpt", ckpt).read_bytes()
+    cut_path = tmp_path / "cut.ckpt"
+    for cut in range(len(full)):
+        cut_path.write_bytes(full[:cut])
+        with pytest.raises(ValueError, match="cut.ckpt"):
+            load_checkpoint(cut_path)
+    cut_path.write_bytes(full)
+    assert save_checkpoint(tmp_path / "again.ckpt", load_checkpoint(cut_path)).read_bytes() == full
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     imgs = small_corpus()
     cfg8 = TrainConfig(steps=8, val_interval=0, loss_kind="struct", **TINY_KW)
