@@ -1,12 +1,13 @@
-"""Binary PGM images and a raw little-endian float64 tensor container.
+"""Binary PGM images, and the checked binary reads and float64 array records.
 
 Images are stored as P5 PGM, 8-bit or 16-bit (16-bit samples big-endian per
 the format), and map linearly to [0,1] floats on read. Maps whose natural
 range is not [0,1] are rescaled on write, with the true min/max recorded in a
-small text sidecar next to the image. Tensors use a fixed tagged layout so
-round-trips are byte-identical.
+small text sidecar next to the image. Array records (rank, dims, little-endian
+payload) round-trip byte for byte; checkpoints are built from them.
 """
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -18,17 +19,11 @@ __all__ = [
     "write_pgm",
     "write_scaled_pgm",
     "read_minmax",
-    "write_tensor",
-    "read_tensor",
     "read_exact",
     "read_u32",
     "write_array",
     "read_array",
-    "TENSOR_MAGIC",
 ]
-
-TENSOR_MAGIC = b"SKTD"
-TENSOR_VERSION = 1
 
 
 def read_exact(f, size, path):
@@ -62,17 +57,17 @@ def read_array(f, path):
     if rank > 32:
         raise ValueError(f"{path}: implausible tensor rank {rank} at byte {f.tell() - 4}")
     dims = read_u32(f, path, rank)
-    n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    n = math.prod(dims)                          # exact: corrupt dims must not wrap around
     return np.frombuffer(read_exact(f, 8 * n, path), dtype="<f8").reshape(dims).astype(np.float64)
 
 
-def _read_header_tokens(f, count):
-    """Next ``count`` whitespace-separated header tokens, skipping # comments."""
-    tokens = []
-    while len(tokens) < count:
+def _read_header_numbers(f, count, path):
+    """Next ``count`` whitespace-separated decimal header fields, skipping # comments."""
+    numbers = []
+    while len(numbers) < count:
         ch = f.read(1)
         if not ch:
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header at byte {f.tell()}")
         if ch in b" \t\r\n":
             continue
         if ch == b"#":
@@ -85,8 +80,10 @@ def _read_header_tokens(f, count):
             if not ch or ch in b" \t\r\n":
                 break
             tok += ch
-        tokens.append(tok)
-    return tokens
+        if not tok.isdigit():
+            raise ValueError(f"{path}: PGM header field {tok!r} is not a decimal number")
+        numbers.append(int(tok))
+    return numbers
 
 
 def read_pgm(path):
@@ -95,7 +92,7 @@ def read_pgm(path):
     with open(path, "rb") as f:
         if f.read(2) != b"P5":
             raise ValueError(f"{path}: not a binary PGM (P5) file")
-        w, h, maxval = (int(t) for t in _read_header_tokens(f, 3))
+        w, h, maxval = _read_header_numbers(f, 3, path)
         if w < 1 or h < 1:
             raise ValueError(f"{path}: bad PGM dimensions {w}x{h}")
         if not 0 < maxval < 65536:
@@ -143,24 +140,3 @@ def read_minmax(sidecar_path):
     if len(lines) != 4 or lines[0] != "min" or lines[2] != "max":
         raise ValueError(f"{sidecar_path}: malformed min/max sidecar")
     return float(lines[1]), float(lines[3])
-
-
-def write_tensor(path, arr):
-    """Serialize one float64 array: magic, version, then a :func:`write_array` record."""
-    path = Path(path)
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<I", TENSOR_VERSION))
-        write_array(f, arr)
-    return path
-
-
-def read_tensor(path):
-    path = Path(path)
-    with open(path, "rb") as f:
-        if f.read(4) != TENSOR_MAGIC:
-            raise ValueError(f"{path}: not a tensor file (bad magic)")
-        version, = read_u32(f, path)
-        if version != TENSOR_VERSION:
-            raise ValueError(f"{path}: unsupported tensor version {version}")
-        return read_array(f, path)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import Tensor, window_filter
+
 __all__ = [
     "GradStatsMap",
     "image_gradients",
@@ -116,23 +118,12 @@ def stats_map(img, k_r, normalization="sqrt-over-kr"):
     if k_r % 2 == 0 or k_r < 1:
         raise ValueError(f"patch size k_r must be odd and positive, got {k_r}")
     gx, gy = image_gradients(img)
-    half = k_r // 2
-    sxx = _box_sum(gx * gx, half)
-    sxy = _box_sum(gx * gy, half)
-    syy = _box_sum(gy * gy, half)
+    moments = Tensor(np.stack([gx * gx, gx * gy, gy * gy])[:, None])
+    sxx, sxy, syy = window_filter(moments, np.ones(k_r)).data[:, 0]
     lam1, lam2 = _eigs_from_moments(sxx, sxy, syy)
     strength = _normalize_strength(lam1, k_r, normalization)
     coherence = _coherence(lam1, lam2)
     return GradStatsMap(strength=strength, coherence=coherence, patch_size=k_r)
-
-
-def _box_sum(arr, half):
-    """Sum over the (2*half+1)^2 replicated window centred at each pixel."""
-    if half == 0:
-        return arr.copy()
-    pad = np.pad(arr, half, mode="edge")
-    win = np.lib.stride_tricks.sliding_window_view(pad, (2 * half + 1, 2 * half + 1))
-    return win.sum(axis=(2, 3))
 
 
 def region_class_map(stats, sigma_l2=1.8, sigma_l1=0.35):

@@ -13,16 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradstats import GradStatsMap
-from .tensor import Tensor, ShapeError, abs_val, add, conv2d, div, mul, reduce_mean, reduce_sum, sub
+from .tensor import (Tensor, ShapeError, abs_val, add, mul, reduce_mean, reduce_sum, sub,
+                     window_filter)
 
 __all__ = [
     "SsimConstants",
     "LossWeights",
     "l1_pixel",
     "l2_pixel",
+    "ssim_from_moments",
+    "ssim_map",
     "ssim_patch",
     "loss_weights",
-    "weighted_pixel_loss",
     "struct_loss",
 ]
 
@@ -97,6 +99,28 @@ def l2_pixel(yhat, y):
     return d * d
 
 
+def ssim_from_moments(mp, mq, mpp, mqq, mpq, consts):
+    """SSIM from window means (mp, mq) and raw second moments E[p^2], E[q^2], E[pq].
+
+    Written with operators only, so it maps ndarrays to ndarrays and Tensors
+    to a differentiable Tensor.
+    """
+    sp = mpp - mp * mp
+    sq = mqq - mq * mq
+    spq = mpq - mp * mq
+    num = (2.0 * mp * mq + consts.c1) * (2.0 * spq + consts.c2)
+    den = (mp * mp + mq * mq + consts.c1) * (sp + sq + consts.c2)
+    return num / den
+
+
+def ssim_map(p, q, consts=SsimConstants()):
+    """Per-pixel SSIM of two (N,1,H,W) Tensors, windows edge-replicated past the borders."""
+    vec = window_vector(consts.window, consts.kind, consts.gaussian_sigma)
+    return ssim_from_moments(window_filter(p, vec), window_filter(q, vec),
+                             window_filter(p * p, vec), window_filter(q * q, vec),
+                             window_filter(p * q, vec), consts)
+
+
 def ssim_patch(p, q, consts=SsimConstants()):
     """Single-window SSIM of two equally-shaped patches, in (-1, 1].
 
@@ -104,36 +128,15 @@ def ssim_patch(p, q, consts=SsimConstants()):
     whole patch. Tensor input gives a differentiable scalar Tensor; plain
     arrays give a float.
     """
-    if isinstance(p, Tensor) or isinstance(q, Tensor):
-        pt = p if isinstance(p, Tensor) else Tensor(p)
-        qt = q if isinstance(q, Tensor) else Tensor(q)
-        if pt.data.shape != qt.data.shape:
-            raise ShapeError(f"ssim_patch: patch shapes {pt.data.shape} != {qt.data.shape}")
-        w = Tensor(window_weights(pt.data.shape[-2:], consts.kind, consts.gaussian_sigma)
-                   .reshape(pt.data.shape))
-        mp = reduce_sum(mul(pt, w))
-        mq = reduce_sum(mul(qt, w))
-        sp = sub(reduce_sum(mul(mul(pt, pt), w)), mul(mp, mp))
-        sq = sub(reduce_sum(mul(mul(qt, qt), w)), mul(mq, mq))
-        spq = sub(reduce_sum(mul(mul(pt, qt), w)), mul(mp, mq))
-        num = mul(add(mul(mul(mp, mq), 2.0), consts.c1), add(mul(spq, 2.0), consts.c2))
-        den = mul(add(add(mul(mp, mp), mul(mq, mq)), consts.c1),
-                  add(add(sp, sq), consts.c2))
-        return div(num, den)
-
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ShapeError(f"ssim_patch: patch shapes {p.shape} != {q.shape}")
-    w = window_weights(p.shape[-2:], consts.kind, consts.gaussian_sigma).reshape(p.shape)
-    mp = np.sum(p * w)
-    mq = np.sum(q * w)
-    sp = np.sum(p * p * w) - mp * mp
-    sq = np.sum(q * q * w) - mq * mq
-    spq = np.sum(p * q * w) - mp * mq
-    num = (2.0 * mp * mq + consts.c1) * (2.0 * spq + consts.c2)
-    den = (mp * mp + mq * mq + consts.c1) * (sp + sq + consts.c2)
-    return float(num / den)
+    pt = p if isinstance(p, Tensor) else Tensor(p)
+    qt = q if isinstance(q, Tensor) else Tensor(q)
+    if pt.data.shape != qt.data.shape:
+        raise ShapeError(f"ssim_patch: patch shapes {pt.data.shape} != {qt.data.shape}")
+    w = Tensor(window_weights(pt.data.shape[-2:], consts.kind, consts.gaussian_sigma)
+               .reshape(pt.data.shape))
+    s = ssim_from_moments(reduce_sum(pt * w), reduce_sum(qt * w), reduce_sum(pt * pt * w),
+                          reduce_sum(qt * qt * w), reduce_sum(pt * qt * w), consts)
+    return s if isinstance(p, Tensor) or isinstance(q, Tensor) else s.item()
 
 
 def loss_weights(stats: GradStatsMap, sigma_l2=1.8, sigma_l1=0.35):
@@ -152,20 +155,6 @@ def loss_weights(stats: GradStatsMap, sigma_l2=1.8, sigma_l1=0.35):
                        sigma_l2=sigma_l2, sigma_l1=sigma_l1)
 
 
-def weighted_pixel_loss(yhat_patch, y_patch, yhat_center, y_center, gammas,
-                        consts=SsimConstants()):
-    """Blended loss value at one pixel: g1*L2 + g2*L1 - g3*SSIM(patches).
-
-    ``gammas`` is the (g1, g2, g3) triple for this pixel; the SSIM term is
-    negated because similarity is maximized. Reference/oracle path on plain
-    values.
-    """
-    g1, g2, g3 = gammas
-    return (g1 * float(l2_pixel(yhat_center, y_center))
-            + g2 * float(l1_pixel(yhat_center, y_center))
-            - g3 * ssim_patch(yhat_patch, y_patch, consts))
-
-
 def _as_weight_stack(weights, n, h, w):
     if isinstance(weights, LossWeights):
         weights = [weights] * n if n > 1 else [weights]
@@ -178,10 +167,6 @@ def _as_weight_stack(weights, n, h, w):
             raise ShapeError(f"struct_loss: weight map shape {m.shape[2:]} != image {h}x{w}")
         maps.append(m)
     return maps
-
-
-def _box(t, row_k, col_k, zero_b):
-    return conv2d(conv2d(t, row_k, zero_b), col_k, zero_b)
 
 
 def struct_loss(yhat, y, weights, consts=SsimConstants()):
@@ -202,26 +187,10 @@ def struct_loss(yhat, y, weights, consts=SsimConstants()):
     n, _, h, w = yhat.data.shape
     g1m, g2m, g3m = _as_weight_stack(weights, n, h, w)
 
-    k = consts.window
-    vec = window_vector(k, consts.kind, consts.gaussian_sigma)
-    row_k = Tensor(vec.reshape(1, 1, 1, k))
-    col_k = Tensor(vec.reshape(1, 1, k, 1))
-    zero_b = Tensor(np.zeros(1))
-
     yt = Tensor(ydata)
-    mp = _box(yhat, row_k, col_k, zero_b)
-    mq = _box(yt, row_k, col_k, zero_b)
-    sp = sub(_box(mul(yhat, yhat), row_k, col_k, zero_b), mul(mp, mp))
-    sq = sub(_box(mul(yt, yt), row_k, col_k, zero_b), mul(mq, mq))
-    spq = sub(_box(mul(yhat, yt), row_k, col_k, zero_b), mul(mp, mq))
-    num = mul(add(mul(mul(mp, mq), 2.0), consts.c1), add(mul(spq, 2.0), consts.c2))
-    den = mul(add(add(mul(mp, mp), mul(mq, mq)), consts.c1),
-              add(add(sp, sq), consts.c2))
-    ssim_map = div(num, den)
-
     diff = sub(yhat, yt)
     l1_map = abs_val(diff)
     l2_map = mul(diff, diff)
     blended = sub(add(mul(Tensor(g1m), l2_map), mul(Tensor(g2m), l1_map)),
-                  mul(Tensor(g3m), ssim_map))
+                  mul(Tensor(g3m), ssim_map(yhat, yt, consts)))
     return mul(reduce_mean(add(blended, l1_map)), 0.5)

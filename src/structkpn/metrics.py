@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .losses import SsimConstants, window_weights
+from .losses import SsimConstants, ssim_from_moments, window_weights
 
 __all__ = ["psnr", "ssim_image", "EvalRow", "EvalReport", "evaluate", "EVAL_HEADER"]
 
@@ -51,18 +51,16 @@ def ssim_image(reference, test, window=11, data_range=1.0, kind="uniform",
         raise ValueError(
             f"ssim_image: image {a.shape} smaller than {window}x{window} window")
     consts = SsimConstants.from_range(data_range, window, kind, gaussian_sigma)
+    # Valid-window tensordot moments, not losses.ssim_map: separable window sums
+    # round differently, and perfbench/reference.json pins eval's ssim_noisy bit for bit.
     w2 = window_weights((window, window), kind, gaussian_sigma)
     wa = sliding_window_view(a, (window, window))
     wb = sliding_window_view(b, (window, window))
     axes = ([2, 3], [0, 1])
-    mp = np.tensordot(wa, w2, axes=axes)
-    mq = np.tensordot(wb, w2, axes=axes)
-    sp = np.tensordot(wa * wa, w2, axes=axes) - mp * mp
-    sq = np.tensordot(wb * wb, w2, axes=axes) - mq * mq
-    spq = np.tensordot(wa * wb, w2, axes=axes) - mp * mq
-    num = (2.0 * mp * mq + consts.c1) * (2.0 * spq + consts.c2)
-    den = (mp * mp + mq * mq + consts.c1) * (sp + sq + consts.c2)
-    return float(np.mean(num / den))
+    return float(np.mean(ssim_from_moments(
+        np.tensordot(wa, w2, axes=axes), np.tensordot(wb, w2, axes=axes),
+        np.tensordot(wa * wa, w2, axes=axes), np.tensordot(wb * wb, w2, axes=axes),
+        np.tensordot(wa * wb, w2, axes=axes), consts)))
 
 
 @dataclass

@@ -27,6 +27,7 @@ __all__ = [
     "reduce_mean",
     "reduce_sum",
     "conv2d",
+    "window_filter",
     "backward",
     "grad_check",
     "make_op",
@@ -435,6 +436,18 @@ def conv2d(x, weights, bias, groups=1):
             accumulate_grad(x, _collapse_replication(gxf.reshape(n, cin, hp, wp), ph, pw))
 
     return make_op(out_data, (x, weights, bias), bwd, "conv2d")
+
+
+def window_filter(x, vec):
+    """Same-size separable filter of an (N,1,H,W) tensor by an odd-length 1-D window.
+
+    Filters along rows, then along columns: two edge-replicated ``conv2d``
+    calls, so the 2-D window is ``outer(vec, vec)`` and the gradient is conv2d's.
+    """
+    vec = np.asarray(vec, dtype=np.float64)
+    zero = Tensor(np.zeros(1))
+    rows = conv2d(x, Tensor(vec.reshape(1, 1, 1, -1)), zero)
+    return conv2d(rows, Tensor(vec.reshape(1, 1, -1, 1)), zero)
 
 
 # -- driver-level helpers -----------------------------------------------------

@@ -355,6 +355,7 @@ def save_checkpoint(path, ckpt):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; any malformed or corrupt content raises ValueError naming ``path``."""
     path = Path(path)
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
@@ -363,11 +364,11 @@ def load_checkpoint(path):
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         blob_len, = read_u32(f, path)
-        meta = json.loads(read_exact(f, blob_len, path).decode("utf-8"))
+        blob = read_exact(f, blob_len, path)
         groups = {"param.": {}, "adam.m.": {}, "adam.v.": {}}
         while f.peek(1):
             nlen, = read_u32(f, path)
-            name = read_exact(f, nlen, path).decode("utf-8")
+            name = read_exact(f, nlen, path).decode("utf-8", "replace")
             arr = read_array(f, path)
             for prefix in groups:
                 if name.startswith(prefix):
@@ -376,22 +377,31 @@ def load_checkpoint(path):
             else:
                 raise ValueError(f"{path}: unknown tensor section {name!r}")
 
-    cfg_dict = meta.get("config", {})
-    known = {f.name for f in fields(TrainConfig)}
-    extra = sorted(set(cfg_dict) - known)
-    missing = sorted(known - set(cfg_dict))
-    if extra or missing:
-        raise ValueError(
-            f"{path}: config keys mismatch: unknown {extra}, missing {missing}")
-    cfg = TrainConfig(**cfg_dict)
+    try:
+        cfg, step, rng_state = _parse_meta(blob)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: corrupt checkpoint metadata ({type(e).__name__}: {e})") from e
     params = groups["param."]
     if not params:
         raise ValueError(f"{path}: checkpoint holds no parameters")
     if set(groups["adam.m."]) != set(params) or set(groups["adam.v."]) != set(params):
         raise ValueError(f"{path}: optimizer tensors do not match parameters")
-    return Checkpoint(config=cfg, step=int(meta["step"]), params=params,
+    return Checkpoint(config=cfg, step=step, params=params,
                       adam_m=groups["adam.m."], adam_v=groups["adam.v."],
-                      rng_state=meta["rng_state"])
+                      rng_state=rng_state)
+
+
+def _parse_meta(blob):
+    """(config, step, rng_state) from the JSON metadata; raises on any malformed field."""
+    meta = json.loads(blob.decode("utf-8"))
+    cfg_dict = meta["config"]
+    known = {f.name for f in fields(TrainConfig)}
+    extra = sorted(set(cfg_dict) - known)
+    missing = sorted(known - set(cfg_dict))
+    if extra or missing:
+        raise ValueError(f"config keys mismatch: unknown {extra}, missing {missing}")
+    np.random.PCG64().state = meta["rng_state"]        # rejects a malformed generator state
+    return TrainConfig(**cfg_dict), int(meta["step"]), meta["rng_state"]
 
 
 def write_curve_csv(path, rows):

@@ -1,8 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from structkpn.fileio import (read_pgm, write_pgm, write_scaled_pgm, read_minmax,
-                              write_tensor, read_tensor)
+from structkpn.fileio import read_pgm, write_pgm, write_scaled_pgm, read_minmax, read_array
 
 
 def test_pgm_16bit_roundtrip_exact_levels(tmp_path):
@@ -56,6 +57,11 @@ def test_pgm_errors(tmp_path):
     p.write_bytes(b"P5\n2 2\n70000\n" + b"\x00" * 8)
     with pytest.raises(ValueError):
         read_pgm(p)
+    for bad_header in (b"P5\n2 x\n255\n\x00\x00", b"P5\n-2 2\n255\n\x00\x00",
+                       b"P5\n2 2\n", b"P5 # comment to the end"):
+        p.write_bytes(bad_header)
+        with pytest.raises(ValueError, match="e.pgm"):
+            read_pgm(p)
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "f.pgm", np.zeros((2, 2, 2)))
 
@@ -77,22 +83,9 @@ def test_scaled_pgm_constant_map(tmp_path):
     assert lo == hi == 4.2
 
 
-def test_tensor_roundtrip_bitwise(tmp_path):
-    rng = np.random.default_rng(81)
-    for shape in ((), (4,), (2, 3), (2, 3, 4, 5)):
-        arr = rng.normal(size=shape)
-        back = read_tensor(write_tensor(tmp_path / "t.bin", arr))
-        assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
-
-
-def test_tensor_file_errors(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(b"XXXX" + b"\x00" * 8)
-    with pytest.raises(ValueError):
-        read_tensor(p)
-    full = write_tensor(tmp_path / "g.bin", np.ones((2, 3))).read_bytes()
-    for cut in range(len(full)):
-        p.write_bytes(full[:cut])
-        with pytest.raises(ValueError, match="bad.bin"):
-            read_tensor(p)
+def test_array_record_with_overflowing_dims_names_file(tmp_path):
+    # the element count of 2^32-1 x 2^32-1 dims must not wrap to a small or negative size
+    p = tmp_path / "dims.bin"
+    p.write_bytes(struct.pack("<3I", 2, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 8)
+    with open(p, "rb") as f, pytest.raises(ValueError, match="dims.bin"):
+        read_array(f, p)

@@ -3,8 +3,8 @@ import pytest
 
 from structkpn.gradstats import GradStatsMap, stats_map
 from structkpn.losses import (SsimConstants, LossWeights, l1_pixel, l2_pixel,
-                              ssim_patch, loss_weights, weighted_pixel_loss,
-                              struct_loss, window_vector, window_weights)
+                              ssim_patch, loss_weights, struct_loss,
+                              window_vector, window_weights)
 from structkpn.tensor import Tensor, ShapeError, backward, grad_check, reduce_sum
 from helpers import direct_ssim
 
@@ -116,18 +116,7 @@ def test_ssim_patch_shape_mismatch():
         ssim_patch(np.zeros((5, 5)), np.zeros((7, 7)))
 
 
-def test_weighted_pixel_loss_hand_formula():
-    rng = np.random.default_rng(28)
-    p, q = rng.random((11, 11)), rng.random((11, 11))
-    gammas = (0.2, 0.5, 0.3)
-    got = weighted_pixel_loss(p, q, p[5, 5], q[5, 5], gammas)
-    want = (0.2 * (p[5, 5] - q[5, 5]) ** 2
-            + 0.5 * abs(p[5, 5] - q[5, 5])
-            - 0.3 * direct_ssim(p, q))
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def _oracle_struct_loss(yhat, y, w, window):
+def _oracle_struct_loss(yhat, y, w, window, weights=None):
     """Per-pixel recomputation with plain numpy windows (replicated borders)."""
     half = window // 2
     ph = np.pad(yhat, half, mode="edge")
@@ -137,7 +126,7 @@ def _oracle_struct_loss(yhat, y, w, window):
         for n in range(yhat.shape[1]):
             wp = ph[m:m + window, n:n + window]
             wq = py[m:m + window, n:n + window]
-            s = direct_ssim(wp, wq)
+            s = direct_ssim(wp, wq, weights=weights)
             d = yhat[m, n] - y[m, n]
             total += (w.gamma1[m, n] * d * d
                       + w.gamma2[m, n] * abs(d)
@@ -151,10 +140,11 @@ def test_struct_loss_matches_per_pixel_oracle():
     y = rng.random((10, 12))
     yhat = np.clip(y + rng.normal(0, 0.1, y.shape), 0, 1)
     w = loss_weights(stats_map(y, 5))
-    consts = SsimConstants(window=5)
-    got = struct_loss(Tensor(yhat[None, None]), y[None, None], w, consts).item()
-    want = _oracle_struct_loss(yhat, y, w, 5)
-    assert abs(got - want) <= 1e-10
+    for kind, weights in (("uniform", None), ("gaussian", window_weights((5, 5), "gaussian"))):
+        consts = SsimConstants(window=5, kind=kind)
+        got = struct_loss(Tensor(yhat[None, None]), y[None, None], w, consts).item()
+        want = _oracle_struct_loss(yhat, y, w, 5, weights)
+        assert abs(got - want) <= 1e-10, kind
 
 
 def test_struct_loss_batch_equals_mean_of_singles():

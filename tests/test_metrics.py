@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from structkpn.corpus import synth_image
-from structkpn.losses import SsimConstants, ssim_patch
+from structkpn.losses import window_weights
 from structkpn.metrics import psnr, ssim_image, evaluate, EVAL_HEADER
 from structkpn.training import TrainConfig, train
+from helpers import direct_ssim
 
 
 def test_psnr_known_values():
@@ -47,12 +48,12 @@ def test_ssim_image_matches_naive_window_loop():
     b = np.clip(a + rng.normal(0, 0.15, a.shape), 0, 1)
     for kind in ("uniform", "gaussian"):
         got = ssim_image(a, b, window=11, kind=kind)
-        consts = SsimConstants(kind=kind)
+        w2 = window_weights((11, 11), kind)
         vals = []
         for m in range(18 - 10):
             for n in range(20 - 10):
-                vals.append(ssim_patch(a[m:m + 11, n:n + 11],
-                                       b[m:m + 11, n:n + 11], consts))
+                vals.append(direct_ssim(a[m:m + 11, n:n + 11],
+                                        b[m:m + 11, n:n + 11], weights=w2))
         assert got == pytest.approx(np.mean(vals), abs=1e-10)
 
 

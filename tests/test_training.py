@@ -212,11 +212,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(bad)
 
 
-def test_checkpoint_every_truncation_raises_value_error(tmp_path):
+def tiny_checkpoint_bytes(tmp_path):
     cfg = TrainConfig(steps=1, val_interval=0, kernel_size=3, stem_channels=2,
                       num_res_blocks=1, groups=1, patch_size=16, batch_size=1, seed=3)
     ckpt, _ = train(cfg, small_corpus(n=2, size=32))
-    full = save_checkpoint(tmp_path / "full.ckpt", ckpt).read_bytes()
+    return save_checkpoint(tmp_path / "full.ckpt", ckpt).read_bytes()
+
+
+def test_checkpoint_every_truncation_raises_value_error(tmp_path):
+    full = tiny_checkpoint_bytes(tmp_path)
     cut_path = tmp_path / "cut.ckpt"
     for cut in range(len(full)):
         cut_path.write_bytes(full[:cut])
@@ -224,6 +228,20 @@ def test_checkpoint_every_truncation_raises_value_error(tmp_path):
             load_checkpoint(cut_path)
     cut_path.write_bytes(full)
     assert save_checkpoint(tmp_path / "again.ckpt", load_checkpoint(cut_path)).read_bytes() == full
+
+
+def test_checkpoint_byte_flips_load_or_name_the_file(tmp_path):
+    full = tiny_checkpoint_bytes(tmp_path)
+    flip_path = tmp_path / "flip.ckpt"
+    for i in range(len(full)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(full)
+            flipped[i] ^= mask
+            flip_path.write_bytes(flipped)
+            try:
+                load_checkpoint(flip_path)
+            except ValueError as e:
+                assert "flip.ckpt" in str(e), (i, mask, e)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
