@@ -13,7 +13,7 @@ from pathlib import Path
 from .corpus import synth_corpus
 from .fileio import read_pgm, write_pgm, write_scaled_pgm
 from .gradstats import stats_map, region_class_map
-from .kpn import denoise_image, kernel_at, kpn_forward
+from .kpn import denoise_image, kernel_at
 from .metrics import evaluate
 from .training import (TrainConfig, TrainingDiverged, load_checkpoint,
                        save_checkpoint, train, write_curve_csv)
@@ -129,20 +129,18 @@ def cmd_train(args):
 def cmd_denoise(args):
     ckpt = load_checkpoint(args.ckpt)
     img = read_pgm(args.input)
-    model_cfg = ckpt.config.kpn_config()
+    pixels = []
     if args.dump_kernels is not None:
+        # a plain-cnn field has one channel, which kernel_at would read as a 1x1 filter
         if ckpt.config.model_kind != "kpn":
             raise ValueError("--dump-kernels needs a filter-predicting checkpoint, "
                              f"this one is {ckpt.config.model_kind!r}")
         pixels = _parse_pixel_list(args.dump_kernels)
-        field, den = kpn_forward(img, ckpt.params, model_cfg)
-        base = Path(args.output).with_suffix("")
-        for m, n in pixels:
-            kern = kernel_at(field, m, n)
-            for p in write_scaled_pgm(f"{base}.kernel_{m}_{n}.pgm", kern):
-                print(f"wrote {p}")
-    else:
-        den = denoise_image(ckpt.params, model_cfg, img, ckpt.config.model_kind)
+    field, den = denoise_image(ckpt.params, ckpt.config.kpn_config(), img)
+    base = Path(args.output).with_suffix("")
+    for m, n in pixels:
+        for p in write_scaled_pgm(f"{base}.kernel_{m}_{n}.pgm", kernel_at(field, m, n)):
+            print(f"wrote {p}")
     write_pgm(args.output, den)
     print(f"wrote {args.output}")
     return 0

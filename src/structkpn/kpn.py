@@ -2,10 +2,12 @@
 
 The backbone is a 3x3 stem, a chain of residual blocks (3x3 conv, relu,
 3x3 conv, skip add; the last block uses 2 convolution groups), a relu, and a
-1x1 head with k^2 output channels. Each pixel's k^2 channel slice is applied
-to the input frame by ``local_conv``, which replicates edges so output size
-equals input size. Kernels can optionally be softmax-normalized per pixel so
-they are positive and sum to one.
+1x1 head. The config's ``model_kind`` picks the head: a "kpn" head has k^2
+output channels, and each pixel's k^2 channel slice is applied to the input
+frame by ``local_conv``, which replicates edges so output size equals input
+size; kernels can optionally be softmax-normalized per pixel so they are
+positive and sum to one. A "plain-cnn" head has one channel, starts at zero,
+and adds a residual to the input through a global skip.
 """
 
 import math
@@ -21,13 +23,14 @@ __all__ = [
     "local_conv",
     "build_model",
     "kpn_apply",
-    "plain_cnn_apply",
-    "kpn_forward",
     "kernel_at",
     "denoise_image",
     "params_to_tensors",
     "expected_param_shapes",
+    "check_param_shapes",
 ]
+
+MODEL_KINDS = ("kpn", "plain-cnn")
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,11 @@ class KpnConfig:
     num_res_blocks: int = 5
     groups: int = 2
     softmax_normalize_kernels: bool = False
+    model_kind: str = "kpn"
 
     def __post_init__(self):
+        if self.model_kind not in MODEL_KINDS:
+            raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
         if self.stem_channels < 1:
@@ -118,10 +124,9 @@ if "local_conv" not in registered_ops():
     register_op("local_conv")
 
 
-def expected_param_shapes(cfg, head_channels=None):
+def expected_param_shapes(cfg):
     """Parameter name -> (shape, conv groups) for a config; defines init order."""
-    if head_channels is None:
-        head_channels = cfg.kernel_size * cfg.kernel_size
+    head_channels = cfg.kernel_size * cfg.kernel_size if cfg.model_kind == "kpn" else 1
     c = cfg.stem_channels
     shapes = {"stem.w": ((c, 1, 3, 3), 1), "stem.b": ((c,), 1)}
     for i in range(cfg.num_res_blocks):
@@ -135,19 +140,19 @@ def expected_param_shapes(cfg, head_channels=None):
     return shapes
 
 
-def build_model(cfg, seed, head_channels=None, zero_head=False):
+def build_model(cfg, seed):
     """He-initialized parameter arrays (biases zero) keyed by layer name.
 
     Weights are drawn in a fixed layer order from a PCG64 generator, so the
-    same (cfg, seed) always yields bit-identical parameters. ``zero_head``
-    makes the final 1x1 layer start as the zero map.
+    same (cfg, seed) always yields bit-identical parameters. A plain-cnn head
+    starts as the zero map, so the initial network is the identity.
     """
     rng = np.random.default_rng(seed)
     params = {}
-    for name, (shape, groups) in expected_param_shapes(cfg, head_channels).items():
+    for name, (shape, groups) in expected_param_shapes(cfg).items():
         if name.endswith(".b"):
             params[name] = np.zeros(shape)
-        elif zero_head and name == "head.w":
+        elif cfg.model_kind == "plain-cnn" and name == "head.w":
             params[name] = np.zeros(shape)
         else:
             fan_in = shape[1] * shape[2] * shape[3]
@@ -160,17 +165,16 @@ def params_to_tensors(params, requires_grad=True):
             for name, arr in params.items()}
 
 
-def _check_params(params, cfg, head_channels):
-    expected = expected_param_shapes(cfg, head_channels)
-    missing = sorted(set(expected) - set(params))
-    extra = sorted(set(params) - set(expected))
+def check_param_shapes(shapes, cfg):
+    """Raise ValueError unless ``shapes`` (name -> shape) names exactly the config's layers."""
+    expected = expected_param_shapes(cfg)
+    missing = sorted(set(expected) - set(shapes))
+    extra = sorted(set(shapes) - set(expected))
     if missing or extra:
         raise ValueError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
     for name, (shape, _) in expected.items():
-        got = params[name].data.shape
-        if got != shape:
-            raise ValueError(f"parameter {name} has shape {got}, expected {shape}")
-    return expected
+        if shapes[name] != shape:
+            raise ValueError(f"parameter {name} has shape {shapes[name]}, expected {shape}")
 
 
 def _backbone(params, x, cfg):
@@ -184,67 +188,43 @@ def _backbone(params, x, cfg):
 
 
 def kpn_apply(params, x, cfg):
-    """Graph forward pass: (per-pixel filter field, filtered image).
+    """Graph forward pass of either model kind: (head output, denoised image).
 
-    params maps layer names to Tensors; x is an (N,1,H,W) Tensor. The filter
-    field has k^2 channels, softmax-normalized per pixel when configured.
+    params maps layer names to Tensors; x is an (N,1,H,W) Tensor. A kpn head
+    is the per-pixel filter field (k^2 channels, softmax-normalized per pixel
+    when configured) applied to x by local_conv; a plain-cnn head is one
+    residual channel added to x.
     """
-    k2 = cfg.kernel_size * cfg.kernel_size
-    _check_params(params, cfg, k2)
+    check_param_shapes({name: t.data.shape for name, t in params.items()}, cfg)
     if x.data.ndim != 4 or x.data.shape[1] != 1:
         raise ShapeError(f"kpn_apply: input must be (N,1,H,W), got {x.data.shape}")
-    feats = _backbone(params, x, cfg)
-    v = conv2d(feats, params["head.w"], params["head.b"])
+    v = conv2d(_backbone(params, x, cfg), params["head.w"], params["head.b"])
+    if cfg.model_kind == "plain-cnn":
+        return v, add(x, v)
     if cfg.softmax_normalize_kernels:
         v = softmax_vec(v, axis=1)
     return v, local_conv(x, v)
 
 
-def plain_cnn_apply(params, x, cfg):
-    """Baseline forward pass: same backbone, 1-channel head, global skip.
-
-    The head starts at zero in the baseline builder, so the initial network is
-    the identity; output is input plus the predicted residual.
-    """
-    _check_params(params, cfg, 1)
-    if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise ShapeError(f"plain_cnn_apply: input must be (N,1,H,W), got {x.data.shape}")
-    feats = _backbone(params, x, cfg)
-    res = conv2d(feats, params["head.w"], params["head.b"])
-    return add(x, res)
-
-
-def kpn_forward(img, params, cfg):
-    """Run the filter-predicting model on one (H,W) array.
-
-    Returns (field, denoised): field is (H,W,k^2) with channel c holding the
-    filter tap at offset (s,t) = (c // k - r, c % k - r), denoised is (H,W).
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeError(f"kpn_forward: expected a 2-D image, got shape {img.shape}")
-    x = Tensor(img[None, None])
-    tensors = params_to_tensors(params, requires_grad=False)
-    v, yhat = kpn_apply(tensors, x, cfg)
-    return v.data[0].transpose(1, 2, 0).copy(), yhat.data[0, 0].copy()
-
-
 def kernel_at(field, m, n):
-    """Extract the (k,k) filter at pixel (m,n) from an (H,W,k^2) field."""
-    h, w, k2 = field.shape
+    """Extract the (k,k) filter at pixel (m,n) from a (k^2,H,W) field."""
+    k2, h, w = field.shape
     if not (0 <= m < h and 0 <= n < w):
         raise ValueError(f"kernel_at: pixel ({m}, {n}) outside {h}x{w} field")
     k, _ = _filter_geometry(k2)
-    return field[m, n].reshape(k, k).copy()
+    return field[:, m, n].reshape(k, k).copy()
 
 
-def denoise_image(params, cfg, img, model_kind="kpn"):
-    """Denoise one (H,W) array with either model flavor; returns (H,W)."""
-    if model_kind == "kpn":
-        return kpn_forward(img, params, cfg)[1]
-    if model_kind == "plain-cnn":
-        img = np.asarray(img, dtype=np.float64)
-        x = Tensor(img[None, None])
-        tensors = params_to_tensors(params, requires_grad=False)
-        return plain_cnn_apply(tensors, x, cfg).data[0, 0].copy()
-    raise ValueError(f"unknown model kind {model_kind!r}")
+def denoise_image(params, cfg, img):
+    """Run the model on one (H,W) array; returns (field, denoised).
+
+    field is a (C,H,W) view of the head output: for kpn, channel c holds the
+    filter tap at offset (s,t) = (c // k - r, c % k - r); for plain-cnn, the
+    one residual channel. denoised is (H,W).
+    """
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ShapeError(f"denoise_image: expected a 2-D image, got shape {img.shape}")
+    tensors = params_to_tensors(params, requires_grad=False)
+    v, yhat = kpn_apply(tensors, Tensor(img[None, None]), cfg)
+    return v.data[0], yhat.data[0, 0]

@@ -73,30 +73,15 @@ class LossWeights:
     sigma_l1: float
 
 
-def _as_like(y, ref):
-    """Lift a target (Tensor, array, or scalar) to a Tensor shaped like ref."""
-    if isinstance(y, Tensor):
-        return y
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(ref.data.shape, float(arr))
-    return Tensor(arr)
-
-
 def l1_pixel(yhat, y):
-    """|yhat - y| per element; subgradient 0 at equality."""
-    if isinstance(yhat, Tensor):
-        return abs_val(sub(yhat, _as_like(y, yhat)))
-    return np.abs(np.asarray(yhat, dtype=np.float64) - y)
+    """|yhat - y| per element of two Tensors; subgradient 0 at equality."""
+    return abs_val(sub(yhat, y))
 
 
 def l2_pixel(yhat, y):
-    """(yhat - y)^2 per element."""
-    if isinstance(yhat, Tensor):
-        d = sub(yhat, _as_like(y, yhat))
-        return mul(d, d)
-    d = np.asarray(yhat, dtype=np.float64) - y
-    return d * d
+    """(yhat - y)^2 per element of two Tensors."""
+    d = sub(yhat, y)
+    return mul(d, d)
 
 
 def ssim_from_moments(mp, mq, mpp, mqq, mpq, consts):

@@ -130,7 +130,9 @@ def evaluate(ckpt, dataset, nm=None, seed=0):
     for i, (name, img) in enumerate(named):
         img = np.asarray(img, dtype=np.float64)
         noisy = add_noise(img, nm, np.random.default_rng([seed, i]))
-        den = denoise_image(ckpt.params, model_cfg, noisy, ckpt.config.model_kind)
+        # index, not unpack: a bound field would keep the k^2-channel head output
+        # alive through the next image's forward pass
+        den = denoise_image(ckpt.params, model_cfg, noisy)[1]
         rows.append(EvalRow(file=name,
                             psnr_noisy=psnr(img, noisy),
                             ssim_noisy=ssim_image(img, noisy),

@@ -87,20 +87,8 @@ class Tensor:
         self._backward_fn = None
         self._op = "leaf"
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
-
-    def is_finite(self):
-        """Validity check: True iff the tensor holds no NaN/Inf."""
-        return bool(np.isfinite(self.data).all())
 
     def __repr__(self):
         head = f"Tensor(shape={self.data.shape}, op={self._op}"
@@ -133,21 +121,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def abs(self):
-        return abs_val(self)
-
-    def relu(self):
-        return relu(self)
-
-    def mean(self):
-        return reduce_mean(self)
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def softmax(self, axis=-1):
-        return softmax_vec(self, axis=axis)
 
     # -- tape --------------------------------------------------------------
 

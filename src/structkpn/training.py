@@ -18,7 +18,8 @@ import numpy as np
 
 from .fileio import read_array, read_exact, read_u32, write_array
 from .gradstats import stats_map
-from .kpn import KpnConfig, build_model, denoise_image, kpn_apply, params_to_tensors, plain_cnn_apply
+from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn_apply,
+                  params_to_tensors)
 from .losses import SsimConstants, l1_pixel, l2_pixel, loss_weights, struct_loss
 from .metrics import psnr, ssim_image
 from .tensor import Tensor, backward, reduce_mean
@@ -30,7 +31,6 @@ __all__ = [
     "AdamState",
     "init_adam",
     "adam_step",
-    "build_plain_cnn",
     "split_train_val",
     "sample_patch_pairs",
     "TrainingDiverged",
@@ -46,8 +46,13 @@ CKPT_MAGIC = b"SKPN"
 CKPT_VERSION = 1
 CURVE_HEADER = "step,loss,val_psnr,val_ssim"
 
-MODEL_KINDS = ("kpn", "plain-cnn")
-LOSS_KINDS = ("l1", "l2", "struct")
+# loss_kind -> loss(yhat, clean batch, weight maps, SSIM constants) -> scalar Tensor
+LOSSES = {
+    "l1": lambda yhat, y, wts, consts: reduce_mean(l1_pixel(yhat, Tensor(y))),
+    "l2": lambda yhat, y, wts, consts: reduce_mean(l2_pixel(yhat, Tensor(y))),
+    "struct": struct_loss,
+}
+LOSS_KINDS = tuple(LOSSES)
 NOISE_KINDS = ("gaussian", "poisson-gaussian")
 
 
@@ -112,8 +117,6 @@ class TrainConfig:
     poisson_scale: float = 0.0
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.steps < 0:
@@ -137,7 +140,8 @@ class TrainConfig:
     def kpn_config(self):
         return KpnConfig(kernel_size=self.kernel_size, stem_channels=self.stem_channels,
                          num_res_blocks=self.num_res_blocks, groups=self.groups,
-                         softmax_normalize_kernels=self.softmax_kernels)
+                         softmax_normalize_kernels=self.softmax_kernels,
+                         model_kind=self.model_kind)
 
     def noise_model(self):
         return NoiseModel(kind=self.noise_kind, sigma=self.noise_sigma,
@@ -185,15 +189,6 @@ def adam_step(params, grads, state, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
     return new_p, AdamState(m=new_m, v=new_v, t=t)
 
 
-def build_plain_cnn(cfg, seed):
-    """Baseline: identical backbone, 1-channel head starting at zero.
-
-    The zero head makes the initial network exactly the identity through the
-    global skip connection.
-    """
-    return build_model(cfg, seed, head_channels=1, zero_head=True)
-
-
 def split_train_val(items):
     """Hold out the last fifth (at least one item) when there are >= 2 items."""
     n = len(items)
@@ -239,7 +234,7 @@ def _validate(params, model_cfg, cfg, val_imgs):
     ps, ss = [], []
     for i, img in enumerate(val_imgs):
         noisy = add_noise(img, nm, np.random.default_rng([cfg.seed, 91, i]))
-        den = denoise_image(params, model_cfg, noisy, cfg.model_kind)
+        den = denoise_image(params, model_cfg, noisy)[1]
         ps.append(psnr(img, den))
         ss.append(ssim_image(img, den))
     return float(np.mean(ps)), float(np.mean(ss))
@@ -268,10 +263,7 @@ def train(cfg, images, start=None):
     train_imgs, val_imgs = split_train_val(imgs)
 
     if start is None:
-        if cfg.model_kind == "kpn":
-            params = build_model(model_cfg, cfg.seed)
-        else:
-            params = build_plain_cnn(model_cfg, cfg.seed)
+        params = build_model(model_cfg, cfg.seed)
         state = init_adam(params)
         rng = np.random.default_rng(cfg.seed)
         step0 = 0
@@ -290,17 +282,8 @@ def train(cfg, images, start=None):
     for step in range(step0 + 1, cfg.steps + 1):
         xb, yb, wts = sample_patch_pairs(train_imgs, cfg, rng, with_weights=need_weights)
         tensors = params_to_tensors(params)
-        x_t = Tensor(xb)
-        if cfg.model_kind == "kpn":
-            _, yhat = kpn_apply(tensors, x_t, model_cfg)
-        else:
-            yhat = plain_cnn_apply(tensors, x_t, model_cfg)
-        if cfg.loss_kind == "l1":
-            loss = reduce_mean(l1_pixel(yhat, Tensor(yb)))
-        elif cfg.loss_kind == "l2":
-            loss = reduce_mean(l2_pixel(yhat, Tensor(yb)))
-        else:
-            loss = struct_loss(yhat, yb, wts, consts)
+        _, yhat = kpn_apply(tensors, Tensor(xb), model_cfg)
+        loss = LOSSES[cfg.loss_kind](yhat, yb, wts, consts)
         loss_val = float(loss.item())
         if not math.isfinite(loss_val):
             raise TrainingDiverged(step, loss_val)
@@ -381,12 +364,13 @@ def load_checkpoint(path):
         cfg, step, rng_state = _parse_meta(blob)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: corrupt checkpoint metadata ({type(e).__name__}: {e})") from e
-    params = groups["param."]
-    if not params:
-        raise ValueError(f"{path}: checkpoint holds no parameters")
-    if set(groups["adam.m."]) != set(params) or set(groups["adam.v."]) != set(params):
-        raise ValueError(f"{path}: optimizer tensors do not match parameters")
-    return Checkpoint(config=cfg, step=step, params=params,
+    model_cfg = cfg.kpn_config()
+    for prefix, group in groups.items():
+        try:
+            check_param_shapes({name: a.shape for name, a in group.items()}, model_cfg)
+        except ValueError as e:
+            raise ValueError(f"{path}: {prefix}* tensors do not match the config ({e})") from None
+    return Checkpoint(config=cfg, step=step, params=groups["param."],
                       adam_m=groups["adam.m."], adam_v=groups["adam.v."],
                       rng_state=rng_state)
 

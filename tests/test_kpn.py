@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from structkpn.kpn import (KpnConfig, local_conv, build_model, kpn_apply,
-                           plain_cnn_apply, kpn_forward, kernel_at, denoise_image,
-                           params_to_tensors, expected_param_shapes)
+from structkpn.kpn import (KpnConfig, local_conv, build_model, kpn_apply, kernel_at,
+                           denoise_image, params_to_tensors, expected_param_shapes)
 from structkpn.tensor import Tensor, ShapeError, backward, grad_check, reduce_sum, registered_ops
 from helpers import naive_local_conv
 
@@ -135,6 +136,8 @@ def test_config_validation():
         KpnConfig(num_res_blocks=-1)
     with pytest.raises(ValueError):
         KpnConfig(groups=0)
+    with pytest.raises(ValueError, match="bogus"):
+        KpnConfig(model_kind="bogus")
 
 
 def test_kpn_apply_shapes_and_softmax_field():
@@ -164,43 +167,49 @@ def test_kpn_apply_param_validation():
 
 
 def test_plain_cnn_zero_head_is_identity():
-    from structkpn.training import build_plain_cnn
-    params = params_to_tensors(build_plain_cnn(TINY, seed=3), requires_grad=False)
+    cfg = dataclasses.replace(TINY, model_kind="plain-cnn")
+    raw = build_model(cfg, seed=3)
+    assert raw["head.w"].shape == (1, 8, 1, 1) and not raw["head.w"].any()
+    params = params_to_tensors(raw, requires_grad=False)
     x = np.random.default_rng(46).random((1, 1, 9, 9))
-    out = plain_cnn_apply(params, Tensor(x), TINY)
+    res, out = kpn_apply(params, Tensor(x), cfg)
+    assert res.data.shape == (1, 1, 9, 9) and not res.data.any()
     assert np.array_equal(out.data, x)
 
 
-def test_kpn_forward_field_layout_and_kernel_at():
+def test_denoise_image_field_layout_and_kernel_at():
     cfg = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2,
                     softmax_normalize_kernels=True)
     params = build_model(cfg, seed=2)
     img = np.random.default_rng(47).random((8, 9))
-    field, den = kpn_forward(img, params, cfg)
-    assert field.shape == (8, 9, 9)
+    field, den = denoise_image(params, cfg, img)
+    assert field.shape == (9, 8, 9)
     assert den.shape == (8, 9)
+    v, yhat = kpn_apply(params_to_tensors(params, requires_grad=False),
+                        Tensor(img[None, None]), cfg)
+    assert np.array_equal(field, v.data[0]) and np.array_equal(den, yhat.data[0, 0])
     kern = kernel_at(field, 2, 3)
     assert kern.shape == (3, 3)
-    assert np.array_equal(kern.ravel(), field[2, 3])
+    assert np.array_equal(kern.ravel(), field[:, 2, 3])
     assert kern.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError, match=r"\(8, 3\)"):
         kernel_at(field, 8, 3)
     with pytest.raises(ValueError):
         kernel_at(field, 0, -1)
     with pytest.raises(ShapeError):
-        kpn_forward(np.zeros((4, 4, 4)), params, cfg)
+        denoise_image(params, cfg, np.zeros((4, 4, 4)))
 
 
 def test_denoise_image_kinds():
-    from structkpn.training import build_plain_cnn
     img = np.random.default_rng(48).random((8, 8))
-    kp = build_model(TINY, seed=1)
-    assert denoise_image(kp, TINY, img, "kpn").shape == (8, 8)
-    pp = build_plain_cnn(TINY, seed=1)
-    out = denoise_image(pp, TINY, img, "plain-cnn")
-    assert np.array_equal(out, img)
-    with pytest.raises(ValueError):
-        denoise_image(kp, TINY, img, "bogus")
+    field, den = denoise_image(build_model(TINY, seed=1), TINY, img)
+    assert field.shape == (9, 8, 8) and den.shape == (8, 8)
+    plain = dataclasses.replace(TINY, model_kind="plain-cnn")
+    field, den = denoise_image(build_model(plain, seed=1), plain, img)
+    assert field.shape == (1, 8, 8)
+    assert np.array_equal(den, img)
+    with pytest.raises(ValueError):   # kpn parameters under a plain-cnn config
+        denoise_image(build_model(TINY, seed=1), plain, img)
 
 
 def test_gradients_reach_every_parameter():

@@ -44,14 +44,17 @@ def test_weights_zero_stats_lean_on_l1():
 
 
 def test_l1_l2_pixel_values_and_gradients():
-    assert l1_pixel(1.0, 4.0) == 3.0
-    assert l2_pixel(1.0, 4.0) == 9.0
-    yhat = Tensor(np.array([1.0, 6.0]), requires_grad=True)
-    reduce_sum(l1_pixel(yhat, 4.0)).backward()
-    assert np.array_equal(yhat.grad, [-1.0, 1.0])
-    yhat2 = Tensor(np.array([1.0, 6.0]), requires_grad=True)
-    reduce_sum(l2_pixel(yhat2, np.array([4.0, 4.0]))).backward()
-    assert np.array_equal(yhat2.grad, [2 * (1 - 4.0), 2 * (6 - 4.0)])
+    target = Tensor(np.array([4.0, 4.0, 4.0]))
+    yhat = Tensor(np.array([1.0, 6.0, 4.0]), requires_grad=True)
+    l1 = l1_pixel(yhat, target)
+    assert np.array_equal(l1.data, [3.0, 2.0, 0.0])
+    reduce_sum(l1).backward()
+    assert np.array_equal(yhat.grad, [-1.0, 1.0, 0.0])
+    yhat2 = Tensor(np.array([1.0, 6.0, 4.0]), requires_grad=True)
+    l2 = l2_pixel(yhat2, target)
+    assert np.array_equal(l2.data, [9.0, 4.0, 0.0])
+    reduce_sum(l2).backward()
+    assert np.array_equal(yhat2.grad, [2 * (1 - 4.0), 2 * (6 - 4.0), 0.0])
 
 
 def test_ssim_patch_self_is_exactly_one():

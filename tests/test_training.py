@@ -1,12 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from structkpn.corpus import synth_image
+from structkpn.corpus import synth_corpus, synth_image
 from structkpn.kpn import KpnConfig
 from structkpn.training import (NoiseModel, add_noise, TrainConfig, AdamState,
-                                init_adam, adam_step, build_plain_cnn,
+                                init_adam, adam_step,
                                 split_train_val, sample_patch_pairs,
                                 TrainingDiverged, train, Checkpoint,
                                 save_checkpoint, load_checkpoint,
@@ -141,6 +145,8 @@ def test_train_config_validation():
     assert cfg.kpn_config() == KpnConfig(kernel_size=5, stem_channels=8,
                                          num_res_blocks=1, groups=2,
                                          softmax_normalize_kernels=True)
+    plain = TrainConfig(**{**TINY_KW, "model_kind": "plain-cnn"})
+    assert plain.kpn_config().model_kind == "plain-cnn"
 
 
 def test_train_loss_trend_decreases():
@@ -242,6 +248,53 @@ def test_checkpoint_byte_flips_load_or_name_the_file(tmp_path):
                 load_checkpoint(flip_path)
             except ValueError as e:
                 assert "flip.ckpt" in str(e), (i, mask, e)
+
+
+def test_checkpoint_arrays_must_match_config_shapes(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(tiny_checkpoint_bytes(tmp_path))
+    good = load_checkpoint(path)
+    m = good.adam_m["stem.w"]            # (2, 1, 3, 3): same element count, dims permuted
+    permuted = {**good.adam_m, "stem.w": np.ascontiguousarray(m.transpose(1, 0, 2, 3))}
+    cases = [
+        (dataclasses.replace(good, config=dataclasses.replace(good.config, num_res_blocks=0)),
+         r"bad\.ckpt: param\.\* .*unexpected \['res0\.conv1\.b'"),
+        (dataclasses.replace(good, config=dataclasses.replace(good.config, stem_channels=3)),
+         r"bad\.ckpt: param\.\* .*stem\.w has shape \(2, 1, 3, 3\), expected \(3, 1, 3, 3\)"),
+        (dataclasses.replace(good, adam_m=permuted),
+         r"bad\.ckpt: adam\.m\.\* .*stem\.w has shape \(1, 2, 3, 3\), expected \(2, 1, 3, 3\)"),
+    ]
+    for bad, message in cases:
+        save_checkpoint(path, bad)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+
+def test_train_is_deterministic_across_blas_thread_counts(tmp_path):
+    # bytes are promised at one BLAS thread count; across counts, GEMM sums may
+    # split differently, so parameters are compared within a tolerance
+    synth_corpus(tmp_path / "data", 5, 64, 7)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 3\nval_interval = 0\nkernel_size = 5\nstem_channels = 16\n"
+                   "num_res_blocks = 2\npatch_size = 48\nbatch_size = 4\n"
+                   "softmax_kernels = true\nseed = 5\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(threads, name):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": pythonpath}
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "structkpn.cli", "train", "--config", str(cfg),
+                        "--data", str(tmp_path / "data"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        return out
+
+    one_a, one_b, two = run(1, "a.ckpt"), run(1, "b.ckpt"), run(2, "c.ckpt")
+    assert one_a.read_bytes() == one_b.read_bytes()
+    pa, pc = load_checkpoint(one_a).params, load_checkpoint(two).params
+    assert set(pa) == set(pc)
+    for name in pa:
+        np.testing.assert_allclose(pc[name], pa[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
