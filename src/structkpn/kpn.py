@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, accumulate_grad, add, conv2d, make_op,
-                     register_op, registered_ops, relu, softmax_vec)
+from .tensor import (Tensor, ShapeError, _collapse_replication, accumulate_grad, add, conv2d,
+                     make_op, register_op, registered_ops, relu, softmax_vec)
 
 __all__ = [
     "KpnConfig",
@@ -69,8 +69,9 @@ def local_conv(x, v):
     """Apply per-pixel filters: out[m,n] = sum_{s,t} x[m-s, n-t] * v[(s+r)k+(t+r)].
 
     x is (N,1,H,W), v is (N,k^2,H,W) with k odd; out-of-range taps replicate
-    the nearest edge pixel, so the output is (N,1,H,W). The accumulation runs
-    in fixed channel order, making results bit-reproducible.
+    the nearest edge pixel, so the output is (N,1,H,W). Every tap reads a
+    window of x edge-padded once by r; the accumulation runs in fixed channel
+    order, making results bit-reproducible.
     """
     xd, vd = x.data, v.data
     if xd.ndim != 4 or xd.shape[1] != 1:
@@ -83,39 +84,28 @@ def local_conv(x, v):
             "on batch/spatial axes")
     k, r = _filter_geometry(vd.shape[1])
     n, _, h, w = xd.shape
+    xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
 
-    row_idx = {s: np.clip(np.arange(h) - s, 0, h - 1) for s in range(-r, r + 1)}
-    col_idx = {t: np.clip(np.arange(w) - t, 0, w - 1) for t in range(-r, r + 1)}
+    def tap(a, c):
+        # the (H,W) window of an r-padded array that channel c = (s+r)k+(t+r) reads at (m-s, n-t)
+        s, t = c // k - r, c % k - r
+        return a[:, :, r - s:r - s + h, r - t:r - t + w]
 
     out = np.zeros((n, 1, h, w))
-    c = 0
-    for s in range(-r, r + 1):
-        xs = xd[:, :, row_idx[s], :]
-        for t in range(-r, r + 1):
-            out += xs[:, :, :, col_idx[t]] * vd[:, c:c + 1]
-            c += 1
+    for c in range(k * k):
+        out += tap(xp, c) * vd[:, c:c + 1]
 
     def bw(g):
         if v.requires_grad:
             gv = np.empty_like(vd)
-            ci = 0
-            for s in range(-r, r + 1):
-                xs_ = xd[:, 0, row_idx[s], :]
-                for t in range(-r, r + 1):
-                    gv[:, ci] = g[:, 0] * xs_[:, :, col_idx[t]]
-                    ci += 1
+            for c in range(k * k):
+                gv[:, c] = g[:, 0] * tap(xp, c)[:, 0]
             accumulate_grad(v, gv)
         if x.requires_grad:
-            gx = np.zeros_like(xd)
-            bi = np.arange(n)[:, None, None]
-            ci = 0
-            for s in range(-r, r + 1):
-                rg = row_idx[s][None, :, None]
-                for t in range(-r, r + 1):
-                    cg = col_idx[t][None, None, :]
-                    np.add.at(gx[:, 0], (bi, rg, cg), g[:, 0] * vd[:, ci])
-                    ci += 1
-            accumulate_grad(x, gx)
+            gxp = np.zeros_like(xp)
+            for c in range(k * k):
+                tap(gxp, c)[...] += g * vd[:, c:c + 1]
+            accumulate_grad(x, _collapse_replication(gxp, r, r))
 
     return make_op(out, (x, v), bw, "local_conv")
 

@@ -6,8 +6,9 @@ tape node (parents + backward closure); ``Tensor.backward()`` replays the tape
 in reverse topological order with a fixed accumulation order, so repeated runs
 on identical inputs are bit-identical at a fixed BLAS thread count.
 
-``conv2d`` stays NCHW: every kernel tap is a contiguous shifted slice of the
-flattened edge-padded input, so one batched GEMM covers all taps and groups.
+``conv2d`` pads its input once into a channel-major buffer holding the batch
+end to end, so each kernel tap is one strided slice of it and the output
+accumulates one GEMM per tap (or small chunk of taps), with no column buffer.
 """
 
 import numpy as np
@@ -343,17 +344,27 @@ def _collapse_replication(gpad, ph, pw):
     return out
 
 
+# Adding a tap's GEMM into the output costs a pass over its Cout_g rows, and
+# stacking a tap into a chunk one over its Cin_g rows; a GEMM with a tiny
+# inner size (Cin_g = 1) is also slow. So a chunk stacks taps until its inner
+# size reaches Cout_g and at least this many rows.
+_MIN_GEMM_K = 8
+
+
 def conv2d(x, weights, bias, groups=1):
     """Grouped 2-D cross-correlation with same-size edge-replication padding.
 
     x: (N, Cin, H, W); weights: (Cout, Cin/groups, kh, kw) with kh, kw odd;
     bias: (Cout,). Output: (N, Cout, H, W). Differentiable w.r.t. all three.
 
-    Flat-shift layout: the edge-padded input is viewed as (N, Cin, Hp*Wp), in
-    which tap (dy, dx) is the contiguous slice starting at dy*Wp + dx and
-    output pixel (i, j) sits at flat index i*Wp + j. The stacked tap slices
-    (for a 1x1 kernel, the input itself) meet every group's weights in one
-    batched GEMM, and the H x W block is cropped from the padded row pitch.
+    Channel-major, batch-folded layout: the input is edge-padded once into
+    xf = (groups, Cin/groups, N*Hp*Wp), so the N padded images sit end to end
+    and output pixel (b, i, j) is flat index (b*Hp + i)*Wp + j. Tap (dy, dx) is
+    then the strided slice of xf starting at dy*Wp + dx, for the whole batch at
+    once. The output accumulates one GEMM per chunk of taps: one tap (a view
+    of xf), or a small stack of taps when Cin/groups is below Cout/groups or
+    ``_MIN_GEMM_K`` (all 9 for the stem). The backward pass keeps only xf.
+    Columns between images are computed, cropped away and get zero gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -374,39 +385,66 @@ def conv2d(x, weights, bias, groups=1):
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({cout},)", axis=0)
 
+    cout_g = cout // groups
     ph, pw = kh // 2, kw // 2
     hp, wp = h + 2 * ph, w + 2 * pw
+    m = n * hp * wp
+    span = m - (hp - h) * wp - (wp - w)          # flat index of the last output pixel + 1
     taps = kh * kw
-    span = (h - 1) * wp + w                      # flat index of the last output pixel + 1
     shifts = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
-    if taps == 1:
-        cols = x.data.reshape(n, groups, cin_g, span)
-    else:
-        xf = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge").reshape(n, cin, hp * wp)
-        cols = np.stack([xf[:, :, s:s + span] for s in shifts], axis=2).reshape(n, groups, cin_g * taps, span)
-        del xf                                   # not held beside cols during the GEMM
-    wmat = weights.data.reshape(groups, cout // groups, cin_g * taps)
-    res = np.matmul(wmat, cols).reshape(n, cout, span)
-    sn, sc, sx = res.strides
-    out_data = np.lib.stride_tricks.as_strided(res, (n, cout, h, w), (sn, sc, wp * sx, sx)) \
-        + bias.data[:, None, None]
+    step = -(-max(cout_g, _MIN_GEMM_K) // cin_g)            # taps per chunk
+    # (weight columns, shifts) per chunk of taps
+    chunks = [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
+              for t in range(0, taps, step)]
+    xt = x.data.transpose(1, 0, 2, 3)            # a 1x1 kernel at N = 1 reshapes it without a copy
+    xf = (np.pad(xt, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge") if taps > 1
+          else xt).reshape(groups, cin_g, m)
+    # column t*cin_g + c holds the weight of input channel c at tap t: the row order of rows()
+    wmat = weights.data.reshape(groups, cout_g, cin_g, taps).swapaxes(2, 3) \
+        .reshape(groups, cout_g, taps * cin_g)
+
+    def rows(ss):
+        if len(ss) == 1:
+            return xf[..., ss[0]:ss[0] + span]
+        return np.stack([xf[..., s:s + span] for s in ss], axis=1).reshape(groups, -1, span)
+
+    res = np.empty((groups, cout_g, m))
+    acc = res[..., :span]
+    tmp = np.empty_like(acc) if len(chunks) > 1 else None
+    for ks, ss in chunks:
+        if ks.start == 0:
+            np.matmul(wmat[..., ks], rows(ss), out=acc)
+        else:
+            np.matmul(wmat[..., ks], rows(ss), out=tmp)
+            acc += tmp
+    del tmp                                      # not held beside the output copy
+    acc += bias.data.reshape(groups, cout_g, 1)
+    out_data = res.reshape(cout, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
     if not weights.requires_grad:
-        cols = None
+        xf = None
 
     def bwd(g):
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
-        gf = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - w))) if pw else g    # padded row pitch
-        gf = gf.reshape(n, groups, cout // groups, h * wp)[..., :span]
+        gf = np.zeros((cout, n, hp, wp))
+        gf[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
+        gf = gf.reshape(groups, cout_g, m)[..., :span]
         if weights.requires_grad:
-            dw = np.matmul(gf, cols.swapaxes(-1, -2)).sum(axis=0)
-            accumulate_grad(weights, dw.reshape(weights.data.shape))
+            dw = np.empty_like(wmat)
+            for ks, ss in chunks:
+                np.matmul(gf, rows(ss).swapaxes(-1, -2), out=dw[..., ks])
+            accumulate_grad(weights, dw.reshape(groups, cout_g, taps, cin_g).swapaxes(2, 3)
+                            .reshape(weights.data.shape))
         if x.requires_grad:
-            dcols = np.matmul(wmat.swapaxes(-1, -2), gf).reshape(n, cin, taps, span)
-            gxf = np.zeros((n, cin, hp * wp), dtype=np.float64)
-            for t, s in enumerate(shifts):
-                gxf[:, :, s:s + span] += dcols[:, :, t]
-            accumulate_grad(x, _collapse_replication(gxf.reshape(n, cin, hp, wp), ph, pw))
+            gxf = np.zeros((groups, cin_g, m))
+            dx = np.empty((groups, min(step, taps) * cin_g, span))
+            for ks, ss in chunks:
+                d = dx[:, :ks.stop - ks.start]
+                np.matmul(wmat[..., ks].swapaxes(-1, -2), gf, out=d)
+                for j, s in enumerate(ss):
+                    gxf[..., s:s + span] += d[:, j * cin_g:(j + 1) * cin_g]
+            gxf = gxf.reshape(cin, n, hp, wp).transpose(1, 0, 2, 3)
+            accumulate_grad(x, _collapse_replication(gxf, ph, pw))
 
     return make_op(out_data, (x, weights, bias), bwd, "conv2d")
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from structkpn.kpn import (KpnConfig, local_conv, build_model, kpn_apply, kernel_at,
                            denoise_image, params_to_tensors, expected_param_shapes)
@@ -20,6 +21,18 @@ def test_local_conv_matches_naive_oracle_bitwise():
             v = rng.normal(size=(2, k * k, h, w))
             out = local_conv(Tensor(x), Tensor(v))
             assert np.array_equal(out.data, naive_local_conv(x, v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([3, 5, 21]), st.integers(1, 9), st.integers(1, 9),
+       st.integers(0, 2 ** 32 - 1))
+@example(2, 21, 7, 5, 0)     # k > H and k > W: replication reaches 10 pixels past the border
+@example(1, 5, 1, 9, 1)      # a single row
+def test_local_conv_property_matches_naive_oracle(n, k, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 1, h, w))
+    v = rng.normal(size=(n, k * k, h, w))
+    assert np.array_equal(local_conv(Tensor(x), Tensor(v)).data, naive_local_conv(x, v))
 
 
 def test_local_conv_single_tap_selects_shifted_input():
@@ -69,15 +82,18 @@ def test_local_conv_registered_for_gradient_audits():
 
 def test_local_conv_gradients_finite_difference():
     rng = np.random.default_rng(43)
-    x = Tensor(rng.normal(size=(1, 1, 5, 6)), requires_grad=True, name="x")
-    v = Tensor(rng.normal(size=(1, 9, 5, 6)), requires_grad=True, name="v")
-    u = Tensor(rng.normal(size=(1, 1, 5, 6)))
+    # (N, H, W, k); the second case has H, W < k, so replicated reads fold
+    # more than one pixel past the border back onto the edge
+    for n, h, w, k in ((1, 5, 6, 3), (2, 3, 4, 5)):
+        x = Tensor(rng.normal(size=(n, 1, h, w)), requires_grad=True, name="x")
+        v = Tensor(rng.normal(size=(n, k * k, h, w)), requires_grad=True, name="v")
+        u = Tensor(rng.normal(size=(n, 1, h, w)))
 
-    def f(params):
-        return reduce_sum(local_conv(params[0], params[1]) * u)
+        def f(params):
+            return reduce_sum(local_conv(params[0], params[1]) * u)
 
-    report = grad_check(f, [x, v], coords_per_param=20)
-    assert report.passed, report.per_param
+        report = grad_check(f, [x, v], coords_per_param=20)
+        assert report.passed, (k, report.per_param)
 
 
 def test_local_conv_grad_skips_constant_input():

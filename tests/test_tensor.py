@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -157,6 +159,46 @@ def test_conv2d_property_matches_naive_oracle(case):
     assert np.allclose(out.data, naive_conv2d(x, wt, b, groups=groups), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(conv_cases())
+@example((3, 4, 6, 2, 3, 3, 4, 7, 5))     # grouped, batch folded end to end
+@example((3, 3, 9, 1, 1, 1, 4, 6, 6))     # 1x1 with N > 1: transposed output view
+@example((2, 1, 4, 1, 3, 3, 5, 7, 7))     # stem: Cin = 1, taps stacked in one chunk
+@example((2, 1, 1, 1, 1, 11, 6, 9, 8))    # window_filter rows
+@example((2, 1, 1, 1, 11, 1, 9, 6, 9))    # window_filter columns
+def test_conv2d_backward_is_adjoint_of_forward(case):
+    # conv2d with zero bias is bilinear, so <conv(x, W), g> = <x, dX> = <W, dW>;
+    # a gradient leaking across image borders in the folded layout breaks it
+    n, cin, cout, groups, kh, kw, h, w, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(n, cin, h, w)), requires_grad=True)
+    wt = Tensor(rng.normal(size=(cout, cin // groups, kh, kw)), requires_grad=True)
+    g = rng.normal(size=(n, cout, h, w))
+    out = conv2d(x, wt, Tensor(np.zeros(cout)), groups=groups)
+    reduce_sum(mul(out, Tensor(g))).backward()
+    ref = float((out.data * g).sum())
+    scale = float(np.abs(out.data * g).sum())
+    assert abs(float((x.data * x.grad).sum()) - ref) <= 1e-12 * scale
+    assert abs(float((wt.data * wt.grad).sum()) - ref) <= 1e-12 * scale
+
+
+def test_conv2d_retains_no_column_buffer():
+    # a training conv keeps its padded input for the weight gradient, not a
+    # tap-stacked copy (9x the input for a 3x3 kernel)
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 64, 48, 48)), requires_grad=True)
+    wt = Tensor(rng.normal(size=(64, 64, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(64), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, wt, b)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held - out.data.nbytes < 3 * x.data.nbytes
+
+
 def test_conv2d_1x1_kernel():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 3, 4, 4))
@@ -183,10 +225,11 @@ def test_conv2d_validation_errors():
 
 def test_conv2d_gradients_finite_difference():
     rng = np.random.default_rng(3)
-    # (N, Cin, Cout, groups, kh, kw, H, W): depthwise-like, 1xk window, grouped
+    # (N, Cin, Cout, groups, kh, kw, H, W): depthwise-like, 1xk window, grouped, 1x1 batch
     for n, cin, cout, groups, kh, kw, h, w in ((1, 2, 4, 2, 3, 3, 5, 5),
                                                (2, 1, 1, 1, 1, 5, 4, 7),
-                                               (2, 4, 6, 2, 3, 3, 4, 6)):
+                                               (2, 4, 6, 2, 3, 3, 4, 6),
+                                               (3, 3, 5, 1, 1, 1, 4, 5)):
         x = Tensor(rng.normal(size=(n, cin, h, w)), requires_grad=True, name="x")
         wt = Tensor(rng.normal(size=(cout, cin // groups, kh, kw)), requires_grad=True, name="w")
         b = Tensor(rng.normal(size=cout), requires_grad=True, name="b")
