@@ -148,7 +148,8 @@ def cmd_denoise(args):
 
 def cmd_eval(args):
     ckpt = load_checkpoint(args.ckpt)
-    report = evaluate(ckpt, args.data, seed=args.seed)
+    paths, images = _load_dir(args.data)
+    report = evaluate(ckpt, [(p.name, im) for p, im in zip(paths, images)], seed=args.seed)
     report.to_csv(args.out)
     print(f"wrote {args.out}")
     print(f"mean psnr: noisy {report.mean_psnr_noisy:.3f} dB, "

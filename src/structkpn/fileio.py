@@ -119,7 +119,7 @@ def write_pgm(path, img, maxval=65535):
     return path
 
 
-def write_scaled_pgm(path, arr, maxval=65535):
+def write_scaled_pgm(path, arr):
     """Write an arbitrary-range map rescaled to [0,1], plus a min/max sidecar.
 
     A constant map writes as all zeros. Returns (pgm_path, sidecar_path);
@@ -129,7 +129,7 @@ def write_scaled_pgm(path, arr, maxval=65535):
     lo, hi = float(arr.min()), float(arr.max())
     span = hi - lo
     scaled = (arr - lo) / span if span > 0 else np.zeros_like(arr)
-    pgm_path = write_pgm(path, scaled, maxval)
+    pgm_path = write_pgm(path, scaled)
     sidecar = Path(str(pgm_path) + ".minmax.txt")
     sidecar.write_text(f"min {lo!r}\nmax {hi!r}\n", encoding="ascii")
     return pgm_path, sidecar

@@ -31,35 +31,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SsimConstants:
-    """SSIM stabilizers and window; defaults assume [0,1] data (L = 1)."""
+    """SSIM window size; the stabilizers assume [0,1] data (L = 1)."""
 
-    c1: float = 1e-4          # (0.01 * L)^2
-    c2: float = 9e-4          # (0.03 * L)^2
     window: int = 11
-    kind: str = "uniform"     # "uniform" | "gaussian"
-    gaussian_sigma: float = 1.5
-
-    @classmethod
-    def from_range(cls, data_range=1.0, window=11, kind="uniform", gaussian_sigma=1.5):
-        return cls(c1=(0.01 * data_range) ** 2, c2=(0.03 * data_range) ** 2,
-                   window=window, kind=kind, gaussian_sigma=gaussian_sigma)
+    c1 = 1e-4                 # (0.01 * L)^2
+    c2 = 9e-4                 # (0.03 * L)^2
 
 
-def window_vector(k, kind="uniform", gaussian_sigma=1.5):
-    """Normalized 1-D window; the 2-D window is its outer product."""
-    if kind == "uniform":
-        return np.full(k, 1.0 / k)
-    if kind == "gaussian":
-        x = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
-        g = np.exp(-(x * x) / (2.0 * gaussian_sigma ** 2))
-        return g / g.sum()
-    raise ValueError(f"unknown SSIM window kind {kind!r}")
+def window_vector(k):
+    """Normalized uniform 1-D window; the 2-D window is its outer product."""
+    return np.full(k, 1.0 / k)
 
 
-def window_weights(shape, kind="uniform", gaussian_sigma=1.5):
-    gr = window_vector(shape[0], kind, gaussian_sigma)
-    gc = window_vector(shape[1], kind, gaussian_sigma)
-    return np.outer(gr, gc)
+def window_weights(shape):
+    return np.outer(window_vector(shape[0]), window_vector(shape[1]))
 
 
 @dataclass
@@ -69,8 +54,6 @@ class LossWeights:
     gamma1: np.ndarray   # L2 weight
     gamma2: np.ndarray   # L1 weight
     gamma3: np.ndarray   # SSIM weight
-    sigma_l2: float
-    sigma_l1: float
 
 
 def l1_pixel(yhat, y):
@@ -100,7 +83,7 @@ def ssim_from_moments(mp, mq, mpp, mqq, mpq, consts):
 
 def ssim_map(p, q, consts=SsimConstants()):
     """Per-pixel SSIM of two (N,1,H,W) Tensors, windows edge-replicated past the borders."""
-    vec = window_vector(consts.window, consts.kind, consts.gaussian_sigma)
+    vec = window_vector(consts.window)
     return ssim_from_moments(window_filter(p, vec), window_filter(q, vec),
                              window_filter(p * p, vec), window_filter(q * q, vec),
                              window_filter(p * q, vec), consts)
@@ -109,16 +92,15 @@ def ssim_map(p, q, consts=SsimConstants()):
 def ssim_patch(p, q, consts=SsimConstants()):
     """Single-window SSIM of two equally-shaped patches, in (-1, 1].
 
-    Window statistics use the (uniform by default) normalized window over the
-    whole patch. Tensor input gives a differentiable scalar Tensor; plain
+    Window statistics use the uniform normalized window over the whole
+    patch. Tensor input gives a differentiable scalar Tensor; plain
     arrays give a float.
     """
     pt = p if isinstance(p, Tensor) else Tensor(p)
     qt = q if isinstance(q, Tensor) else Tensor(q)
     if pt.data.shape != qt.data.shape:
         raise ShapeError(f"ssim_patch: patch shapes {pt.data.shape} != {qt.data.shape}")
-    w = Tensor(window_weights(pt.data.shape[-2:], consts.kind, consts.gaussian_sigma)
-               .reshape(pt.data.shape))
+    w = Tensor(window_weights(pt.data.shape[-2:]).reshape(pt.data.shape))
     s = ssim_from_moments(reduce_sum(pt * w), reduce_sum(qt * w), reduce_sum(pt * pt * w),
                           reduce_sum(qt * qt * w), reduce_sum(pt * qt * w), consts)
     return s if isinstance(p, Tensor) or isinstance(q, Tensor) else s.item()
@@ -136,13 +118,10 @@ def loss_weights(stats: GradStatsMap, sigma_l2=1.8, sigma_l1=0.35):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     g = e / e.sum(axis=-1, keepdims=True)
-    return LossWeights(gamma1=g[..., 0], gamma2=g[..., 1], gamma3=g[..., 2],
-                       sigma_l2=sigma_l2, sigma_l1=sigma_l1)
+    return LossWeights(gamma1=g[..., 0], gamma2=g[..., 1], gamma3=g[..., 2])
 
 
 def _as_weight_stack(weights, n, h, w):
-    if isinstance(weights, LossWeights):
-        weights = [weights] * n if n > 1 else [weights]
     if len(weights) != n:
         raise ShapeError(f"struct_loss: {len(weights)} weight maps for batch of {n}")
     maps = []
@@ -159,10 +138,9 @@ def struct_loss(yhat, y, weights, consts=SsimConstants()):
 
     Per pixel: (g1*L2 + g2*L1 - g3*SSIM + L1) / 2, averaged over every pixel.
     The SSIM term is the per-pixel windowed map with edge-replicated borders;
-    ``weights`` is one LossWeights (or one per batch item) precomputed from y.
+    ``yhat`` is a Tensor and ``weights`` a list of one LossWeights per batch
+    item, precomputed from y.
     """
-    if not isinstance(yhat, Tensor):
-        yhat = Tensor(yhat)
     ydata = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     if yhat.data.ndim != 4 or yhat.data.shape[1] != 1:
         raise ShapeError(f"struct_loss: expected (N,1,H,W), got {yhat.data.shape}")

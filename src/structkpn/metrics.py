@@ -2,8 +2,8 @@
 
 PSNR of identical images is reported as +inf; evaluation means skip such
 sentinel rows with a warning instead of propagating them. Image SSIM slides
-a window over valid positions only (no padding), the conventional 11x11
-uniform window by default with a Gaussian option.
+the conventional 11x11 uniform window over valid positions only (no padding).
+Both assume [0,1] data.
 """
 
 import csv
@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .kpn import denoise_image
 from .losses import SsimConstants, ssim_from_moments, window_weights
 
 __all__ = ["psnr", "ssim_image", "EvalRow", "EvalReport", "evaluate", "EVAL_HEADER"]
@@ -22,22 +23,19 @@ __all__ = ["psnr", "ssim_image", "EvalRow", "EvalReport", "evaluate", "EVAL_HEAD
 EVAL_HEADER = ["file", "psnr_noisy", "ssim_noisy", "psnr_denoised", "ssim_denoised"]
 
 
-def psnr(reference, test, data_range=1.0):
+def psnr(reference, test):
     """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
     a = np.asarray(reference, dtype=np.float64)
     b = np.asarray(test, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr: shapes {a.shape} and {b.shape} differ")
-    if data_range <= 0:
-        raise ValueError(f"psnr: data_range must be > 0, got {data_range}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(data_range * data_range / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
-def ssim_image(reference, test, window=11, data_range=1.0, kind="uniform",
-               gaussian_sigma=1.5):
+def ssim_image(reference, test):
     """Mean SSIM over all fully-interior window positions of two 2-D images."""
     a = np.asarray(reference, dtype=np.float64)
     b = np.asarray(test, dtype=np.float64)
@@ -45,15 +43,14 @@ def ssim_image(reference, test, window=11, data_range=1.0, kind="uniform",
         raise ValueError(f"ssim_image: shapes {a.shape} and {b.shape} differ")
     if a.ndim != 2:
         raise ValueError(f"ssim_image: expected 2-D images, got shape {a.shape}")
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"ssim_image: window must be odd and >= 3, got {window}")
+    consts = SsimConstants()
+    window = consts.window
     if min(a.shape) < window:
         raise ValueError(
             f"ssim_image: image {a.shape} smaller than {window}x{window} window")
-    consts = SsimConstants.from_range(data_range, window, kind, gaussian_sigma)
     # Valid-window tensordot moments, not losses.ssim_map: separable window sums
     # round differently, and perfbench/reference.json pins eval's ssim_noisy bit for bit.
-    w2 = window_weights((window, window), kind, gaussian_sigma)
+    w2 = window_weights((window, window))
     wa = sliding_window_view(a, (window, window))
     wb = sliding_window_view(b, (window, window))
     axes = ([2, 3], [0, 1])
@@ -101,31 +98,21 @@ def _finite_mean(values, label):
     return float(np.mean(finite))
 
 
-def evaluate(ckpt, dataset, nm=None, seed=0):
-    """Denoise every image in a dataset and score it against the clean copy.
+def evaluate(ckpt, dataset, seed=0):
+    """Denoise every (name, image) pair of a dataset and score it against the clean copy.
 
-    ``dataset`` is a directory of PGM files or a list of (name, image) pairs;
-    files are processed in name order. Noise defaults to the checkpoint's
-    training noise; image i is corrupted with default_rng([seed, i]) so a
-    given seed always produces the same report.
+    Pairs are processed in name order. Image i is corrupted with the
+    checkpoint's training noise drawn from default_rng([seed, i]), so a given
+    seed always produces the same report.
     """
-    from .fileio import read_pgm
-    from .training import add_noise
+    from .training import add_noise   # training imports this module
 
-    if isinstance(dataset, (str, Path)):
-        paths = sorted(Path(dataset).glob("*.pgm"))
-        if not paths:
-            raise ValueError(f"evaluate: no .pgm files in {dataset}")
-        named = [(p.name, read_pgm(p)) for p in paths]
-    else:
-        named = sorted(dataset, key=lambda kv: kv[0])
-        if not named:
-            raise ValueError("evaluate: empty dataset")
-    if nm is None:
-        nm = ckpt.config.noise_model()
+    named = sorted(dataset, key=lambda kv: kv[0])
+    if not named:
+        raise ValueError("evaluate: empty dataset")
+    nm = ckpt.config.noise_model()
     model_cfg = ckpt.config.kpn_config()
 
-    from .kpn import denoise_image
     rows = []
     for i, (name, img) in enumerate(named):
         img = np.asarray(img, dtype=np.float64)

@@ -39,31 +39,12 @@ __all__ = [
 
 
 class ShapeError(ValueError):
-    """Shape/contract violation; carries the offending axis when known."""
-
-    def __init__(self, message, axis=None):
-        super().__init__(message)
-        self.axis = axis
-
-
-def _mismatch_axis(sa, sb):
-    if len(sa) != len(sb):
-        return -1
-    for i, (a, b) in enumerate(zip(sa, sb)):
-        if a != b:
-            return i
-    return None
+    """Shape/contract violation."""
 
 
 def _require_same_shape(op, a, b):
-    ax = _mismatch_axis(a.data.shape, b.data.shape)
-    if ax is not None:
-        raise ShapeError(
-            f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ"
-            f" at axis {ax}" if ax >= 0 else
-            f"{op}: operand ranks {a.data.ndim} and {b.data.ndim} differ",
-            axis=ax,
-        )
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ")
 
 
 class Tensor:
@@ -373,17 +354,17 @@ def conv2d(x, weights, bias, groups=1):
     n, cin, h, w = x.data.shape
     cout, cin_g, kh, kw = weights.data.shape
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d: kernel dims must be odd, got {kh}x{kw}", axis=2)
+        raise ShapeError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
     if groups < 1 or cin % groups != 0:
-        raise ShapeError(f"conv2d: groups={groups} does not divide Cin={cin}", axis=1)
+        raise ShapeError(f"conv2d: groups={groups} does not divide Cin={cin}")
     if cout % groups != 0:
-        raise ShapeError(f"conv2d: groups={groups} does not divide Cout={cout}", axis=0)
+        raise ShapeError(f"conv2d: groups={groups} does not divide Cout={cout}")
     if cin_g * groups != cin:
         raise ShapeError(
             f"conv2d: weights expect Cin {cin_g * groups} (axis 1 = {cin_g} x {groups} groups),"
-            f" input has Cin {cin}", axis=1)
+            f" input has Cin {cin}")
     if bias.data.shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({cout},)", axis=0)
+        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({cout},)")
 
     cout_g = cout // groups
     ph, pw = kh // 2, kw // 2

@@ -175,6 +175,26 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_directory_without_pgm_files_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--count", "2", "--size", "48", "--seed", "5"])
+    cfg = write_cfg(tmp_path / "t.cfg", steps=0, val_interval=0)
+    ckpt = tmp_path / "t.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt)]) == 0
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not an image\n")
+    for argv in (["eval", "--ckpt", str(ckpt), "--data", str(empty),
+                  "--out", str(tmp_path / "e.csv")],
+                 ["train", "--config", str(cfg), "--data", str(empty),
+                  "--out", str(tmp_path / "u.ckpt")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert str(empty) in err and "Traceback" not in err
+
+
 def test_truncated_checkpoint_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--count", "2", "--size", "48", "--seed", "5"])

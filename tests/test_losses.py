@@ -3,8 +3,7 @@ import pytest
 
 from structkpn.gradstats import GradStatsMap, stats_map
 from structkpn.losses import (SsimConstants, LossWeights, l1_pixel, l2_pixel,
-                              ssim_patch, loss_weights, struct_loss,
-                              window_vector, window_weights)
+                              ssim_patch, loss_weights, struct_loss)
 from structkpn.tensor import Tensor, ShapeError, backward, grad_check, reduce_sum
 from helpers import direct_ssim
 
@@ -78,22 +77,6 @@ def test_ssim_patch_matches_direct_formula():
         assert abs(ssim_patch(p, q) - direct_ssim(p, q)) <= 1e-10
 
 
-def test_ssim_patch_gaussian_window():
-    rng = np.random.default_rng(25)
-    consts = SsimConstants(kind="gaussian", gaussian_sigma=1.5)
-    w2 = window_weights((11, 11), "gaussian", 1.5)
-    assert w2.sum() == pytest.approx(1.0)
-    g = window_vector(11, "gaussian", 1.5)
-    assert np.argmax(g) == 5 and g[0] < g[5]
-    for _ in range(20):
-        p, q = rng.random((11, 11)), rng.random((11, 11))
-        ref = direct_ssim(p, q, weights=w2)
-        assert abs(ssim_patch(p, q, consts) - ref) <= 1e-10
-    assert ssim_patch(p, p, consts) == 1.0
-    with pytest.raises(ValueError):
-        window_vector(11, "bogus")
-
-
 def test_ssim_patch_bounds_and_contrast_penalty():
     rng = np.random.default_rng(26)
     p = rng.random((11, 11))
@@ -119,7 +102,7 @@ def test_ssim_patch_shape_mismatch():
         ssim_patch(np.zeros((5, 5)), np.zeros((7, 7)))
 
 
-def _oracle_struct_loss(yhat, y, w, window, weights=None):
+def _oracle_struct_loss(yhat, y, w, window):
     """Per-pixel recomputation with plain numpy windows (replicated borders)."""
     half = window // 2
     ph = np.pad(yhat, half, mode="edge")
@@ -129,7 +112,7 @@ def _oracle_struct_loss(yhat, y, w, window, weights=None):
         for n in range(yhat.shape[1]):
             wp = ph[m:m + window, n:n + window]
             wq = py[m:m + window, n:n + window]
-            s = direct_ssim(wp, wq, weights=weights)
+            s = direct_ssim(wp, wq)
             d = yhat[m, n] - y[m, n]
             total += (w.gamma1[m, n] * d * d
                       + w.gamma2[m, n] * abs(d)
@@ -143,11 +126,9 @@ def test_struct_loss_matches_per_pixel_oracle():
     y = rng.random((10, 12))
     yhat = np.clip(y + rng.normal(0, 0.1, y.shape), 0, 1)
     w = loss_weights(stats_map(y, 5))
-    for kind, weights in (("uniform", None), ("gaussian", window_weights((5, 5), "gaussian"))):
-        consts = SsimConstants(window=5, kind=kind)
-        got = struct_loss(Tensor(yhat[None, None]), y[None, None], w, consts).item()
-        want = _oracle_struct_loss(yhat, y, w, 5, weights)
-        assert abs(got - want) <= 1e-10, kind
+    got = struct_loss(Tensor(yhat[None, None]), y[None, None], [w], SsimConstants(window=5)).item()
+    want = _oracle_struct_loss(yhat, y, w, 5)
+    assert abs(got - want) <= 1e-10
 
 
 def test_struct_loss_batch_equals_mean_of_singles():
@@ -157,7 +138,7 @@ def test_struct_loss_batch_equals_mean_of_singles():
     ws = [loss_weights(stats_map(ys[i, 0], 5)) for i in range(2)]
     consts = SsimConstants(window=5)
     both = struct_loss(Tensor(yhats), ys, ws, consts).item()
-    singles = [struct_loss(Tensor(yhats[i:i + 1]), ys[i:i + 1], ws[i], consts).item()
+    singles = [struct_loss(Tensor(yhats[i:i + 1]), ys[i:i + 1], [ws[i]], consts).item()
                for i in range(2)]
     assert both == pytest.approx(np.mean(singles), abs=1e-12)
 
@@ -166,11 +147,11 @@ def test_struct_loss_perfect_prediction_value():
     rng = np.random.default_rng(31)
     y = rng.random((12, 12))
     w = loss_weights(stats_map(y, 5))
-    loss = struct_loss(Tensor(y[None, None]), y[None, None], w, SsimConstants(window=5))
+    loss = struct_loss(Tensor(y[None, None]), y[None, None], [w], SsimConstants(window=5))
     # zero error terms and an exact SSIM of 1 leave only the -gamma3 term
     assert loss.item() == pytest.approx(-0.5 * w.gamma3.mean(), abs=1e-14)
     noisy = np.clip(y + rng.normal(0, 0.1, y.shape), 0, 1)
-    worse = struct_loss(Tensor(noisy[None, None]), y[None, None], w, SsimConstants(window=5))
+    worse = struct_loss(Tensor(noisy[None, None]), y[None, None], [w], SsimConstants(window=5))
     assert worse.item() > loss.item()
 
 
@@ -182,7 +163,7 @@ def test_struct_loss_gradient_finite_difference():
                   requires_grad=True, name="yhat")
     consts = SsimConstants(window=3)
 
-    report = grad_check(lambda ps: struct_loss(ps[0], y[None, None], w, consts),
+    report = grad_check(lambda ps: struct_loss(ps[0], y[None, None], [w], consts),
                         [yhat], coords_per_param=25)
     assert report.passed, report.per_param
 
@@ -194,7 +175,7 @@ def test_struct_loss_gradient_is_zero_for_targets():
     w = loss_weights(stats_map(y, 5))
     yhat = Tensor(rng.random((1, 1, 12, 12)), requires_grad=True)
     yt = Tensor(y[None, None], requires_grad=False)
-    loss = struct_loss(yhat, yt, w, SsimConstants(window=5))
+    loss = struct_loss(yhat, yt, [w], SsimConstants(window=5))
     grads = backward(loss, [yhat, yt])
     assert np.all(grads[yt] == 0.0)
     assert np.any(grads[yhat] != 0.0)
@@ -203,14 +184,14 @@ def test_struct_loss_gradient_is_zero_for_targets():
 def test_struct_loss_validation():
     y = np.zeros((1, 1, 8, 8))
     w = LossWeights(gamma1=np.full((8, 8), 1 / 3), gamma2=np.full((8, 8), 1 / 3),
-                    gamma3=np.full((8, 8), 1 / 3), sigma_l2=1.8, sigma_l1=0.35)
+                    gamma3=np.full((8, 8), 1 / 3))
     with pytest.raises(ShapeError):
-        struct_loss(Tensor(np.zeros((8, 8))), y, w)            # not 4-D
+        struct_loss(Tensor(np.zeros((8, 8))), y, [w])          # not 4-D
     with pytest.raises(ShapeError):
-        struct_loss(Tensor(np.zeros((1, 1, 8, 9))), y, w)      # target mismatch
+        struct_loss(Tensor(np.zeros((1, 1, 8, 9))), y, [w])    # target mismatch
     with pytest.raises(ShapeError):
         struct_loss(Tensor(np.zeros((2, 1, 8, 8))), np.zeros((2, 1, 8, 8)), [w])
     bad = LossWeights(gamma1=np.zeros((4, 4)), gamma2=np.zeros((4, 4)),
-                      gamma3=np.zeros((4, 4)), sigma_l2=1.8, sigma_l1=0.35)
+                      gamma3=np.zeros((4, 4)))
     with pytest.raises(ShapeError):
-        struct_loss(Tensor(np.zeros((1, 1, 8, 8))), y, bad)    # weight map size
+        struct_loss(Tensor(np.zeros((1, 1, 8, 8))), y, [bad])  # weight map size

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from structkpn.corpus import synth_image
-from structkpn.losses import window_weights
 from structkpn.metrics import psnr, ssim_image, evaluate, EVAL_HEADER
 from structkpn.training import TrainConfig, train
 from helpers import direct_ssim
@@ -15,7 +14,6 @@ def test_psnr_known_values():
     a = np.zeros((10, 10))
     b = np.full((10, 10), 0.5)
     assert psnr(a, b) == pytest.approx(10 * math.log10(1 / 0.25))
-    assert psnr(a, b, data_range=2.0) == pytest.approx(10 * math.log10(4 / 0.25))
     # mse 0.01 -> 20 dB
     c = np.full((10, 10), 0.1)
     assert psnr(a, c) == pytest.approx(20.0)
@@ -29,8 +27,15 @@ def test_psnr_identical_is_positive_infinity():
 def test_psnr_validation():
     with pytest.raises(ValueError):
         psnr(np.zeros((2, 2)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        psnr(np.zeros((2, 2)), np.zeros((2, 2)), data_range=0.0)
+
+
+def test_metric_bits_are_pinned():
+    # eval's ssim_noisy is pinned bit for bit by the benchmark's reference
+    rng = np.random.default_rng(5)
+    a = synth_image(64, rng)
+    b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
+    assert psnr(a, b).hex() == "0x1.420e4e333ba52p+4"
+    assert ssim_image(a, b).hex() == "0x1.f835463c66a94p-2"
 
 
 def test_ssim_image_self_and_symmetry():
@@ -46,22 +51,16 @@ def test_ssim_image_matches_naive_window_loop():
     rng = np.random.default_rng(72)
     a = rng.random((18, 20))
     b = np.clip(a + rng.normal(0, 0.15, a.shape), 0, 1)
-    for kind in ("uniform", "gaussian"):
-        got = ssim_image(a, b, window=11, kind=kind)
-        w2 = window_weights((11, 11), kind)
-        vals = []
-        for m in range(18 - 10):
-            for n in range(20 - 10):
-                vals.append(direct_ssim(a[m:m + 11, n:n + 11],
-                                        b[m:m + 11, n:n + 11], weights=w2))
-        assert got == pytest.approx(np.mean(vals), abs=1e-10)
+    vals = []
+    for m in range(18 - 10):
+        for n in range(20 - 10):
+            vals.append(direct_ssim(a[m:m + 11, n:n + 11], b[m:m + 11, n:n + 11]))
+    assert ssim_image(a, b) == pytest.approx(np.mean(vals), abs=1e-10)
 
 
 def test_ssim_image_validation():
     with pytest.raises(ValueError):
-        ssim_image(np.zeros((8, 8)), np.zeros((8, 8)), window=11)   # too small
-    with pytest.raises(ValueError):
-        ssim_image(np.zeros((16, 16)), np.zeros((16, 16)), window=4)
+        ssim_image(np.zeros((8, 8)), np.zeros((8, 8)))     # smaller than the 11x11 window
     with pytest.raises(ValueError):
         ssim_image(np.zeros((16, 16)), np.zeros((16, 15)))
 
