@@ -9,7 +9,7 @@ from .gradstats import (GradStatsMap, image_gradients, structure_tensor_eigs,
                         REGION_FLAT, REGION_FINE, REGION_EDGE)
 from .losses import (SsimConstants, LossWeights, l1_pixel, l2_pixel, ssim_from_moments,
                      ssim_map, ssim_patch, loss_weights, struct_loss)
-from .kpn import KpnConfig, local_conv, build_model, kpn_apply, kernel_at, denoise_image
+from .kpn import KpnConfig, local_conv, build_model, kpn_apply, denoise_image
 from .training import (NoiseModel, add_noise, TrainConfig, AdamState, init_adam,
                        adam_step, split_train_val,
                        sample_patch_pairs, TrainingDiverged, train, Checkpoint,

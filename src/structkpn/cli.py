@@ -13,7 +13,7 @@ from pathlib import Path
 from .corpus import synth_corpus
 from .fileio import read_pgm, write_pgm, write_scaled_pgm
 from .gradstats import stats_map, region_class_map
-from .kpn import denoise_image, kernel_at
+from .kpn import denoise_image
 from .metrics import evaluate
 from .training import (TrainConfig, TrainingDiverged, load_checkpoint,
                        save_checkpoint, train, write_curve_csv)
@@ -129,17 +129,11 @@ def cmd_train(args):
 def cmd_denoise(args):
     ckpt = load_checkpoint(args.ckpt)
     img = read_pgm(args.input)
-    pixels = []
-    if args.dump_kernels is not None:
-        # a plain-cnn field has one channel, which kernel_at would read as a 1x1 filter
-        if ckpt.config.model_kind != "kpn":
-            raise ValueError("--dump-kernels needs a filter-predicting checkpoint, "
-                             f"this one is {ckpt.config.model_kind!r}")
-        pixels = _parse_pixel_list(args.dump_kernels)
-    field, den = denoise_image(ckpt.params, ckpt.config.kpn_config(), img)
+    pixels = [] if args.dump_kernels is None else _parse_pixel_list(args.dump_kernels)
+    den, kernels = denoise_image(ckpt.params, ckpt.config.kpn_config(), img, pixels)
     base = Path(args.output).with_suffix("")
-    for m, n in pixels:
-        for p in write_scaled_pgm(f"{base}.kernel_{m}_{n}.pgm", kernel_at(field, m, n)):
+    for (m, n), kern in zip(pixels, kernels):
+        for p in write_scaled_pgm(f"{base}.kernel_{m}_{n}.pgm", kern):
             print(f"wrote {p}")
     write_pgm(args.output, den)
     print(f"wrote {args.output}")

@@ -23,7 +23,6 @@ __all__ = [
     "local_conv",
     "build_model",
     "kpn_apply",
-    "kernel_at",
     "denoise_image",
     "params_to_tensors",
     "expected_param_shapes",
@@ -65,6 +64,22 @@ def _filter_geometry(k2):
     return k, k // 2
 
 
+def _tap(a, c, k, h, w):
+    """The (h,w) window of an r-padded array that channel c = (s+r)k+(t+r) reads at (m-s, n-t)."""
+    r = k // 2
+    s, t = c // k - r, c % k - r
+    return a[:, :, r - s:r - s + h, r - t:r - t + w]
+
+
+def _filter_window(xp, vd, k):
+    """sum_c tap(xp, c) * vd[:, c] for (N,k^2,h,w) filters over a window xp padded by r."""
+    n, _, h, w = vd.shape
+    out = np.zeros((n, 1, h, w))
+    for c in range(k * k):
+        out += _tap(xp, c, k, h, w) * vd[:, c:c + 1]
+    return out
+
+
 def local_conv(x, v):
     """Apply per-pixel filters: out[m,n] = sum_{s,t} x[m-s, n-t] * v[(s+r)k+(t+r)].
 
@@ -83,31 +98,22 @@ def local_conv(x, v):
             f"local_conv: filter field {vd.shape} does not match input {xd.shape} "
             "on batch/spatial axes")
     k, r = _filter_geometry(vd.shape[1])
-    n, _, h, w = xd.shape
+    h, w = xd.shape[2:]
     xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
-
-    def tap(a, c):
-        # the (H,W) window of an r-padded array that channel c = (s+r)k+(t+r) reads at (m-s, n-t)
-        s, t = c // k - r, c % k - r
-        return a[:, :, r - s:r - s + h, r - t:r - t + w]
-
-    out = np.zeros((n, 1, h, w))
-    for c in range(k * k):
-        out += tap(xp, c) * vd[:, c:c + 1]
 
     def bw(g):
         if v.requires_grad:
             gv = np.empty_like(vd)
             for c in range(k * k):
-                gv[:, c] = g[:, 0] * tap(xp, c)[:, 0]
+                gv[:, c] = g[:, 0] * _tap(xp, c, k, h, w)[:, 0]
             accumulate_grad(v, gv)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for c in range(k * k):
-                tap(gxp, c)[...] += g * vd[:, c:c + 1]
+                _tap(gxp, c, k, h, w)[...] += g * vd[:, c:c + 1]
             accumulate_grad(x, _collapse_replication(gxp, r, r))
 
-    return make_op(out, (x, v), bw, "local_conv")
+    return make_op(_filter_window(xp, vd, k), (x, v), bw, "local_conv")
 
 
 register_op("local_conv")
@@ -171,8 +177,9 @@ def _backbone(params, x, cfg):
     for i in range(cfg.num_res_blocks):
         g = cfg.groups if i == cfg.num_res_blocks - 1 else 1
         a = relu(conv2d(h, params[f"res{i}.conv1.w"], params[f"res{i}.conv1.b"], groups=g))
-        b = conv2d(a, params[f"res{i}.conv2.w"], params[f"res{i}.conv2.b"], groups=g)
-        h = add(h, b)
+        # no name holds the second conv's output, so without a tape it is freed
+        # once added instead of living on through the next block's convs
+        h = add(h, conv2d(a, params[f"res{i}.conv2.w"], params[f"res{i}.conv2.b"], groups=g))
     return relu(h)
 
 
@@ -195,25 +202,52 @@ def kpn_apply(params, x, cfg):
     return v, local_conv(x, v)
 
 
-def kernel_at(field, m, n):
-    """Extract the (k,k) filter at pixel (m,n) from a (k^2,H,W) field."""
-    k2, h, w = field.shape
-    if not (0 <= m < h and 0 <= n < w):
-        raise ValueError(f"kernel_at: pixel ({m}, {n}) outside {h}x{w} field")
-    k, _ = _filter_geometry(k2)
-    return field[:, m, n].reshape(k, k).copy()
+# denoise_image runs the head over row bands of about this many pixels: at
+# k = 21 a band of the filter field takes 14 MB, whatever the image size.
+_BAND_PIXELS = 4096
 
 
-def denoise_image(params, cfg, img):
-    """Run the model on one (H,W) array; returns (field, denoised).
+def denoise_image(params, cfg, img, kernel_pixels=()):
+    """Run the model on one (H,W) array; returns (denoised, kernels).
 
-    field is a (C,H,W) view of the head output: for kpn, channel c holds the
-    filter tap at offset (s,t) = (c // k - r, c % k - r); for plain-cnn, the
-    one residual channel. denoised is (H,W).
+    The backbone runs once over the whole image. The 1x1 head, the optional
+    softmax and the per-pixel filtering then run over bands of whole rows of
+    about ``_BAND_PIXELS`` pixels, so the k^2-channel filter field is never
+    held whole; the head is pointwise, so a band needs no halo. kernels is a
+    (P,k,k) array holding the filter of each (m, n) in kernel_pixels (kpn
+    only); tap (s,t) of a filter sits at [s+r, t+r]. Pixels are checked
+    before the forward pass.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ShapeError(f"denoise_image: expected a 2-D image, got shape {img.shape}")
+    check_param_shapes({name: np.shape(a) for name, a in params.items()}, cfg)
+    h, w = img.shape
+    pixels = [(int(m), int(n)) for m, n in kernel_pixels]
+    if pixels and cfg.model_kind != "kpn":
+        raise ValueError(f"denoise_image: a {cfg.model_kind!r} model predicts no filters")
+    for m, n in pixels:
+        if not (0 <= m < h and 0 <= n < w):
+            raise ValueError(f"denoise_image: pixel ({m}, {n}) outside the {h}x{w} image")
     tensors = params_to_tensors(params, requires_grad=False)
-    v, yhat = kpn_apply(tensors, Tensor(img[None, None]), cfg)
-    return v.data[0], yhat.data[0, 0]
+    feats = _backbone(tensors, Tensor(img[None, None]), cfg).data
+    k = cfg.kernel_size
+    r = k // 2
+    xp = np.pad(img, r, mode="edge")[None, None]
+    den = np.empty((h, w))
+    kernels = np.empty((len(pixels), k, k))
+    band = max(1, _BAND_PIXELS // w)
+    for i in range(0, h, band):
+        j = min(i + band, h)
+        v = conv2d(Tensor(feats[:, :, i:j]), tensors["head.w"], tensors["head.b"])
+        if cfg.model_kind == "plain-cnn":
+            den[i:j] = img[i:j] + v.data[0, 0]
+        else:
+            if cfg.softmax_normalize_kernels:
+                v = softmax_vec(v, axis=1)
+            den[i:j] = _filter_window(xp[:, :, i:j + 2 * r], v.data, k)[0, 0]
+            for p, (m, n) in enumerate(pixels):
+                if i <= m < j:
+                    kernels[p] = v.data[0, :, m - i, n].reshape(k, k)
+        del v                                    # not held beside the next band's head output
+    return den, kernels

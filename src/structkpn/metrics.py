@@ -117,9 +117,7 @@ def evaluate(ckpt, dataset, seed=0):
     for i, (name, img) in enumerate(named):
         img = np.asarray(img, dtype=np.float64)
         noisy = add_noise(img, nm, np.random.default_rng([seed, i]))
-        # index, not unpack: a bound field would keep the k^2-channel head output
-        # alive through the next image's forward pass
-        den = denoise_image(ckpt.params, model_cfg, noisy)[1]
+        den, _ = denoise_image(ckpt.params, model_cfg, noisy)
         rows.append(EvalRow(file=name,
                             psnr_noisy=psnr(img, noisy),
                             ssim_noisy=ssim_image(img, noisy),

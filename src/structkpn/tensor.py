@@ -8,7 +8,8 @@ on identical inputs are bit-identical at a fixed BLAS thread count.
 
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
 end to end, so each kernel tap is one strided slice of it and the output
-accumulates one GEMM per tap (or small chunk of taps), with no column buffer.
+accumulates one GEMM per tap (or small chunk of taps), with no column buffer,
+over cache-sized blocks written straight into the output.
 """
 
 import numpy as np
@@ -331,6 +332,13 @@ def _collapse_replication(gpad, ph, pw):
 # size reaches Cout_g and at least this many rows.
 _MIN_GEMM_K = 8
 
+# The forward pass accumulates its tap GEMMs over blocks of about this many
+# output values (Cout x padded-pitch columns), 2 MB a block. Every tap re-reads
+# the block and its one temporary, so they must stay in cache rather than
+# stream through memory. Sizing by values, not columns, lets a small conv put
+# a whole batch in one block instead of making many tiny GEMM calls.
+_BLOCK_VALUES = 262144
+
 
 def conv2d(x, weights, bias, groups=1):
     """Grouped 2-D cross-correlation with same-size edge-replication padding.
@@ -344,8 +352,13 @@ def conv2d(x, weights, bias, groups=1):
     then the strided slice of xf starting at dy*Wp + dx, for the whole batch at
     once. The output accumulates one GEMM per chunk of taps: one tap (a view
     of xf), or a small stack of taps when Cin/groups is below Cout/groups or
-    ``_MIN_GEMM_K`` (all 9 for the stem). The backward pass keeps only xf.
-    Columns between images are computed, cropped away and get zero gradient.
+    ``_MIN_GEMM_K`` (all 9 for the stem). It does so block by block, each
+    about ``_BLOCK_VALUES`` output values of whole padded rows (a band of one
+    image, or several whole images), then adds the bias to the block and
+    copies its cropped rows into the output; a 1x1 kernel runs one GEMM per
+    image straight into the output. The backward pass keeps only xf and runs
+    over the whole batch. Columns between images are computed, cropped away
+    and get zero gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -384,23 +397,51 @@ def conv2d(x, weights, bias, groups=1):
     wmat = weights.data.reshape(groups, cout_g, cin_g, taps).swapaxes(2, 3) \
         .reshape(groups, cout_g, taps * cin_g)
 
-    def rows(ss):
+    def rows(ss, base=0, length=span):
         if len(ss) == 1:
-            return xf[..., ss[0]:ss[0] + span]
-        return np.stack([xf[..., s:s + span] for s in ss], axis=1).reshape(groups, -1, span)
+            return xf[..., base + ss[0]:base + ss[0] + length]
+        return np.stack([xf[..., base + s:base + s + length] for s in ss],
+                        axis=1).reshape(groups, -1, length)
 
-    res = np.empty((groups, cout_g, m))
-    acc = res[..., :span]
-    tmp = np.empty_like(acc) if len(chunks) > 1 else None
-    for ks, ss in chunks:
-        if ks.start == 0:
-            np.matmul(wmat[..., ks], rows(ss), out=acc)
+    out_data = np.empty((n, cout, h, w))
+    if taps == 1:
+        # hp, wp = h, w: image b's output is one contiguous (Cout, H*W) block
+        for b in range(n):
+            np.matmul(wmat, rows(shifts, b * h * w, h * w),
+                      out=out_data[b].reshape(groups, cout_g, h * w))
+        out_data += bias.data.reshape(cout, 1, 1)
+    else:
+        # A block is whole padded rows: a band of rows of one image, or as many
+        # whole padded images as fit; its last row stops at column w. The
+        # temporary has the block's row pitch too, since numpy adds arrays of
+        # equal strides several times faster than arrays of unequal strides.
+        per = _BLOCK_VALUES // (cout * hp * wp)            # images per block
+        if per > 1:
+            band, pitch = h, hp
         else:
-            np.matmul(wmat[..., ks], rows(ss), out=tmp)
-            acc += tmp
-    del tmp                                      # not held beside the output copy
-    acc += bias.data.reshape(groups, cout_g, 1)
-    out_data = res.reshape(cout, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+            per = 1
+            band = pitch = -(-h // -(-cout * h * wp // _BLOCK_VALUES))   # split evenly
+        acc_buf = np.empty(cout * min(per, n) * pitch * wp)
+        tmp_buf = np.empty_like(acc_buf) if len(chunks) > 1 else None
+        for b in range(0, n, per):
+            nb = min(per, n - b)
+            for i in range(0, h, band):
+                nr = min(band, h - i)
+                base, length = (b * hp + i) * wp, ((nb - 1) * pitch + nr) * wp - (wp - w)
+                full = cout * nb * pitch * wp
+                acc = acc_buf[:full].reshape(groups, cout_g, -1)[..., :length]
+                if tmp_buf is not None:
+                    tmp = tmp_buf[:full].reshape(groups, cout_g, -1)[..., :length]
+                for ks, ss in chunks:
+                    if ks.start == 0:
+                        np.matmul(wmat[..., ks], rows(ss, base, length), out=acc)
+                    else:
+                        np.matmul(wmat[..., ks], rows(ss, base, length), out=tmp)
+                        acc += tmp
+                acc += bias.data.reshape(groups, cout_g, 1)
+                np.copyto(out_data[b:b + nb, :, i:i + nr],
+                          acc_buf[:full].reshape(cout, nb, pitch, wp)[:, :, :nr, :w]
+                          .transpose(1, 0, 2, 3))
     if not weights.requires_grad:
         xf = None
 

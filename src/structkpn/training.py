@@ -234,7 +234,7 @@ def _validate(params, model_cfg, cfg, val_imgs):
     ps, ss = [], []
     for i, img in enumerate(val_imgs):
         noisy = add_noise(img, nm, np.random.default_rng([cfg.seed, 91, i]))
-        den = denoise_image(params, model_cfg, noisy)[1]
+        den, _ = denoise_image(params, model_cfg, noisy)
         ps.append(psnr(img, den))
         ss.append(ssim_image(img, den))
     return float(np.mean(ps)), float(np.mean(ss))

@@ -152,11 +152,18 @@ def test_denoise_kernel_dump_validation(tmp_path, capsys):
     rc = main(["denoise", "--ckpt", str(ckpt_path), "--input", str(img),
                "--output", str(tmp_path / "x.pgm"), "--dump-kernels", "3,3,5"])
     assert rc == 1
-    # out-of-bounds coordinate names the pixel
+    # out-of-bounds coordinate names the pixel and the image size
     rc = main(["denoise", "--ckpt", str(ckpt_path), "--input", str(img),
                "--output", str(tmp_path / "y.pgm"), "--dump-kernels", "99,3"])
     assert rc == 1
     assert "99" in capsys.readouterr().err
+    # pixels are checked before anything is written, not after the valid ones
+    rc = main(["denoise", "--ckpt", str(ckpt_path), "--input", str(img),
+               "--output", str(tmp_path / "w.pgm"), "--dump-kernels", "3,3,99,3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(99, 3)" in err and "64x64" in err
+    assert not list(tmp_path.glob("w.*")) and not list(tmp_path.glob("y.*"))
     # plain-cnn checkpoints have no filters to dump
     cfg2 = write_cfg(tmp_path / "p.cfg", model_kind="plain-cnn", steps=1)
     ckpt2 = tmp_path / "p.ckpt"

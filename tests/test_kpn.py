@@ -1,11 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from structkpn.kpn import (KpnConfig, local_conv, build_model, kpn_apply, kernel_at,
-                           denoise_image, params_to_tensors, expected_param_shapes)
+from structkpn import kpn
+from structkpn.kpn import (KpnConfig, local_conv, build_model, kpn_apply, denoise_image,
+                           params_to_tensors, expected_param_shapes)
 from structkpn.tensor import Tensor, ShapeError, backward, grad_check, reduce_sum, registered_ops
 from helpers import naive_local_conv
 
@@ -193,36 +195,70 @@ def test_plain_cnn_zero_head_is_identity():
     assert np.array_equal(out.data, x)
 
 
-def test_denoise_image_field_layout_and_kernel_at():
+@pytest.mark.parametrize("kind, softmax", [("kpn", False), ("kpn", True), ("plain-cnn", False)])
+@pytest.mark.parametrize("band_pixels", [1, 27, kpn._BAND_PIXELS])
+def test_denoise_image_bands_match_whole_image(monkeypatch, kind, softmax, band_pixels):
+    # 1 pixel gives one-row bands; 27 gives 3-row bands of an 8x9 image, the last of 2 rows
+    monkeypatch.setattr(kpn, "_BAND_PIXELS", band_pixels)
+    cfg = KpnConfig(kernel_size=5, stem_channels=8, num_res_blocks=2, groups=2,
+                    softmax_normalize_kernels=softmax, model_kind=kind)
+    params = build_model(cfg, seed=2)
+    params["head.w"] = np.random.default_rng(51).normal(size=params["head.w"].shape)
+    img = np.random.default_rng(47).random((8, 9))
+    pixels = [(0, 0), (7, 8), (2, 3), (2, 3)] if kind == "kpn" else []
+    den, kernels = denoise_image(params, cfg, img, pixels)
+    v, yhat = kpn_apply(params_to_tensors(params, requires_grad=False),
+                        Tensor(img[None, None]), cfg)
+    assert den.shape == (8, 9) and kernels.shape == (len(pixels), 5, 5)
+    assert np.allclose(den, yhat.data[0, 0], rtol=0, atol=1e-12)
+    for kern, (m, n) in zip(kernels, pixels):
+        assert np.array_equal(kern.ravel(), v.data[0, :, m, n])
+    again = denoise_image(params, cfg, img, pixels)
+    assert den.tobytes() == again[0].tobytes() and kernels.tobytes() == again[1].tobytes()
+
+
+def test_denoise_image_validation():
     cfg = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2,
                     softmax_normalize_kernels=True)
     params = build_model(cfg, seed=2)
     img = np.random.default_rng(47).random((8, 9))
-    field, den = denoise_image(params, cfg, img)
-    assert field.shape == (9, 8, 9)
-    assert den.shape == (8, 9)
-    v, yhat = kpn_apply(params_to_tensors(params, requires_grad=False),
-                        Tensor(img[None, None]), cfg)
-    assert np.array_equal(field, v.data[0]) and np.array_equal(den, yhat.data[0, 0])
-    kern = kernel_at(field, 2, 3)
-    assert kern.shape == (3, 3)
-    assert np.array_equal(kern.ravel(), field[:, 2, 3])
-    assert kern.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError, match=r"\(8, 3\)"):
-        kernel_at(field, 8, 3)
-    with pytest.raises(ValueError):
-        kernel_at(field, 0, -1)
+    _, kernels = denoise_image(params, cfg, img, [(2, 3)])
+    assert kernels[0].sum() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match=r"\(8, 3\) outside the 8x9 image"):
+        denoise_image(params, cfg, img, [(2, 3), (8, 3)])
+    with pytest.raises(ValueError, match=r"\(0, -1\)"):
+        denoise_image(params, cfg, img, [(0, -1)])
     with pytest.raises(ShapeError):
         denoise_image(params, cfg, np.zeros((4, 4, 4)))
+    plain = dataclasses.replace(cfg, model_kind="plain-cnn")
+    with pytest.raises(ValueError, match="no filters"):
+        denoise_image(build_model(plain, seed=2), plain, img, [(2, 3)])
+
+
+def test_denoise_image_holds_one_band_of_the_filter_field():
+    # the whole k = 21 field of a 192^2 image is 130 MB; a band is 14 MB
+    cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=1, groups=2)
+    params = build_model(cfg, seed=3)
+    img = np.random.default_rng(52).random((192, 192))
+    field_bytes = cfg.kernel_size ** 2 * img.size * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        den, _ = denoise_image(params, cfg, img)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert den.shape == img.shape
+    assert peak < field_bytes / 4
 
 
 def test_denoise_image_kinds():
     img = np.random.default_rng(48).random((8, 8))
-    field, den = denoise_image(build_model(TINY, seed=1), TINY, img)
-    assert field.shape == (9, 8, 8) and den.shape == (8, 8)
+    den, kernels = denoise_image(build_model(TINY, seed=1), TINY, img, [(1, 2)])
+    assert den.shape == (8, 8) and kernels.shape == (1, 3, 3)
     plain = dataclasses.replace(TINY, model_kind="plain-cnn")
-    field, den = denoise_image(build_model(plain, seed=1), plain, img)
-    assert field.shape == (1, 8, 8)
+    den, kernels = denoise_image(build_model(plain, seed=1), plain, img)
+    assert kernels.shape == (0, 3, 3)
     assert np.array_equal(den, img)
     with pytest.raises(ValueError):   # kpn parameters under a plain-cnn config
         denoise_image(build_model(TINY, seed=1), plain, img)

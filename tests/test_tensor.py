@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from structkpn import tensor
 from structkpn.tensor import (Tensor, ShapeError, add, sub, mul, div, neg, abs_val,
                               relu, softmax_vec, reduce_mean, reduce_sum, conv2d,
                               backward, make_op, accumulate_grad, grad_check,
@@ -133,47 +134,67 @@ def test_conv2d_matches_naive_oracle():
 
 @st.composite
 def conv_cases(draw):
+    # the last entry is the forward block size in output values: 1 gives
+    # one-row blocks, 25 and 100 split a small image into blocks of a few
+    # rows, and 700 puts a few whole small images in one block
     groups = draw(st.sampled_from([1, 2]))
     return (draw(st.integers(1, 3)), groups * draw(st.integers(1, 2)),
             groups * draw(st.integers(1, 3)), groups,
             draw(st.sampled_from([1, 3, 5, 11])), draw(st.sampled_from([1, 3, 5, 11])),
-            draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 2 ** 32 - 1)))
+            draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.sampled_from([1, 25, 100, 700, tensor._BLOCK_VALUES])))
+
+
+def blocked_conv2d(block_values, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_BLOCK_VALUES", block_values)
+        return conv2d(*args, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(conv_cases())
-@example((2, 1, 1, 1, 1, 11, 6, 9, 0))    # struct_loss row window, k_r = 11
-@example((2, 1, 1, 1, 11, 1, 9, 6, 1))    # struct_loss column window
-@example((2, 1, 4, 1, 3, 3, 5, 7, 2))     # stem: Cin = 1
-@example((2, 3, 9, 1, 1, 1, 4, 6, 3))     # head: 1x1, Cout > Cin
-@example((3, 4, 6, 2, 3, 3, 4, 7, 4))     # grouped residual block
+@example((2, 1, 1, 1, 1, 11, 6, 9, 0, 262144))      # struct_loss row window, k_r = 11
+@example((2, 1, 1, 1, 11, 1, 9, 6, 1, 262144))      # struct_loss column window
+@example((2, 1, 4, 1, 3, 3, 5, 7, 2, 262144))       # stem: Cin = 1
+@example((2, 3, 9, 1, 1, 1, 4, 6, 3, 262144))       # head: 1x1, Cout > Cin
+@example((3, 4, 6, 2, 3, 3, 4, 7, 4, 262144))       # grouped residual block
+@example((3, 4, 6, 2, 3, 3, 7, 9, 10, 100))         # grouped: 2-row blocks, the last of 1
+@example((2, 1, 4, 1, 3, 3, 7, 5, 11, 1))           # stem, one-row blocks
+@example((2, 1, 1, 1, 1, 11, 7, 9, 12, 25))         # row window: 2-row blocks, the last of 1
+@example((2, 1, 1, 1, 11, 1, 7, 6, 13, 25))         # column window: blocks of 4 and 3 rows
+@example((3, 4, 6, 2, 3, 3, 4, 7, 18, 700))         # grouped: blocks of 2 whole images, then 1
 def test_conv2d_property_matches_naive_oracle(case):
-    n, cin, cout, groups, kh, kw, h, w, seed = case
+    n, cin, cout, groups, kh, kw, h, w, seed, block_values = case
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, cin, h, w))
     wt = rng.normal(size=(cout, cin // groups, kh, kw))
     b = rng.normal(size=cout)
-    out = conv2d(Tensor(x), Tensor(wt), Tensor(b), groups=groups)
+    out = blocked_conv2d(block_values, Tensor(x), Tensor(wt), Tensor(b), groups=groups)
     assert out.data.shape == (n, cout, h, w)
     assert np.allclose(out.data, naive_conv2d(x, wt, b, groups=groups), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(conv_cases())
-@example((3, 4, 6, 2, 3, 3, 4, 7, 5))     # grouped, batch folded end to end
-@example((3, 3, 9, 1, 1, 1, 4, 6, 6))     # 1x1 with N > 1: transposed output view
-@example((2, 1, 4, 1, 3, 3, 5, 7, 7))     # stem: Cin = 1, taps stacked in one chunk
-@example((2, 1, 1, 1, 1, 11, 6, 9, 8))    # window_filter rows
-@example((2, 1, 1, 1, 11, 1, 9, 6, 9))    # window_filter columns
+@example((3, 4, 6, 2, 3, 3, 4, 7, 5, 262144))       # grouped, batch folded end to end
+@example((3, 3, 9, 1, 1, 1, 4, 6, 6, 262144))       # 1x1 with N > 1: one GEMM per image
+@example((2, 1, 4, 1, 3, 3, 5, 7, 7, 262144))       # stem: Cin = 1, taps stacked in one chunk
+@example((2, 1, 1, 1, 1, 11, 6, 9, 8, 262144))      # window_filter rows
+@example((2, 1, 1, 1, 11, 1, 9, 6, 9, 262144))      # window_filter columns
+@example((3, 4, 6, 2, 3, 3, 7, 9, 14, 100))         # grouped: 2-row blocks, the last of 1
+@example((2, 1, 4, 1, 3, 3, 7, 5, 15, 1))           # stem, one-row blocks
+@example((2, 1, 1, 1, 1, 11, 7, 9, 16, 25))         # window_filter rows: 2-row blocks, last of 1
+@example((2, 1, 1, 1, 11, 1, 7, 6, 17, 25))         # window_filter columns: 4- and 3-row blocks
+@example((3, 4, 6, 2, 3, 3, 4, 7, 19, 700))         # grouped: blocks of 2 whole images, then 1
 def test_conv2d_backward_is_adjoint_of_forward(case):
     # conv2d with zero bias is bilinear, so <conv(x, W), g> = <x, dX> = <W, dW>;
     # a gradient leaking across image borders in the folded layout breaks it
-    n, cin, cout, groups, kh, kw, h, w, seed = case
+    n, cin, cout, groups, kh, kw, h, w, seed, block_values = case
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(n, cin, h, w)), requires_grad=True)
     wt = Tensor(rng.normal(size=(cout, cin // groups, kh, kw)), requires_grad=True)
     g = rng.normal(size=(n, cout, h, w))
-    out = conv2d(x, wt, Tensor(np.zeros(cout)), groups=groups)
+    out = blocked_conv2d(block_values, x, wt, Tensor(np.zeros(cout)), groups=groups)
     reduce_sum(mul(out, Tensor(g))).backward()
     ref = float((out.data * g).sum())
     scale = float(np.abs(out.data * g).sum())
@@ -196,6 +217,26 @@ def test_conv2d_retains_no_column_buffer():
     finally:
         tracemalloc.stop()
     assert held - out.data.nbytes < 3 * x.data.nbytes
+
+
+def test_conv2d_forward_holds_no_full_size_temporary():
+    # beside its output, an inference conv holds its padded input (1.03x the
+    # input here), one block of the output and the block's temporary; not a
+    # padded result and a full-size per-tap temporary (2x the input together)
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(1, 64, 128, 128)))
+    wt = Tensor(rng.normal(size=(64, 64, 3, 3)))
+    b = Tensor(np.zeros(64))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, wt, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.data.flags["C_CONTIGUOUS"]
+    padded = 64 * 130 * 130 * 8
+    assert peak - out.data.nbytes <= 1.05 * (padded + 2 * tensor._BLOCK_VALUES * 8)
 
 
 def test_conv2d_1x1_kernel():
