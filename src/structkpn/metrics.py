@@ -22,6 +22,11 @@ __all__ = ["psnr", "ssim_image", "EvalRow", "EvalReport", "evaluate", "EVAL_HEAD
 
 EVAL_HEADER = ["file", "psnr_noisy", "ssim_noisy", "psnr_denoised", "ssim_denoised"]
 
+# _window_moments works in bands of about this many output pixels (rounded down
+# to a multiple of 4 rows, at least 4): about 1 MB of window copies per moment,
+# whatever the image size.
+_BAND_PIXELS = 1024
+
 
 def psnr(reference, test):
     """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
@@ -48,16 +53,34 @@ def ssim_image(reference, test):
     if min(a.shape) < window:
         raise ValueError(
             f"ssim_image: image {a.shape} smaller than {window}x{window} window")
-    # Valid-window tensordot moments, not losses.ssim_map: separable window sums
-    # round differently, and perfbench/reference.json pins eval's ssim_noisy bit for bit.
-    w2 = window_weights((window, window))
-    wa = sliding_window_view(a, (window, window))
-    wb = sliding_window_view(b, (window, window))
-    axes = ([2, 3], [0, 1])
-    return float(np.mean(ssim_from_moments(
-        np.tensordot(wa, w2, axes=axes), np.tensordot(wb, w2, axes=axes),
-        np.tensordot(wa * wa, w2, axes=axes), np.tensordot(wb * wb, w2, axes=axes),
-        np.tensordot(wa * wb, w2, axes=axes), consts)))
+    return float(np.mean(ssim_from_moments(*_window_moments(a, b, window), consts)))
+
+
+def _window_moments(a, b, window):
+    """(5, ho, wo) valid-window means of a, b, a*a, b*b and a*b.
+
+    One BLAS gemv per moment, not losses.ssim_map: separable window sums round
+    differently, and perfbench/reference.json pins eval's ssim_noisy bit for
+    bit. The gemv runs over bands of output rows, so the 121x window copies
+    stay cache-sized. OpenBLAS's dgemv_t computes outputs in groups of 4 with
+    its own tail path. A band starting at a multiple of 4 rows starts at a
+    multiple of 4 pixels, a group boundary of the whole-image call, so at one
+    BLAS thread every moment rounds exactly as in one call; a band of 1 to 3
+    rows can start off a group boundary and round differently. With more
+    threads OpenBLAS also splits each call between threads, at points that
+    need not be multiples of 4.
+    """
+    ho, wo = a.shape[0] - window + 1, a.shape[1] - window + 1
+    w_col = window_weights((window, window)).reshape(-1, 1)
+    moments = np.empty((5, ho, wo))
+    band = max(4, _BAND_PIXELS // wo // 4 * 4)
+    for i in range(0, ho, band):
+        j = min(i + band, ho)
+        sa, sb = a[i:j + window - 1], b[i:j + window - 1]
+        for m, x in enumerate((sa, sb, sa * sa, sb * sb, sa * sb)):
+            cols = sliding_window_view(x, (window, window)).reshape(-1, window * window)
+            np.dot(cols, w_col, out=moments[m, i:j].reshape(-1, 1))
+    return moments
 
 
 @dataclass
@@ -103,19 +126,27 @@ def evaluate(ckpt, dataset, seed=0):
 
     Pairs are processed in name order. Image i is corrupted with the
     checkpoint's training noise drawn from default_rng([seed, i]), so a given
-    seed always produces the same report.
+    seed always produces the same report. Every image is checked before any is
+    denoised: each must be 2-D and at least the SSIM window on each side.
     """
     from .training import add_noise   # training imports this module
 
     named = sorted(dataset, key=lambda kv: kv[0])
     if not named:
         raise ValueError("evaluate: empty dataset")
+    window = SsimConstants().window
+    images = []
+    for name, img in named:
+        img = np.asarray(img, dtype=np.float64)
+        if img.ndim != 2 or min(img.shape) < window:
+            raise ValueError(f"evaluate: {name}: image of shape {img.shape} is not a 2-D "
+                             f"image of at least {window}x{window} pixels")
+        images.append((name, img))
     nm = ckpt.config.noise_model()
     model_cfg = ckpt.config.kpn_config()
 
     rows = []
-    for i, (name, img) in enumerate(named):
-        img = np.asarray(img, dtype=np.float64)
+    for i, (name, img) in enumerate(images):
         noisy = add_noise(img, nm, np.random.default_rng([seed, i]))
         den, _ = denoise_image(ckpt.params, model_cfg, noisy)
         rows.append(EvalRow(file=name,

@@ -252,20 +252,16 @@ def neg(a):
 
 def abs_val(a):
     """Elementwise |x|; the subgradient at 0 is fixed to 0."""
-    sign = np.sign(a.data)
-
     def bwd(g):
-        accumulate_grad(a, g * sign)
+        accumulate_grad(a, g * np.sign(a.data))
 
     return make_op(np.abs(a.data), (a,), bwd, "abs")
 
 
 def relu(a):
     """Elementwise max(0, x); the gradient at exactly 0 is fixed to 0."""
-    mask = a.data > 0
-
     def bwd(g):
-        accumulate_grad(a, g * mask)
+        accumulate_grad(a, g * (a.data > 0))
 
     return make_op(np.maximum(a.data, 0.0), (a,), bwd, "relu")
 

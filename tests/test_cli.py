@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from structkpn.cli import main, parse_config_file, ConfigError
-from structkpn.fileio import read_pgm, read_minmax
+from structkpn.fileio import read_pgm, read_minmax, write_pgm
 from structkpn.training import load_checkpoint, CURVE_HEADER
 
 
@@ -200,6 +200,26 @@ def test_directory_without_pgm_files_exits_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert str(empty) in err and "Traceback" not in err
+
+
+def test_eval_checks_every_image_before_denoising(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--count", "2", "--size", "48", "--seed", "5"])
+    cfg = write_cfg(tmp_path / "t.cfg", steps=0, val_interval=0)
+    ckpt = tmp_path / "t.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt)]) == 0
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    rng = np.random.default_rng(6)
+    write_pgm(mixed / "a_big.pgm", rng.random((32, 32)))
+    write_pgm(mixed / "b_small.pgm", rng.random((8, 40)))   # under the 11x11 SSIM window
+    out = tmp_path / "e.csv"
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(mixed), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "b_small.pgm" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_truncated_checkpoint_exits_one(tmp_path, capsys):

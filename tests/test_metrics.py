@@ -1,10 +1,18 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from structkpn import metrics
 from structkpn.corpus import synth_image
+from structkpn.losses import SsimConstants, ssim_from_moments, window_weights
 from structkpn.metrics import psnr, ssim_image, evaluate, EVAL_HEADER
 from structkpn.training import TrainConfig, train
 from helpers import direct_ssim
@@ -56,6 +64,76 @@ def test_ssim_image_matches_naive_window_loop():
         for n in range(20 - 10):
             vals.append(direct_ssim(a[m:m + 11, n:n + 11], b[m:m + 11, n:n + 11]))
     assert ssim_image(a, b) == pytest.approx(np.mean(vals), abs=1e-10)
+
+
+def whole_image_tensordot_moments(a, b):
+    """ssim_image's five window moments as one whole-image tensordot each."""
+    w2 = window_weights((SsimConstants().window,) * 2)
+    wa = sliding_window_view(a, w2.shape)
+    wb = sliding_window_view(b, w2.shape)
+    axes = ([2, 3], [0, 1])
+    return np.stack([np.tensordot(wa, w2, axes=axes), np.tensordot(wb, w2, axes=axes),
+                     np.tensordot(wa * wa, w2, axes=axes), np.tensordot(wb * wb, w2, axes=axes),
+                     np.tensordot(wa * wb, w2, axes=axes)])
+
+
+def whole_image_tensordot_ssim(a, b):
+    """ssim_image as whole-image tensordot moments: the formula whose bits it keeps."""
+    return float(np.mean(ssim_from_moments(*whole_image_tensordot_moments(a, b),
+                                           SsimConstants())))
+
+
+BAND_SHAPES = [(11, 11), (12, 40), (97, 131), (128, 128), (256, 256), (301, 257)]
+
+
+def noisy_pair(shape):
+    rng = np.random.default_rng([73, *shape])
+    a = rng.random(shape)
+    return a, np.clip(a + rng.normal(0, 0.1, shape), 0, 1)
+
+
+@pytest.mark.parametrize("band_pixels", [1, metrics._BAND_PIXELS])   # 1: bands of 4 rows
+@pytest.mark.parametrize("shape", BAND_SHAPES)
+def test_ssim_image_bands_keep_whole_image_bits(shape, band_pixels, monkeypatch):
+    monkeypatch.setattr(metrics, "_BAND_PIXELS", band_pixels)
+    a, b = noisy_pair(shape)
+    assert ssim_image(a, b) == whole_image_tensordot_ssim(a, b)
+
+
+def test_ssim_image_bands_keep_whole_image_bits_at_one_blas_thread():
+    # perfbench records at one BLAS thread, where every window moment must match
+    # the whole-image call; the mean alone would hide a last-bit moment change.
+    # With more threads OpenBLAS splits each call too, so this runs pinned.
+    script = (
+        "import numpy as np, test_metrics as t\n"
+        "for bp in (1, t.metrics._BAND_PIXELS):\n"
+        "    t.metrics._BAND_PIXELS = bp\n"
+        "    for shape in t.BAND_SHAPES:\n"
+        "        a, b = t.noisy_pair(shape)\n"
+        "        got = t.metrics._window_moments(a, b, t.SsimConstants().window)\n"
+        "        same = np.array_equal(got, t.whole_image_tensordot_moments(a, b))\n"
+        "        same &= t.ssim_image(a, b) == t.whole_image_tensordot_ssim(a, b)\n"
+        "        print(bp, shape, same)\n")
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert len(out) == 2 * len(BAND_SHAPES)
+    assert all(line.endswith("True") for line in out), out
+
+
+def test_ssim_image_footprint_is_bounded():
+    a, b = noisy_pair((256, 256))
+    tracemalloc.start()
+    try:
+        ssim_image(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (246^2, 121) window copy alone is 58 MB
+    assert peak < 16e6, peak / 1e6
 
 
 def test_ssim_image_validation():
