@@ -9,7 +9,9 @@ on identical inputs are bit-identical at a fixed BLAS thread count.
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
 end to end, so each kernel tap is one strided slice of it and the output
 accumulates one GEMM per tap (or small chunk of taps), with no column buffer,
-over cache-sized blocks written straight into the output.
+over cache-sized blocks written straight into the output. Its tape node keeps
+no padded copy: the backward re-pads the input, which the tape already holds
+as the op's parent.
 """
 
 import numpy as np
@@ -352,9 +354,11 @@ def conv2d(x, weights, bias, groups=1):
     about ``_BLOCK_VALUES`` output values of whole padded rows (a band of one
     image, or several whole images), then adds the bias to the block and
     copies its cropped rows into the output; a 1x1 kernel runs one GEMM per
-    image straight into the output. The backward pass keeps only xf and runs
-    over the whole batch. Columns between images are computed, cropped away
-    and get zero gradient.
+    image straight into the output. The forward drops xf once the output is
+    written. The backward runs over the whole batch and rebuilds xf from x,
+    with the same pad, only for the weight gradient; the input gradient needs
+    only the output gradient and the weights. Columns between images are
+    computed, cropped away and get zero gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -386,14 +390,18 @@ def conv2d(x, weights, bias, groups=1):
     # (weight columns, shifts) per chunk of taps
     chunks = [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
               for t in range(0, taps, step)]
-    xt = x.data.transpose(1, 0, 2, 3)            # a 1x1 kernel at N = 1 reshapes it without a copy
-    xf = (np.pad(xt, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge") if taps > 1
-          else xt).reshape(groups, cin_g, m)
+
+    def fold():
+        xt = x.data.transpose(1, 0, 2, 3)        # a 1x1 kernel at N = 1 reshapes it without a copy
+        return (np.pad(xt, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge") if taps > 1
+                else xt).reshape(groups, cin_g, m)
+
+    xf = fold()
     # column t*cin_g + c holds the weight of input channel c at tap t: the row order of rows()
     wmat = weights.data.reshape(groups, cout_g, cin_g, taps).swapaxes(2, 3) \
         .reshape(groups, cout_g, taps * cin_g)
 
-    def rows(ss, base=0, length=span):
+    def rows(xf, ss, base=0, length=span):
         if len(ss) == 1:
             return xf[..., base + ss[0]:base + ss[0] + length]
         return np.stack([xf[..., base + s:base + s + length] for s in ss],
@@ -403,7 +411,7 @@ def conv2d(x, weights, bias, groups=1):
     if taps == 1:
         # hp, wp = h, w: image b's output is one contiguous (Cout, H*W) block
         for b in range(n):
-            np.matmul(wmat, rows(shifts, b * h * w, h * w),
+            np.matmul(wmat, rows(xf, shifts, b * h * w, h * w),
                       out=out_data[b].reshape(groups, cout_g, h * w))
         out_data += bias.data.reshape(cout, 1, 1)
     else:
@@ -430,16 +438,15 @@ def conv2d(x, weights, bias, groups=1):
                     tmp = tmp_buf[:full].reshape(groups, cout_g, -1)[..., :length]
                 for ks, ss in chunks:
                     if ks.start == 0:
-                        np.matmul(wmat[..., ks], rows(ss, base, length), out=acc)
+                        np.matmul(wmat[..., ks], rows(xf, ss, base, length), out=acc)
                     else:
-                        np.matmul(wmat[..., ks], rows(ss, base, length), out=tmp)
+                        np.matmul(wmat[..., ks], rows(xf, ss, base, length), out=tmp)
                         acc += tmp
                 acc += bias.data.reshape(groups, cout_g, 1)
                 np.copyto(out_data[b:b + nb, :, i:i + nr],
                           acc_buf[:full].reshape(cout, nb, pitch, wp)[:, :, :nr, :w]
                           .transpose(1, 0, 2, 3))
-    if not weights.requires_grad:
-        xf = None
+    del xf                                       # the backward re-pads x, which the tape holds
 
     def bwd(g):
         if bias.requires_grad:
@@ -448,9 +455,11 @@ def conv2d(x, weights, bias, groups=1):
         gf[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
         gf = gf.reshape(groups, cout_g, m)[..., :span]
         if weights.requires_grad:
+            xf = fold()
             dw = np.empty_like(wmat)
             for ks, ss in chunks:
-                np.matmul(gf, rows(ss).swapaxes(-1, -2), out=dw[..., ks])
+                np.matmul(gf, rows(xf, ss).swapaxes(-1, -2), out=dw[..., ks])
+            del xf
             accumulate_grad(weights, dw.reshape(groups, cout_g, taps, cin_g).swapaxes(2, 3)
                             .reshape(weights.data.shape))
         if x.requires_grad:

@@ -261,6 +261,13 @@ def train(cfg, images, start=None):
                 f"train: image {i} has shape {im.shape}, needs at least "
                 f"{cfg.patch_size}x{cfg.patch_size}")
     train_imgs, val_imgs = split_train_val(imgs)
+    if cfg.val_interval > 0:
+        window = SsimConstants().window          # ssim_image's window, not k_r
+        for i, im in enumerate(val_imgs, len(train_imgs)):
+            if min(im.shape) < window:
+                raise ValueError(
+                    f"train: validation image {i} has shape {im.shape}, needs at least "
+                    f"{window}x{window} for the SSIM window")
 
     if start is None:
         params = build_model(model_cfg, cfg.seed)

@@ -1,9 +1,12 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from structkpn.cli import main, parse_config_file, ConfigError
 from structkpn.fileio import read_pgm, read_minmax, write_pgm
-from structkpn.training import load_checkpoint, CURVE_HEADER
+from structkpn.training import load_checkpoint, CURVE_HEADER, TrainConfig
 
 
 def write_cfg(path, **overrides):
@@ -56,6 +59,17 @@ def test_config_parses_types(tmp_path):
     tc = parse_config_file(cfg)
     assert tc.lr == 0.01 and tc.softmax_kernels is False
     assert tc.kernel_size == 5 and tc.noise_sigma == 0.05
+
+
+def test_readme_config_block_shows_every_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Training config file", 1)[1].split("```ini\n", 1)[1]
+    block = block.split("```", 1)[0]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    assert parse_config_file(cfg) == TrainConfig()
+    named = [ln.split("#", 1)[0].partition("=")[0].strip() for ln in block.splitlines()]
+    assert sorted(filter(None, named)) == sorted(f.name for f in fields(TrainConfig))
 
 
 def test_full_pipeline(tmp_path):
@@ -219,6 +233,28 @@ def test_eval_checks_every_image_before_denoising(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "b_small.pgm" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_checks_validation_images_before_step_one(tmp_path, capsys, monkeypatch):
+    # 9x9 images fit an 8x8 patch but not the 11x11 SSIM window of validation
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(9)
+    for i in range(5):
+        write_pgm(data / f"img_{i}.pgm", rng.random((9, 9)))
+    cfg = write_cfg(tmp_path / "v.cfg", patch_size=8, kernel_size=3, k_r=5,
+                    val_interval=2, steps=2)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran before the validation images were checked")
+
+    monkeypatch.setattr("structkpn.training.kpn_apply", no_step)
+    out = tmp_path / "v.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "validation image 4" in err and "11x11" in err and "Traceback" not in err
     assert not out.exists()
 
 

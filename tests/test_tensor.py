@@ -219,6 +219,23 @@ def test_conv2d_retains_no_column_buffer():
     assert held - out.data.nbytes < 3 * x.data.nbytes
 
 
+def test_conv2d_tape_holds_no_padded_copy_of_its_input():
+    # the backward re-pads the input from the parent the tape already holds,
+    # so beyond its output a training conv keeps no padded copy (1.2x the input)
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 16, 32, 32)), requires_grad=True)
+    wt = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(16), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, wt, b)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held - out.data.nbytes < 0.25 * x.data.nbytes
+
+
 def test_conv2d_forward_holds_no_full_size_temporary():
     # beside its output, an inference conv holds its padded input (1.03x the
     # input here), one block of the output and the block's temporary; not a

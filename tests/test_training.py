@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,22 @@ def test_train_rejects_small_images():
         train(cfg, [np.zeros((16, 16))])
     with pytest.raises(ValueError):
         train(cfg, [])
+
+
+def test_train_peak_memory_is_bounded():
+    # no conv keeps a padded copy of its input on the tape: about 6.9 MB of
+    # traced allocations at peak for this run, against 8.5 MB when each did
+    cfg = TrainConfig(steps=2, val_interval=0, kernel_size=5, stem_channels=16,
+                      num_res_blocks=2, patch_size=24, batch_size=2,
+                      softmax_kernels=True, seed=3)
+    imgs = small_corpus()
+    tracemalloc.start()
+    try:
+        train(cfg, imgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.7 * 2**20
 
 
 def test_train_divergence_names_step():
