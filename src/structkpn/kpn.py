@@ -8,6 +8,12 @@ frame by ``local_conv``, which replicates edges so output size equals input
 size; kernels can optionally be softmax-normalized per pixel so they are
 positive and sum to one. A "plain-cnn" head has one channel, starts at zero,
 and adds a residual to the input through a global skip.
+
+Training runs the whole batch on the tape (``kpn_apply``). ``denoise_image``
+streams one image through the same layers in bands of whole rows, each 3x3
+conv carrying the 2 input rows it still needs from the band before, so its
+memory follows the band, not the image. Both read the one layer list of
+``_backbone_layers``.
 """
 
 import math
@@ -15,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, _collapse_replication, accumulate_grad, add, conv2d,
-                     make_op, register_op, relu, softmax_vec)
+from .tensor import (Tensor, ShapeError, _collapse_replication, _conv_forward, _conv_taps,
+                     accumulate_grad, add, conv2d, make_op, register_op, relu, softmax_vec)
 
 __all__ = [
     "KpnConfig",
@@ -119,17 +125,33 @@ def local_conv(x, v):
 register_op("local_conv")
 
 
+def _backbone_layers(cfg):
+    """The backbone as (op, layer name, conv groups) steps, in order.
+
+    "conv" is the 3x3 conv of that layer, "relu" clamps, "skip" keeps its
+    input for the block's "add", which adds it to the block's second conv.
+    ``expected_param_shapes``, the tape forward and the band stream all read
+    this one list.
+    """
+    steps = [("conv", "stem", 1)]
+    for i in range(cfg.num_res_blocks):
+        g = cfg.groups if i == cfg.num_res_blocks - 1 else 1
+        steps += [("skip", None, None), ("conv", f"res{i}.conv1", g), ("relu", None, None),
+                  ("conv", f"res{i}.conv2", g), ("add", None, None)]
+    steps.append(("relu", None, None))
+    return steps
+
+
 def expected_param_shapes(cfg):
     """Parameter name -> (shape, conv groups) for a config; defines init order."""
     head_channels = cfg.kernel_size * cfg.kernel_size if cfg.model_kind == "kpn" else 1
     c = cfg.stem_channels
-    shapes = {"stem.w": ((c, 1, 3, 3), 1), "stem.b": ((c,), 1)}
-    for i in range(cfg.num_res_blocks):
-        g = cfg.groups if i == cfg.num_res_blocks - 1 else 1
-        shapes[f"res{i}.conv1.w"] = ((c, c // g, 3, 3), g)
-        shapes[f"res{i}.conv1.b"] = ((c,), g)
-        shapes[f"res{i}.conv2.w"] = ((c, c // g, 3, 3), g)
-        shapes[f"res{i}.conv2.b"] = ((c,), g)
+    shapes = {}
+    for op, name, g in _backbone_layers(cfg):
+        if op == "conv":
+            cin = 1 if name == "stem" else c
+            shapes[name + ".w"] = ((c, cin // g, 3, 3), g)
+            shapes[name + ".b"] = ((c,), g)
     shapes["head.w"] = ((head_channels, c, 1, 1), 1)
     shapes["head.b"] = ((head_channels,), 1)
     return shapes
@@ -173,14 +195,17 @@ def check_param_shapes(shapes, cfg):
 
 
 def _backbone(params, x, cfg):
-    h = conv2d(x, params["stem.w"], params["stem.b"])
-    for i in range(cfg.num_res_blocks):
-        g = cfg.groups if i == cfg.num_res_blocks - 1 else 1
-        a = relu(conv2d(h, params[f"res{i}.conv1.w"], params[f"res{i}.conv1.b"], groups=g))
-        # no name holds the second conv's output, so without a tape it is freed
-        # once added instead of living on through the next block's convs
-        h = add(h, conv2d(a, params[f"res{i}.conv2.w"], params[f"res{i}.conv2.b"], groups=g))
-    return relu(h)
+    h = x
+    for op, name, g in _backbone_layers(cfg):
+        if op == "conv":
+            h = conv2d(h, params[name + ".w"], params[name + ".b"], groups=g)
+        elif op == "relu":
+            h = relu(h)
+        elif op == "skip":
+            skip = h
+        else:
+            h = add(skip, h)
+    return h
 
 
 def kpn_apply(params, x, cfg):
@@ -202,21 +227,109 @@ def kpn_apply(params, x, cfg):
     return v, local_conv(x, v)
 
 
-# denoise_image runs the head over row bands of about this many pixels: at
-# k = 21 a band of the filter field takes 14 MB, whatever the image size.
+# denoise_image streams the image through the network in bands of whole rows
+# of about this many pixels: at k = 21 a band of the filter field takes 14 MB
+# and a band of a 64-channel activation 2 MB, whatever the image size.
 _BAND_PIXELS = 4096
+
+
+class _ConvRows:
+    """A 3x3 conv fed rows top to bottom; it emits each output row once the
+    input row below it has arrived, so it runs one row behind its input.
+
+    It keeps the input rows from the one above its next output row onwards,
+    2 rows between bands, as that row's top halo. Only the image's first and
+    last rows replicate themselves as the halo, as conv2d's padding does.
+    """
+
+    def __init__(self, wdata, bdata, groups, h, w):
+        self.wmat, self.chunks = _conv_taps(wdata, groups, w + 2)
+        self.bias, self.groups, self.h = bdata, groups, h
+        self.kept = np.empty((wdata.shape[1] * groups, 0, w))
+        self.done = 0                            # output rows emitted so far
+
+    def push(self, x, last):
+        """Take the next input rows x (C,q,W); return the output rows (Cout,r,W) now ready."""
+        c, q, w = x.shape
+        top = self.done == 0
+        got = self.kept.shape[1] + q + max(self.done - 1, 0)      # input rows so far
+        nout = (self.h if last else got - 1) - self.done
+        cout = self.wmat.shape[0] * self.wmat.shape[1]
+        if nout <= 0:
+            self.kept = np.concatenate((self.kept, x), axis=1)
+            return np.empty((cout, 0, w))
+        xf = np.empty((c, nout + 2, w + 2))
+        p = top + self.kept.shape[1]
+        xf[:, top:p, 1:-1] = self.kept
+        xf[:, p:p + q, 1:-1] = x
+        if top:
+            xf[:, 0] = xf[:, 1]
+        if last:
+            xf[:, -1] = xf[:, -2]
+        xf[:, :, 0] = xf[:, :, 1]
+        xf[:, :, -1] = xf[:, :, -2]
+        out = np.empty((1, cout, nout, w))
+        _conv_forward(xf.reshape(self.groups, -1, 1, nout + 2, w + 2), self.wmat, self.chunks,
+                      self.bias, out)
+        self.kept = xf[:, nout:nout + 2, 1:-1].copy()
+        self.done += nout
+        return out[0]
+
+
+def _stream_backbone(params, cfg, img, band):
+    """Yield (first row, (C,r,W) features) as the backbone clears each band of img.
+
+    Every conv runs one row behind its input and each "add" holds back its
+    skip rows until the block's second conv has caught up with them, 2 rows
+    later; relu and the add write in place, as no tape holds the bands.
+    """
+    h, w = img.shape
+    steps = []
+    for op, name, g in _backbone_layers(cfg):
+        if op == "conv":
+            state = _ConvRows(params[name + ".w"], params[name + ".b"], g, h, w)
+        elif op == "skip":
+            state = held = [np.empty((cfg.stem_channels, 0, w))]    # skip rows not yet added
+        else:
+            state = held if op == "add" else None
+        steps.append((op, state))
+    row = 0
+    for i in range(0, h, band):
+        last = i + band >= h
+        x = img[None, i:i + band]
+        for op, state in steps:
+            if op == "conv":
+                x = state.push(x, last)
+            elif op == "relu":
+                np.maximum(x, 0.0, out=x)
+            elif op == "skip":
+                state[0] = np.concatenate((state[0], x), axis=1)
+            else:
+                x += state[0][:, :x.shape[1]]
+                state[0] = state[0][:, x.shape[1]:].copy()    # frees the band it came from
+        if x.shape[1]:
+            yield row, x
+            row += x.shape[1]
 
 
 def denoise_image(params, cfg, img, kernel_pixels=()):
     """Run the model on one (H,W) array; returns (denoised, kernels).
 
-    The backbone runs once over the whole image. The 1x1 head, the optional
-    softmax and the per-pixel filtering then run over bands of whole rows of
-    about ``_BAND_PIXELS`` pixels, so the k^2-channel filter field is never
-    held whole; the head is pointwise, so a band needs no halo. kernels is a
-    (P,k,k) array holding the filter of each (m, n) in kernel_pixels (kpn
-    only); tap (s,t) of a filter sits at [s+r, t+r]. Pixels are checked
-    before the forward pass.
+    The image streams through the network in bands of whole rows of about
+    ``_BAND_PIXELS`` pixels, so no activation and no filter field is ever held
+    whole: a 256^2 image at the default config peaks at about 27 MB of
+    allocations (tracemalloc) where the whole-image backbone took 139 MB. Each
+    3x3 conv keeps the last 2 rows of its input from the band before and emits
+    its output one row behind its input, each residual add holds back its skip
+    input 2 rows to meet its second conv, and only the image's top and bottom
+    rows replicate as conv2d's padding does. Each band of features leaves the
+    backbone into the 1x1 head, the optional softmax and the per-pixel
+    filtering, over the same bands; the head is pointwise, so it needs no
+    halo. The result is within 1e-12 of ``kpn_apply`` on the whole image (the
+    GEMMs see other shapes, so the last bits can differ) and byte-identical
+    across reruns at a fixed BLAS thread count. kernels is a (P,k,k) array
+    holding the filter of each (m, n) in kernel_pixels (kpn only); tap (s,t)
+    of a filter sits at [s+r, t+r]. Pixels are checked before the forward pass.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
@@ -229,25 +342,28 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     for m, n in pixels:
         if not (0 <= m < h and 0 <= n < w):
             raise ValueError(f"denoise_image: pixel ({m}, {n}) outside the {h}x{w} image")
-    tensors = params_to_tensors(params, requires_grad=False)
-    feats = _backbone(tensors, Tensor(img[None, None]), cfg).data
+    params = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in params.items()}
+    head_w, head_b = Tensor(params["head.w"]), Tensor(params["head.b"])
     k = cfg.kernel_size
     r = k // 2
-    xp = np.pad(img, r, mode="edge")[None, None]
     den = np.empty((h, w))
     kernels = np.empty((len(pixels), k, k))
     band = max(1, _BAND_PIXELS // w)
-    for i in range(0, h, band):
-        j = min(i + band, h)
-        v = conv2d(Tensor(feats[:, :, i:j]), tensors["head.w"], tensors["head.b"])
-        if cfg.model_kind == "plain-cnn":
-            den[i:j] = img[i:j] + v.data[0, 0]
-        else:
-            if cfg.softmax_normalize_kernels:
-                v = softmax_vec(v, axis=1)
-            den[i:j] = _filter_window(xp[:, :, i:j + 2 * r], v.data, k)[0, 0]
-            for p, (m, n) in enumerate(pixels):
-                if i <= m < j:
-                    kernels[p] = v.data[0, :, m - i, n].reshape(k, k)
-        del v                                    # not held beside the next band's head output
+    for row, feats in _stream_backbone(params, cfg, img, band):
+        for i in range(row, row + feats.shape[1], band):   # the last bands come out longer
+            j = min(i + band, row + feats.shape[1])
+            v = conv2d(Tensor(feats[None, :, i - row:j - row]), head_w, head_b)
+            if cfg.model_kind == "plain-cnn":
+                den[i:j] = img[i:j] + v.data[0, 0]
+            else:
+                if cfg.softmax_normalize_kernels:
+                    v = softmax_vec(v, axis=1)
+                # the band's rows of the input, edge-padded by r as local_conv pads it
+                xp = np.pad(img[np.clip(np.arange(i - r, j + r), 0, h - 1)], ((0, 0), (r, r)),
+                            mode="edge")
+                den[i:j] = _filter_window(xp[None, None], v.data, k)[0, 0]
+                for p, (m, n) in enumerate(pixels):
+                    if i <= m < j:
+                        kernels[p] = v.data[0, :, m - i, n].reshape(k, k)
+            del v                                # not held beside the next band's head output
     return den, kernels

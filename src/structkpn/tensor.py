@@ -11,7 +11,9 @@ end to end, so each kernel tap is one strided slice of it and the output
 accumulates one GEMM per tap (or small chunk of taps), with no column buffer,
 over cache-sized blocks written straight into the output. Its tape node keeps
 no padded copy: the backward re-pads the input, which the tape already holds
-as the op's parent.
+as the op's parent. The forward's core, ``_conv_forward``, takes a buffer its
+caller has padded, so ``kpn.denoise_image`` runs the same GEMMs on row bands
+that bring their own halo rows.
 """
 
 import numpy as np
@@ -338,6 +340,88 @@ _MIN_GEMM_K = 8
 _BLOCK_VALUES = 262144
 
 
+def _conv_taps(wdata, groups, wp):
+    """conv2d's weight matrix and tap chunks for a kernel over rows of pitch wp.
+
+    Column t*Cin_g + c of the (groups, Cout_g, taps*Cin_g) matrix holds the
+    weight of input channel c at tap t, the row order of ``_tap_rows``. A chunk
+    is (its weight columns, the flat shifts dy*wp + dx of its taps).
+    """
+    cout, cin_g, kh, kw = wdata.shape
+    cout_g, taps = cout // groups, kh * kw
+    shifts = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
+    step = -(-max(cout_g, _MIN_GEMM_K) // cin_g)            # taps per chunk
+    chunks = [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
+              for t in range(0, taps, step)]
+    wmat = wdata.reshape(groups, cout_g, cin_g, taps).swapaxes(2, 3) \
+        .reshape(groups, cout_g, taps * cin_g)
+    return wmat, chunks
+
+
+def _tap_rows(xf, ss, base, length):
+    """The GEMM operand of a chunk's taps: flat slices of xf, stacked when several."""
+    if len(ss) == 1:
+        return xf[..., base + ss[0]:base + ss[0] + length]
+    return np.stack([xf[..., base + s:base + s + length] for s in ss],
+                    axis=1).reshape(xf.shape[0], -1, length)
+
+
+def _conv_forward(xf, wmat, chunks, bias, out):
+    """conv2d's forward over a padded channel-major buffer, written into ``out``.
+
+    xf is (groups, Cin/groups, N, Hp, Wp): N inputs, each already padded by
+    kh//2 rows and kw//2 columns; out is (N, Cout, H, W). The caller pads, so
+    a band of rows can bring its real neighbours as its top and bottom halo.
+    The output accumulates one GEMM per chunk of taps over blocks of about
+    ``_BLOCK_VALUES`` output values of whole padded rows (a band of one image,
+    or several whole images); each block gets the bias and its cropped rows
+    are copied into out. A 1x1 kernel runs one GEMM per image straight into
+    out. Columns between images are computed and cropped away.
+    """
+    groups, cin_g, n, hp, wp = xf.shape
+    _, cout, h, w = out.shape
+    cout_g = cout // groups
+    xf = xf.reshape(groups, cin_g, -1)
+    if hp == h and wp == w:
+        # a 1x1 kernel: image b's output is one contiguous (Cout, H*W) block
+        for b in range(n):
+            np.matmul(wmat, _tap_rows(xf, chunks[0][1], b * h * w, h * w),
+                      out=out[b].reshape(groups, cout_g, h * w))
+        out += bias.reshape(cout, 1, 1)
+        return
+    # A block is whole padded rows: a band of rows of one image, or as many
+    # whole padded images as fit; its last row stops at column w. The
+    # temporary has the block's row pitch too, since numpy adds arrays of
+    # equal strides several times faster than arrays of unequal strides.
+    per = _BLOCK_VALUES // (cout * hp * wp)            # images per block
+    if per > 1:
+        band, pitch = h, hp
+    else:
+        per = 1
+        band = pitch = -(-h // -(-cout * h * wp // _BLOCK_VALUES))   # split evenly
+    acc_buf = np.empty(cout * min(per, n) * pitch * wp)
+    tmp_buf = np.empty_like(acc_buf) if len(chunks) > 1 else None
+    for b in range(0, n, per):
+        nb = min(per, n - b)
+        for i in range(0, h, band):
+            nr = min(band, h - i)
+            base, length = (b * hp + i) * wp, ((nb - 1) * pitch + nr) * wp - (wp - w)
+            full = cout * nb * pitch * wp
+            acc = acc_buf[:full].reshape(groups, cout_g, -1)[..., :length]
+            if tmp_buf is not None:
+                tmp = tmp_buf[:full].reshape(groups, cout_g, -1)[..., :length]
+            for ks, ss in chunks:
+                if ks.start == 0:
+                    np.matmul(wmat[..., ks], _tap_rows(xf, ss, base, length), out=acc)
+                else:
+                    np.matmul(wmat[..., ks], _tap_rows(xf, ss, base, length), out=tmp)
+                    acc += tmp
+            acc += bias.reshape(groups, cout_g, 1)
+            np.copyto(out[b:b + nb, :, i:i + nr],
+                      acc_buf[:full].reshape(cout, nb, pitch, wp)[:, :, :nr, :w]
+                      .transpose(1, 0, 2, 3))
+
+
 def conv2d(x, weights, bias, groups=1):
     """Grouped 2-D cross-correlation with same-size edge-replication padding.
 
@@ -348,17 +432,13 @@ def conv2d(x, weights, bias, groups=1):
     xf = (groups, Cin/groups, N*Hp*Wp), so the N padded images sit end to end
     and output pixel (b, i, j) is flat index (b*Hp + i)*Wp + j. Tap (dy, dx) is
     then the strided slice of xf starting at dy*Wp + dx, for the whole batch at
-    once. The output accumulates one GEMM per chunk of taps: one tap (a view
-    of xf), or a small stack of taps when Cin/groups is below Cout/groups or
-    ``_MIN_GEMM_K`` (all 9 for the stem). It does so block by block, each
-    about ``_BLOCK_VALUES`` output values of whole padded rows (a band of one
-    image, or several whole images), then adds the bias to the block and
-    copies its cropped rows into the output; a 1x1 kernel runs one GEMM per
-    image straight into the output. The forward drops xf once the output is
-    written. The backward runs over the whole batch and rebuilds xf from x,
-    with the same pad, only for the weight gradient; the input gradient needs
-    only the output gradient and the weights. Columns between images are
-    computed, cropped away and get zero gradient.
+    once. The forward, ``_conv_forward``, accumulates one GEMM per chunk of
+    taps: one tap (a view of xf), or a small stack of taps when Cin/groups is
+    below Cout/groups or ``_MIN_GEMM_K`` (all 9 for the stem), block by block
+    into the output. The forward drops xf once the output is written. The
+    backward runs over the whole batch and rebuilds xf from x, with the same
+    pad, only for the weight gradient; the input gradient needs only the
+    output gradient and the weights. Columns between images get zero gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -384,68 +464,16 @@ def conv2d(x, weights, bias, groups=1):
     hp, wp = h + 2 * ph, w + 2 * pw
     m = n * hp * wp
     span = m - (hp - h) * wp - (wp - w)          # flat index of the last output pixel + 1
-    taps = kh * kw
-    shifts = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
-    step = -(-max(cout_g, _MIN_GEMM_K) // cin_g)            # taps per chunk
-    # (weight columns, shifts) per chunk of taps
-    chunks = [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
-              for t in range(0, taps, step)]
 
     def fold():
         xt = x.data.transpose(1, 0, 2, 3)        # a 1x1 kernel at N = 1 reshapes it without a copy
-        return (np.pad(xt, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge") if taps > 1
+        return (np.pad(xt, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge") if ph or pw
                 else xt).reshape(groups, cin_g, m)
 
     xf = fold()
-    # column t*cin_g + c holds the weight of input channel c at tap t: the row order of rows()
-    wmat = weights.data.reshape(groups, cout_g, cin_g, taps).swapaxes(2, 3) \
-        .reshape(groups, cout_g, taps * cin_g)
-
-    def rows(xf, ss, base=0, length=span):
-        if len(ss) == 1:
-            return xf[..., base + ss[0]:base + ss[0] + length]
-        return np.stack([xf[..., base + s:base + s + length] for s in ss],
-                        axis=1).reshape(groups, -1, length)
-
+    wmat, chunks = _conv_taps(weights.data, groups, wp)
     out_data = np.empty((n, cout, h, w))
-    if taps == 1:
-        # hp, wp = h, w: image b's output is one contiguous (Cout, H*W) block
-        for b in range(n):
-            np.matmul(wmat, rows(xf, shifts, b * h * w, h * w),
-                      out=out_data[b].reshape(groups, cout_g, h * w))
-        out_data += bias.data.reshape(cout, 1, 1)
-    else:
-        # A block is whole padded rows: a band of rows of one image, or as many
-        # whole padded images as fit; its last row stops at column w. The
-        # temporary has the block's row pitch too, since numpy adds arrays of
-        # equal strides several times faster than arrays of unequal strides.
-        per = _BLOCK_VALUES // (cout * hp * wp)            # images per block
-        if per > 1:
-            band, pitch = h, hp
-        else:
-            per = 1
-            band = pitch = -(-h // -(-cout * h * wp // _BLOCK_VALUES))   # split evenly
-        acc_buf = np.empty(cout * min(per, n) * pitch * wp)
-        tmp_buf = np.empty_like(acc_buf) if len(chunks) > 1 else None
-        for b in range(0, n, per):
-            nb = min(per, n - b)
-            for i in range(0, h, band):
-                nr = min(band, h - i)
-                base, length = (b * hp + i) * wp, ((nb - 1) * pitch + nr) * wp - (wp - w)
-                full = cout * nb * pitch * wp
-                acc = acc_buf[:full].reshape(groups, cout_g, -1)[..., :length]
-                if tmp_buf is not None:
-                    tmp = tmp_buf[:full].reshape(groups, cout_g, -1)[..., :length]
-                for ks, ss in chunks:
-                    if ks.start == 0:
-                        np.matmul(wmat[..., ks], rows(xf, ss, base, length), out=acc)
-                    else:
-                        np.matmul(wmat[..., ks], rows(xf, ss, base, length), out=tmp)
-                        acc += tmp
-                acc += bias.data.reshape(groups, cout_g, 1)
-                np.copyto(out_data[b:b + nb, :, i:i + nr],
-                          acc_buf[:full].reshape(cout, nb, pitch, wp)[:, :, :nr, :w]
-                          .transpose(1, 0, 2, 3))
+    _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, chunks, bias.data, out_data)
     del xf                                       # the backward re-pads x, which the tape holds
 
     def bwd(g):
@@ -458,13 +486,13 @@ def conv2d(x, weights, bias, groups=1):
             xf = fold()
             dw = np.empty_like(wmat)
             for ks, ss in chunks:
-                np.matmul(gf, rows(xf, ss).swapaxes(-1, -2), out=dw[..., ks])
+                np.matmul(gf, _tap_rows(xf, ss, 0, span).swapaxes(-1, -2), out=dw[..., ks])
             del xf
-            accumulate_grad(weights, dw.reshape(groups, cout_g, taps, cin_g).swapaxes(2, 3)
+            accumulate_grad(weights, dw.reshape(groups, cout_g, kh * kw, cin_g).swapaxes(2, 3)
                             .reshape(weights.data.shape))
         if x.requires_grad:
             gxf = np.zeros((groups, cin_g, m))
-            dx = np.empty((groups, min(step, taps) * cin_g, span))
+            dx = np.empty((groups, chunks[0][0].stop, span))
             for ks, ss in chunks:
                 d = dx[:, :ks.stop - ks.start]
                 np.matmul(wmat[..., ks].swapaxes(-1, -2), gf, out=d)

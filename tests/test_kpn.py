@@ -217,6 +217,55 @@ def test_denoise_image_bands_match_whole_image(monkeypatch, kind, softmax, band_
     assert den.tobytes() == again[0].tobytes() and kernels.tobytes() == again[1].tobytes()
 
 
+@pytest.mark.parametrize("kind, softmax", [("kpn", False), ("kpn", True), ("plain-cnn", False)])
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_denoise_image_stream_matches_kpn_apply(monkeypatch, kind, softmax, blocks):
+    # the backbone lags its input by 1 + 2 * blocks rows (5 at 2 blocks); bands
+    # of 1, 2 and 3 rows are shorter than that, 4 rows do not divide 13, and 20
+    # rows take the image in one band; images of 1 and 5 rows are no taller
+    # than the lag at 2 blocks
+    cfg = KpnConfig(kernel_size=5, stem_channels=8, num_res_blocks=blocks, groups=2,
+                    softmax_normalize_kernels=softmax, model_kind=kind)
+    params = build_model(cfg, seed=4)
+    rng = np.random.default_rng(54)
+    params = {name: rng.normal(0.0, 0.3, a.shape) for name, a in params.items()}
+    w = 7
+    for h in (1, 5, 13):
+        img = rng.random((h, w))
+        v, yhat = kpn_apply(params_to_tensors(params, requires_grad=False),
+                            Tensor(img[None, None]), cfg)
+        pixels = [(0, 0), (0, w - 1), (h // 2, 3), (h - 1, 0), (h - 1, w - 1)] \
+            if kind == "kpn" else []
+        for rows in (1, 2, 3, 4, 20):
+            monkeypatch.setattr(kpn, "_BAND_PIXELS", rows * w)
+            den, kernels = denoise_image(params, cfg, img, pixels)
+            assert np.allclose(den, yhat.data[0, 0], rtol=0, atol=1e-12), (h, rows)
+            for kern, (m, n) in zip(kernels, pixels):
+                assert np.allclose(kern.ravel(), v.data[0, :, m, n], rtol=0, atol=1e-12)
+            again = denoise_image(params, cfg, img, pixels)
+            assert den.tobytes() == again[0].tobytes()
+            assert kernels.tobytes() == again[1].tobytes()
+
+
+def test_denoise_image_memory_does_not_grow_with_height():
+    # the stream holds a few bands of rows whatever the height; what still grows
+    # is the denoised output itself (0.5 MB at 512 x 128)
+    cfg = KpnConfig(kernel_size=5, stem_channels=8)
+    params = build_model(cfg, seed=3)
+
+    def peak(h):
+        img = np.random.default_rng(53).random((h, 128))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            denoise_image(params, cfg, img)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak(512) <= 1.25 * peak(64)
+
+
 def test_denoise_image_validation():
     cfg = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2,
                     softmax_normalize_kernels=True)

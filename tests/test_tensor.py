@@ -203,8 +203,10 @@ def test_conv2d_backward_is_adjoint_of_forward(case):
 
 
 def test_conv2d_retains_no_column_buffer():
-    # a training conv keeps its padded input for the weight gradient, not a
-    # tap-stacked copy (9x the input for a 3x3 kernel)
+    # a training conv keeps no tap-stacked copy of its input (9x the input for
+    # a 3x3 kernel); it keeps no padded copy either, as the backward re-pads the
+    # input (the next test bounds that tighter), so beyond its output it holds
+    # little more than its weight matrix
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(4, 64, 48, 48)), requires_grad=True)
     wt = Tensor(rng.normal(size=(64, 64, 3, 3)), requires_grad=True)
