@@ -92,7 +92,8 @@ def local_conv(x, v):
     x is (N,1,H,W), v is (N,k^2,H,W) with k odd; out-of-range taps replicate
     the nearest edge pixel, so the output is (N,1,H,W). Every tap reads a
     window of x edge-padded once by r; the accumulation runs in fixed channel
-    order, making results bit-reproducible.
+    order, making results bit-reproducible. The tape keeps the padded x, and
+    the filter field only when x needs a gradient.
     """
     xd, vd = x.data, v.data
     if xd.ndim != 4 or xd.shape[1] != 1:
@@ -106,18 +107,20 @@ def local_conv(x, v):
     k, r = _filter_geometry(vd.shape[1])
     h, w = xd.shape[2:]
     xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    xn, vn, vshape = x._node, v._node, vd.shape
+    vkept = vd if xn.requires_grad else None     # read only by the input gradient
 
     def bw(g):
-        if v.requires_grad:
-            gv = np.empty_like(vd)
+        if vn.requires_grad:
+            gv = np.empty(vshape)
             for c in range(k * k):
                 gv[:, c] = g[:, 0] * _tap(xp, c, k, h, w)[:, 0]
-            accumulate_grad(v, gv)
-        if x.requires_grad:
+            accumulate_grad(vn, gv)
+        if xn.requires_grad:
             gxp = np.zeros_like(xp)
             for c in range(k * k):
-                _tap(gxp, c, k, h, w)[...] += g * vd[:, c:c + 1]
-            accumulate_grad(x, _collapse_replication(gxp, r, r))
+                _tap(gxp, c, k, h, w)[...] += g * vkept[:, c:c + 1]
+            accumulate_grad(xn, _collapse_replication(gxp, r, r))
 
     return make_op(_filter_window(xp, vd, k), (x, v), bw, "local_conv")
 

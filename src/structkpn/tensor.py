@@ -2,16 +2,24 @@
 
 Values are stored as contiguous float64 numpy arrays (N,C,H,W order for image
 batches). Every operation that involves a gradient-requiring input records a
-tape node (parents + backward closure); ``Tensor.backward()`` replays the tape
-in reverse topological order with a fixed accumulation order, so repeated runs
-on identical inputs are bit-identical at a fixed BLAS thread count.
+tape node; ``Tensor.backward()`` replays the tape in reverse topological order
+with a fixed accumulation order, so repeated runs on identical inputs are
+bit-identical at a fixed BLAS thread count.
+
+The tape is made of ``_Node`` objects, not of Tensors: a node holds the grad
+slot, the parents' nodes and the backward closure, never a value. A closure
+keeps alive exactly what it captures, so each built-in op captures the nodes
+it sends gradients to and only the arrays its backward reads: ``relu`` its
+output, ``mul`` and ``div`` their operands, ``conv2d`` its input only when the
+weights need a gradient, and ``add``, ``sub`` and the reductions nothing. An
+op output that no backward reads is freed as soon as its caller drops it.
 
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
 end to end, so each kernel tap is one strided slice of it and the output
 accumulates one GEMM per tap (or small chunk of taps), with no column buffer,
-over cache-sized blocks written straight into the output. Its tape node keeps
-no padded copy: the backward re-pads the input, which the tape already holds
-as the op's parent. The forward's core, ``_conv_forward``, takes a buffer its
+over cache-sized blocks written straight into the output. Its backward keeps
+no padded copy: it re-pads the input, which it keeps only for the weight
+gradient. The forward's core, ``_conv_forward``, takes a buffer its
 caller has padded, so ``kpn.denoise_image`` runs the same GEMMs on row bands
 that bring their own halo rows.
 """
@@ -52,27 +60,54 @@ def _require_same_shape(op, a, b):
         raise ShapeError(f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ")
 
 
+class _Node:
+    """A tensor's tape entry: its grad slot and edges, without its value.
+
+    ``parents`` are the parents' nodes and ``backward_fn(grad_out)`` sends
+    the gradient to them; the graph holds nodes only, so a value lives on the
+    tape only if some backward closure captured it.
+    """
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward_fn", "op")
+
+    def __init__(self, requires_grad=False, parents=(), backward_fn=None, op="leaf"):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.op = op
+
+
+def _node_field(field, doc):
+    return property(lambda self: getattr(self._node, field),
+                    lambda self, value: setattr(self._node, field, value), doc=doc)
+
+
 class Tensor:
-    """A float64 array plus an optional tape node.
+    """A float64 array plus its tape node.
 
     Leaves created with ``requires_grad=True`` are trainable parameters;
     everything else is treated as a constant and recorded on the tape only
     when a gradient has to flow through it. Values are immutable once a
-    graph has been built on top of them.
+    graph has been built on top of them. ``grad``, ``requires_grad`` and the
+    tape fields ``_parents`` (the parents' nodes), ``_backward_fn`` and
+    ``_op`` read the node.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "name", "_node")
 
     def __init__(self, data, requires_grad=False, name=None):
         # ascontiguousarray would promote 0-d scalars to shape (1,)
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-        self.grad = None
-        self.requires_grad = requires_grad
         self.name = name
-        self._parents = ()
-        self._backward_fn = None
-        self._op = "leaf"
+        self._node = _Node(requires_grad)
+
+    grad = _node_field("grad", "Gradient filled by the last backward sweep, or None.")
+    requires_grad = _node_field("requires_grad", "Whether a gradient flows into this tensor.")
+    _backward_fn = _node_field("backward_fn", "The op's backward closure (None on a leaf).")
+    _parents = property(lambda self: self._node.parents, doc="The parents' tape nodes.")
+    _op = property(lambda self: self._node.op, doc="The name of the op that made the tensor.")
 
     def item(self):
         return float(self.data)
@@ -116,17 +151,17 @@ class Tensor:
         if self.data.shape != ():
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
-        order = _toposort(self)
+        order = _toposort(self._node)
         for node in order:
             node.grad = None
-        self.grad = np.ones((), dtype=np.float64)
+        self._node.grad = np.ones((), dtype=np.float64)
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node.backward_fn is not None and node.grad is not None:
+                node.backward_fn(node.grad)
 
 
 def _toposort(root):
-    """Post-order DFS; every node appears exactly once, parents first."""
+    """Post-order DFS over tape nodes; each appears exactly once, parents first."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -139,16 +174,22 @@ def _toposort(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
 
 def accumulate_grad(t, g):
-    """Add ``g`` into ``t.grad`` (no-op for constants). Never mutates ``g``."""
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+    """Add ``g`` into the grad of ``t``, a Tensor or its node (no-op for constants).
+
+    Never mutates ``g``. A backward closure that passes nodes keeps no value
+    alive; one that captures its parent Tensors keeps their data alive for as
+    long as the graph lives.
+    """
+    node = t._node if isinstance(t, Tensor) else t
+    if node.requires_grad:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 # Known differentiable op names; extensions (e.g. the local-convolution hook)
@@ -173,35 +214,37 @@ def make_op(data, parents, backward_fn, op):
 
     ``backward_fn(grad_out)`` must call :func:`accumulate_grad` on each
     gradient-requiring parent and must not mutate ``grad_out``. The tape node
-    is dropped entirely when no parent requires a gradient.
+    is dropped entirely when no parent requires a gradient. The tape keeps the
+    closure, and with it whatever the closure captures, until the graph dies:
+    capture the parents' ``_node`` and only the arrays the backward reads.
     """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-        out._op = op
+    nodes = tuple(p._node for p in parents)
+    if any(n.requires_grad for n in nodes):
+        out._node = _Node(True, nodes, backward_fn, op)
     else:
-        out._op = op + "(const)"
+        out._node.op = op + "(const)"
     return out
 
 
 # -- elementwise ops --------------------------------------------------------
 
 def add(a, b):
+    an = a._node
     if not isinstance(b, Tensor):
         shift = float(b)
 
         def bwd(g):
-            accumulate_grad(a, g)
+            accumulate_grad(an, g)
 
         return make_op(a.data + shift, (a,), bwd, "add")
 
     _require_same_shape("add", a, b)
+    bn = b._node
 
     def bwd(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, g)
+        accumulate_grad(an, g)
+        accumulate_grad(bn, g)
 
     return make_op(a.data + b.data, (a, b), bwd, "add")
 
@@ -210,64 +253,79 @@ def sub(a, b):
     if not isinstance(b, Tensor):
         return add(a, -float(b))
     _require_same_shape("sub", a, b)
+    an, bn = a._node, b._node
 
     def bwd(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, -g)
+        accumulate_grad(an, g)
+        accumulate_grad(bn, -g)
 
     return make_op(a.data - b.data, (a, b), bwd, "sub")
 
 
 def mul(a, b):
+    an = a._node
     if not isinstance(b, Tensor):
         scale = float(b)
 
         def bwd(g):
-            accumulate_grad(a, g * scale)
+            accumulate_grad(an, g * scale)
 
         return make_op(a.data * scale, (a,), bwd, "mul")
 
     _require_same_shape("mul", a, b)
+    ad, bd, bn = a.data, b.data, b._node
 
     def bwd(g):
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
+        accumulate_grad(an, g * bd)
+        accumulate_grad(bn, g * ad)
 
-    return make_op(a.data * b.data, (a, b), bwd, "mul")
+    return make_op(ad * bd, (a, b), bwd, "mul")
 
 
 def div(a, b):
     _require_same_shape("div", a, b)
-    out_data = a.data / b.data
+    ad, bd, an, bn = a.data, b.data, a._node, b._node
+    out_data = ad / bd
 
     def bwd(g):
-        accumulate_grad(a, g / b.data)
-        accumulate_grad(b, -g * a.data / (b.data * b.data))
+        accumulate_grad(an, g / bd)
+        accumulate_grad(bn, -g * ad / (bd * bd))
 
     return make_op(out_data, (a, b), bwd, "div")
 
 
 def neg(a):
+    an = a._node
+
     def bwd(g):
-        accumulate_grad(a, -g)
+        accumulate_grad(an, -g)
 
     return make_op(-a.data, (a,), bwd, "neg")
 
 
 def abs_val(a):
     """Elementwise |x|; the subgradient at 0 is fixed to 0."""
-    def bwd(g):
-        accumulate_grad(a, g * np.sign(a.data))
+    ad, an = a.data, a._node
 
-    return make_op(np.abs(a.data), (a,), bwd, "abs")
+    def bwd(g):
+        accumulate_grad(an, g * np.sign(ad))
+
+    return make_op(np.abs(ad), (a,), bwd, "abs")
 
 
 def relu(a):
-    """Elementwise max(0, x); the gradient at exactly 0 is fixed to 0."""
-    def bwd(g):
-        accumulate_grad(a, g * (a.data > 0))
+    """Elementwise max(0, x); the gradient at exactly 0 is fixed to 0.
 
-    return make_op(np.maximum(a.data, 0.0), (a,), bwd, "relu")
+    The backward masks by the output: max(x, 0) > 0 exactly where x > 0,
+    signed zeros, NaN and infinities included, so the input need not live.
+    """
+    out_data = np.maximum(a.data, 0.0)
+    an = a._node
+
+    def bwd(g):
+        accumulate_grad(an, g * (out_data > 0))
+
+    return make_op(out_data, (a,), bwd, "relu")
 
 
 def softmax_vec(v, axis=-1):
@@ -275,10 +333,11 @@ def softmax_vec(v, axis=-1):
     shifted = v.data - v.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
+    vn = v._node
 
     def bwd(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        accumulate_grad(v, out_data * (g - inner))
+        accumulate_grad(vn, out_data * (g - inner))
 
     return make_op(out_data, (v,), bwd, "softmax")
 
@@ -288,17 +347,19 @@ def softmax_vec(v, axis=-1):
 def reduce_mean(a):
     if a.data.size == 0:
         raise ShapeError("reduce_mean of an empty tensor")
-    n = a.data.size
+    n, shape, an = a.data.size, a.data.shape, a._node
 
     def bwd(g):
-        accumulate_grad(a, np.broadcast_to(g / n, a.data.shape))
+        accumulate_grad(an, np.broadcast_to(g / n, shape))
 
     return make_op(np.asarray(a.data.mean()), (a,), bwd, "reduce_mean")
 
 
 def reduce_sum(a):
+    shape, an = a.data.shape, a._node
+
     def bwd(g):
-        accumulate_grad(a, np.broadcast_to(g, a.data.shape))
+        accumulate_grad(an, np.broadcast_to(g, shape))
 
     return make_op(np.asarray(a.data.sum()), (a,), bwd, "reduce_sum")
 
@@ -437,8 +498,9 @@ def conv2d(x, weights, bias, groups=1):
     below Cout/groups or ``_MIN_GEMM_K`` (all 9 for the stem), block by block
     into the output. The forward drops xf once the output is written. The
     backward runs over the whole batch and rebuilds xf from x, with the same
-    pad, only for the weight gradient; the input gradient needs only the
-    output gradient and the weights. Columns between images get zero gradient.
+    pad, only for the weight gradient, so the tape keeps x's data only when
+    the weights need a gradient; the input gradient needs only the output
+    gradient and the weights. Columns between images get zero gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -465,32 +527,34 @@ def conv2d(x, weights, bias, groups=1):
     m = n * hp * wp
     span = m - (hp - h) * wp - (wp - w)          # flat index of the last output pixel + 1
 
-    def fold():
-        xt = x.data.transpose(1, 0, 2, 3)        # a 1x1 kernel at N = 1 reshapes it without a copy
+    def fold(xd):
+        xt = xd.transpose(1, 0, 2, 3)            # a 1x1 kernel at N = 1 reshapes it without a copy
         return (np.pad(xt, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge") if ph or pw
                 else xt).reshape(groups, cin_g, m)
 
-    xf = fold()
+    xf = fold(x.data)
     wmat, chunks = _conv_taps(weights.data, groups, wp)
     out_data = np.empty((n, cout, h, w))
     _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, chunks, bias.data, out_data)
-    del xf                                       # the backward re-pads x, which the tape holds
+    del xf                                       # the backward re-pads x
+    xn, wn, bn, wshape = x._node, weights._node, bias._node, weights.data.shape
+    xd = x.data if wn.requires_grad else None    # read only by the weight gradient
 
     def bwd(g):
-        if bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
+        if bn.requires_grad:
+            accumulate_grad(bn, g.sum(axis=(0, 2, 3)))
         gf = np.zeros((cout, n, hp, wp))
         gf[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
         gf = gf.reshape(groups, cout_g, m)[..., :span]
-        if weights.requires_grad:
-            xf = fold()
+        if wn.requires_grad:
+            xf = fold(xd)
             dw = np.empty_like(wmat)
             for ks, ss in chunks:
                 np.matmul(gf, _tap_rows(xf, ss, 0, span).swapaxes(-1, -2), out=dw[..., ks])
             del xf
-            accumulate_grad(weights, dw.reshape(groups, cout_g, kh * kw, cin_g).swapaxes(2, 3)
-                            .reshape(weights.data.shape))
-        if x.requires_grad:
+            accumulate_grad(wn, dw.reshape(groups, cout_g, kh * kw, cin_g).swapaxes(2, 3)
+                            .reshape(wshape))
+        if xn.requires_grad:
             gxf = np.zeros((groups, cin_g, m))
             dx = np.empty((groups, chunks[0][0].stop, span))
             for ks, ss in chunks:
@@ -499,7 +563,7 @@ def conv2d(x, weights, bias, groups=1):
                 for j, s in enumerate(ss):
                     gxf[..., s:s + span] += d[:, j * cin_g:(j + 1) * cin_g]
             gxf = gxf.reshape(cin, n, hp, wp).transpose(1, 0, 2, 3)
-            accumulate_grad(x, _collapse_replication(gxf, ph, pw))
+            accumulate_grad(xn, _collapse_replication(gxf, ph, pw))
 
     return make_op(out_data, (x, weights, bias), bwd, "conv2d")
 

@@ -289,7 +289,7 @@ def train(cfg, images, start=None):
     for step in range(step0 + 1, cfg.steps + 1):
         xb, yb, wts = sample_patch_pairs(train_imgs, cfg, rng, with_weights=need_weights)
         tensors = params_to_tensors(params)
-        _, yhat = kpn_apply(tensors, Tensor(xb), model_cfg)
+        yhat = kpn_apply(tensors, Tensor(xb), model_cfg)[1]     # unbound, the filter field dies here
         loss = LOSSES[cfg.loss_kind](yhat, yb, wts, consts)
         loss_val = float(loss.item())
         if not math.isfinite(loss_val):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +97,28 @@ def test_local_conv_gradients_finite_difference():
 
         report = grad_check(f, [x, v], coords_per_param=20)
         assert report.passed, (k, report.per_param)
+
+
+def test_kpn_apply_frees_the_filter_field_once_dropped():
+    # local_conv reads the field only for the input's gradient, and the noisy
+    # input needs none, so at a no-softmax config the field dies with v
+    cfg = KpnConfig(kernel_size=5, stem_channels=8, num_res_blocks=1, groups=2)
+    params = build_model(cfg, 3)
+    rng = np.random.default_rng(45)
+    xb, u = rng.normal(size=(2, 1, 7, 6)), rng.normal(size=(2, 1, 7, 6))
+
+    def grads(keep):
+        tensors = params_to_tensors(params)
+        v, yhat = kpn_apply(tensors, Tensor(xb), cfg)
+        ref = weakref.ref(v.data)
+        if not keep:
+            del v
+            assert ref() is None
+        by_tensor = backward(reduce_sum(yhat * Tensor(u)), list(tensors.values()))
+        return [by_tensor[t] for t in tensors.values()]
+
+    for kept, freed in zip(grads(True), grads(False)):
+        assert kept.tobytes() == freed.tobytes()
 
 
 def test_local_conv_grad_skips_constant_input():

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def test_conv2d_retains_no_column_buffer():
 
 
 def test_conv2d_tape_holds_no_padded_copy_of_its_input():
-    # the backward re-pads the input from the parent the tape already holds,
+    # the backward re-pads the input, which it keeps for the weight gradient,
     # so beyond its output a training conv keeps no padded copy (1.2x the input)
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 16, 32, 32)), requires_grad=True)
@@ -236,6 +237,53 @@ def test_conv2d_tape_holds_no_padded_copy_of_its_input():
     finally:
         tracemalloc.stop()
     assert held - out.data.nbytes < 0.25 * x.data.nbytes
+
+
+def test_tape_frees_a_conv_output_under_relu():
+    # relu's backward masks by its output, so the conv output it consumed is
+    # freed once the caller drops it, and the gradients do not change
+    rng = np.random.default_rng(9)
+    xv, wv, u = (rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)),
+                 rng.normal(size=(2, 4, 6, 6)))
+
+    def grads(keep):
+        w = Tensor(wv, requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        out = conv2d(Tensor(xv), w, b)
+        ref = weakref.ref(out.data)
+        r = relu(out)
+        if not keep:
+            del out
+            assert ref() is None
+        backward(reduce_sum(mul(r, Tensor(u))))
+        return w.grad, b.grad
+
+    for kept, freed in zip(grads(True), grads(False)):
+        assert kept.tobytes() == freed.tobytes()
+
+
+def test_conv2d_without_weight_grad_keeps_no_input():
+    # only the weight gradient reads the input, so a conv with constant
+    # weights keeps no reference to it on the tape
+    rng = np.random.default_rng(10)
+    p = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+    x = mul(p, 2.0)
+    ref = weakref.ref(x.data)
+    out = conv2d(x, Tensor(rng.normal(size=(4, 3, 3, 3))), Tensor(np.zeros(4)))
+    del x
+    assert ref() is None
+    g = backward(reduce_sum(out), [p])[p]
+    assert g.shape == p.data.shape and np.any(g != 0)
+
+
+def test_relu_backward_from_output_mask_is_bit_exact():
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 2.2e-308,
+                  -2.2e-308, 1.0, -1.0, 3.5e300, -7.25, 1e-300])
+    g = np.random.default_rng(11).normal(size=a.shape)
+    t = Tensor(a, requires_grad=True)
+    backward(reduce_sum(mul(relu(t), Tensor(g))))
+    assert t.grad.tobytes() == (g * (a > 0)).tobytes()
 
 
 def test_conv2d_forward_holds_no_full_size_temporary():
@@ -339,6 +387,13 @@ def test_accumulate_grad_does_not_mutate_incoming():
     c = Tensor(np.zeros(3))
     accumulate_grad(c, g)
     assert c.grad is None
+
+
+def test_accumulate_grad_takes_a_node():
+    t = Tensor(np.zeros(2), requires_grad=True)
+    accumulate_grad(t._node, np.ones(2))
+    accumulate_grad(t, np.ones(2))
+    assert np.array_equal(t.grad, [2.0, 2.0])
 
 
 def test_make_op_extension_and_registry():

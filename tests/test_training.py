@@ -201,6 +201,23 @@ def test_train_peak_memory_is_bounded():
     assert peak < 7.7 * 2**20
 
 
+def test_train_step_tape_keeps_only_what_backward_reads():
+    # no-softmax kpn under the struct loss: no backbone conv output, no final
+    # add and no filter field stays on the tape; about 5.1 MB of traced
+    # allocations at peak for this run, against 7.6 MB when the tape held them
+    cfg = TrainConfig(steps=2, val_interval=0, kernel_size=9, stem_channels=16,
+                      num_res_blocks=2, patch_size=24, batch_size=2,
+                      softmax_kernels=False, seed=3)
+    imgs = small_corpus()
+    tracemalloc.start()
+    try:
+        train(cfg, imgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.4 * 2**20
+
+
 def test_train_divergence_names_step():
     cfg = TrainConfig(loss_kind="l2", steps=10, val_interval=0,
                       **{**TINY_KW, "lr": 1e80, "softmax_kernels": False})
