@@ -14,6 +14,13 @@ output, ``mul`` and ``div`` their operands, ``conv2d`` its input only when the
 weights need a gradient, and ``add``, ``sub`` and the reductions nothing. An
 op output that no backward reads is freed as soon as its caller drops it.
 
+The sweep frees gradients the same way: an op node remembers its output
+Tensor by a weak reference, and once the node's backward has passed its
+gradient on, the node drops it unless the caller still holds that Tensor.
+After ``backward``, leaves and held op outputs keep ``.grad`` and the
+interior gradients of dropped Tensors are gone, as in PyTorch's autograd,
+which keeps no non-leaf grad unless asked.
+
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
 end to end, so each kernel tap is one strided slice of it and the output
 accumulates one GEMM per tap (or small chunk of taps), with no column buffer,
@@ -23,6 +30,8 @@ gradient. The forward's core, ``_conv_forward``, takes a buffer its
 caller has padded, so ``kpn.denoise_image`` runs the same GEMMs on row bands
 that bring their own halo rows.
 """
+
+import weakref
 
 import numpy as np
 
@@ -65,10 +74,12 @@ class _Node:
 
     ``parents`` are the parents' nodes and ``backward_fn(grad_out)`` sends
     the gradient to them; the graph holds nodes only, so a value lives on the
-    tape only if some backward closure captured it.
+    tape only if some backward closure captured it. ``owner`` is a weak
+    reference to the op output, set by ``make_op``; a node built elsewhere
+    has none and keeps its grad.
     """
 
-    __slots__ = ("grad", "requires_grad", "parents", "backward_fn", "op")
+    __slots__ = ("grad", "requires_grad", "parents", "backward_fn", "op", "owner")
 
     def __init__(self, requires_grad=False, parents=(), backward_fn=None, op="leaf"):
         self.grad = None
@@ -76,6 +87,7 @@ class _Node:
         self.parents = parents
         self.backward_fn = backward_fn
         self.op = op
+        self.owner = None
 
 
 def _node_field(field, doc):
@@ -94,7 +106,7 @@ class Tensor:
     ``_op`` read the node.
     """
 
-    __slots__ = ("data", "name", "_node")
+    __slots__ = ("data", "name", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         # ascontiguousarray would promote 0-d scalars to shape (1,)
@@ -103,7 +115,8 @@ class Tensor:
         self.name = name
         self._node = _Node(requires_grad)
 
-    grad = _node_field("grad", "Gradient filled by the last backward sweep, or None.")
+    grad = _node_field("grad", "Gradient filled by the last backward sweep, or None; an op "
+                       "output keeps it only if held when the sweep passed it.")
     requires_grad = _node_field("requires_grad", "Whether a gradient flows into this tensor.")
     _backward_fn = _node_field("backward_fn", "The op's backward closure (None on a leaf).")
     _parents = property(lambda self: self._node.parents, doc="The parents' tape nodes.")
@@ -147,7 +160,12 @@ class Tensor:
     # -- tape --------------------------------------------------------------
 
     def backward(self):
-        """Reverse-mode sweep from a scalar; fills ``.grad`` on the graph."""
+        """Reverse-mode sweep from a scalar; fills ``.grad`` on the graph.
+
+        Leaves and the op outputs the caller still holds keep ``.grad``; an
+        op output that is gone loses its gradient as soon as its backward has
+        run, so the sweep holds only the gradients still to be passed on.
+        """
         if self.data.shape != ():
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
@@ -158,6 +176,8 @@ class Tensor:
         for node in reversed(order):
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
+                if node.owner is not None and node.owner() is None:
+                    node.grad = None
 
 
 def _toposort(root):
@@ -216,12 +236,15 @@ def make_op(data, parents, backward_fn, op):
     gradient-requiring parent and must not mutate ``grad_out``. The tape node
     is dropped entirely when no parent requires a gradient. The tape keeps the
     closure, and with it whatever the closure captures, until the graph dies:
-    capture the parents' ``_node`` and only the arrays the backward reads.
+    capture the parents' ``_node`` and only the arrays the backward reads. The
+    node refers to ``out`` weakly, so the sweep can drop its gradient once
+    ``out`` is gone.
     """
     out = Tensor(data)
     nodes = tuple(p._node for p in parents)
     if any(n.requires_grad for n in nodes):
         out._node = _Node(True, nodes, backward_fn, op)
+        out._node.owner = weakref.ref(out)
     else:
         out._node.op = op + "(const)"
     return out
@@ -586,7 +609,8 @@ def backward(loss, params=None):
     """Run the reverse sweep; return ``{param: gradient}`` for the leaves.
 
     Parameters absent from the tape get zero gradients. With ``params=None``
-    only the sweep runs (gradients stay on the tensors).
+    only the sweep runs: gradients stay on the leaves and on the op outputs
+    the caller still holds.
     """
     loss.backward()
     if params is None:

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from structkpn import kpn
+from structkpn import kpn, tensor
+from structkpn.corpus import synth_image
+from structkpn.gradstats import stats_map
 from structkpn.kpn import (KpnConfig, local_conv, build_model, kpn_apply, denoise_image,
                            params_to_tensors, expected_param_shapes)
-from structkpn.tensor import Tensor, ShapeError, backward, grad_check, reduce_sum, registered_ops
+from structkpn.losses import loss_weights, struct_loss
+from structkpn.tensor import (Tensor, ShapeError, backward, grad_check, make_op, reduce_sum,
+                              registered_ops)
 from helpers import naive_local_conv
 
 TINY = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2)
@@ -119,6 +123,44 @@ def test_kpn_apply_frees_the_filter_field_once_dropped():
 
     for kept, freed in zip(grads(True), grads(False)):
         assert kept.tobytes() == freed.tobytes()
+
+
+def test_sweep_keeps_interior_grads_only_for_held_tensors():
+    # a kpn + struct-loss step: with every intermediate dropped, the sweep
+    # leaves no interior grad behind; held intermediates keep theirs, and the
+    # leaf grads are the same bytes either way
+    cfg = KpnConfig(kernel_size=5, stem_channels=8, num_res_blocks=1, groups=2,
+                    softmax_normalize_kernels=True)
+    params = build_model(cfg, 3)
+    rng = np.random.default_rng(46)
+    clean = np.stack([synth_image(16, rng)[None] for _ in range(2)])
+    noisy = clean + 0.1 * rng.normal(size=clean.shape)
+    wts = [loss_weights(stats_map(c[0], 5)) for c in clean]
+
+    def sweep(held):
+        with pytest.MonkeyPatch.context() as mp:
+            if held is not None:
+                def keeping(*args):
+                    held.append(make_op(*args))
+                    return held[-1]
+                mp.setattr(tensor, "make_op", keeping)
+                mp.setattr(kpn, "make_op", keeping)
+            tensors = params_to_tensors(params)
+            loss = struct_loss(kpn_apply(tensors, Tensor(noisy), cfg)[1], clean, wts)
+        loss.backward()
+        return tensors, loss
+
+    tensors, loss = sweep(None)
+    interior = [n for n in tensor._toposort(loss._node)[:-1] if n.backward_fn is not None]
+    assert len(interior) > 20
+    assert all(node.grad is None for node in interior)
+
+    held = []
+    held_tensors, _ = sweep(held)
+    assert len(held) > 20
+    assert all(t.grad is not None for t in held if t.requires_grad)
+    for name, t in tensors.items():
+        assert t.grad.tobytes() == held_tensors[name].grad.tobytes()
 
 
 def test_local_conv_grad_skips_constant_input():

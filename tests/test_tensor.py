@@ -72,6 +72,23 @@ def test_constant_subgraph_drops_tape():
     assert mixed.requires_grad and len(mixed._parents) == 2
 
 
+def test_sweep_drops_grads_of_dropped_op_outputs_only():
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    held = mul(a, 3.0)
+    dropped = relu(held)
+    node = dropped._node
+    hand = Tensor(dropped.data * 2.0)            # a node built outside make_op
+    hand._node = tensor._Node(True, (node,), lambda g: accumulate_grad(node, 2.0 * g), "hand")
+    hand_node = hand._node
+    loss = reduce_sum(hand)
+    del dropped, hand
+    loss.backward()
+    assert node.grad is None
+    assert np.array_equal(hand_node.grad, [1.0, 1.0])
+    assert np.array_equal(held.grad, [2.0, 0.0])
+    assert np.array_equal(a.grad, [6.0, 0.0])
+
+
 def test_backward_requires_scalar():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(ShapeError):
