@@ -4,8 +4,8 @@ The backbone is a 3x3 stem, a chain of residual blocks (3x3 conv, relu,
 3x3 conv, skip add; the last block uses 2 convolution groups), a relu, and a
 1x1 head. The config's ``model_kind`` picks the head: a "kpn" head has k^2
 output channels, and each pixel's k^2 channel slice is applied to the input
-frame by ``local_conv``, which replicates edges so output size equals input
-size; kernels can optionally be softmax-normalized per pixel so they are
+frame by ``tensor.local_conv``, which replicates edges so output size equals
+input size; kernels can optionally be softmax-normalized per pixel so they are
 positive and sum to one. A "plain-cnn" head has one channel, starts at zero,
 and adds a residual to the input through a global skip.
 
@@ -13,7 +13,9 @@ Training runs the whole batch on the tape (``kpn_apply``). ``denoise_image``
 streams one image through the same layers in bands of whole rows, each 3x3
 conv carrying the 2 input rows it still needs from the band before, so its
 memory follows the band, not the image. Both read the one layer list of
-``_backbone_layers``.
+``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
+each band is filtered by ``tensor._filter_window``, the sum ``local_conv``
+runs.
 """
 
 import math
@@ -21,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, _collapse_replication, _conv_forward, _conv_taps,
-                     accumulate_grad, add, conv2d, make_op, register_op, relu, softmax_vec)
+from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_window, add,
+                     conv2d, local_conv, relu, softmax_vec)
 
 __all__ = [
     "KpnConfig",
-    "local_conv",
     "build_model",
     "kpn_apply",
     "denoise_image",
@@ -61,71 +62,6 @@ class KpnConfig:
         if self.stem_channels % self.groups != 0:
             raise ValueError(
                 f"stem_channels {self.stem_channels} not divisible by groups {self.groups}")
-
-
-def _filter_geometry(k2):
-    k = math.isqrt(k2)
-    if k * k != k2 or k % 2 == 0:
-        raise ShapeError(f"local_conv: {k2} filter channels is not an odd square")
-    return k, k // 2
-
-
-def _tap(a, c, k, h, w):
-    """The (h,w) window of an r-padded array that channel c = (s+r)k+(t+r) reads at (m-s, n-t)."""
-    r = k // 2
-    s, t = c // k - r, c % k - r
-    return a[:, :, r - s:r - s + h, r - t:r - t + w]
-
-
-def _filter_window(xp, vd, k):
-    """sum_c tap(xp, c) * vd[:, c] for (N,k^2,h,w) filters over a window xp padded by r."""
-    n, _, h, w = vd.shape
-    out = np.zeros((n, 1, h, w))
-    for c in range(k * k):
-        out += _tap(xp, c, k, h, w) * vd[:, c:c + 1]
-    return out
-
-
-def local_conv(x, v):
-    """Apply per-pixel filters: out[m,n] = sum_{s,t} x[m-s, n-t] * v[(s+r)k+(t+r)].
-
-    x is (N,1,H,W), v is (N,k^2,H,W) with k odd; out-of-range taps replicate
-    the nearest edge pixel, so the output is (N,1,H,W). Every tap reads a
-    window of x edge-padded once by r; the accumulation runs in fixed channel
-    order, making results bit-reproducible. The tape keeps the padded x, and
-    the filter field only when x needs a gradient.
-    """
-    xd, vd = x.data, v.data
-    if xd.ndim != 4 or xd.shape[1] != 1:
-        raise ShapeError(f"local_conv: input must be (N,1,H,W), got {xd.shape}")
-    if vd.ndim != 4:
-        raise ShapeError(f"local_conv: filters must be (N,k^2,H,W), got {vd.shape}")
-    if vd.shape[0] != xd.shape[0] or vd.shape[2:] != xd.shape[2:]:
-        raise ShapeError(
-            f"local_conv: filter field {vd.shape} does not match input {xd.shape} "
-            "on batch/spatial axes")
-    k, r = _filter_geometry(vd.shape[1])
-    h, w = xd.shape[2:]
-    xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
-    xn, vn, vshape = x._node, v._node, vd.shape
-    vkept = vd if xn.requires_grad else None     # read only by the input gradient
-
-    def bw(g):
-        if vn.requires_grad:
-            gv = np.empty(vshape)
-            for c in range(k * k):
-                gv[:, c] = g[:, 0] * _tap(xp, c, k, h, w)[:, 0]
-            accumulate_grad(vn, gv)
-        if xn.requires_grad:
-            gxp = np.zeros_like(xp)
-            for c in range(k * k):
-                _tap(gxp, c, k, h, w)[...] += g * vkept[:, c:c + 1]
-            accumulate_grad(xn, _collapse_replication(gxp, r, r))
-
-    return make_op(_filter_window(xp, vd, k), (x, v), bw, "local_conv")
-
-
-register_op("local_conv")
 
 
 def _backbone_layers(cfg):
@@ -245,24 +181,23 @@ class _ConvRows:
     last rows replicate themselves as the halo, as conv2d's padding does.
     """
 
-    def __init__(self, wdata, bdata, groups, h, w):
+    def __init__(self, wdata, bdata, groups, w):
         self.wmat, self.chunks = _conv_taps(wdata, groups, w + 2)
-        self.bias, self.groups, self.h = bdata, groups, h
+        self.bias, self.groups = bdata, groups
         self.kept = np.empty((wdata.shape[1] * groups, 0, w))
-        self.done = 0                            # output rows emitted so far
+        self.top = True                          # no output row emitted yet
 
     def push(self, x, last):
         """Take the next input rows x (C,q,W); return the output rows (Cout,r,W) now ready."""
         c, q, w = x.shape
-        top = self.done == 0
-        got = self.kept.shape[1] + q + max(self.done - 1, 0)      # input rows so far
-        nout = (self.h if last else got - 1) - self.done
+        top = self.top
+        p = top + self.kept.shape[1]             # xf's rows above x: the top's replica, kept
+        nout = p + q + last - 2                  # xf's rows less a halo row at either end
         cout = self.wmat.shape[0] * self.wmat.shape[1]
         if nout <= 0:
             self.kept = np.concatenate((self.kept, x), axis=1)
             return np.empty((cout, 0, w))
         xf = np.empty((c, nout + 2, w + 2))
-        p = top + self.kept.shape[1]
         xf[:, top:p, 1:-1] = self.kept
         xf[:, p:p + q, 1:-1] = x
         if top:
@@ -275,7 +210,7 @@ class _ConvRows:
         _conv_forward(xf.reshape(self.groups, -1, 1, nout + 2, w + 2), self.wmat, self.chunks,
                       self.bias, out)
         self.kept = xf[:, nout:nout + 2, 1:-1].copy()
-        self.done += nout
+        self.top = False
         return out[0]
 
 
@@ -290,7 +225,7 @@ def _stream_backbone(params, cfg, img, band):
     steps = []
     for op, name, g in _backbone_layers(cfg):
         if op == "conv":
-            state = _ConvRows(params[name + ".w"], params[name + ".b"], g, h, w)
+            state = _ConvRows(params[name + ".w"], params[name + ".b"], g, w)
         elif op == "skip":
             state = held = [np.empty((cfg.stem_channels, 0, w))]    # skip rows not yet added
         else:

@@ -46,14 +46,17 @@ def ssim_image(reference, test):
     b = np.asarray(test, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"ssim_image: shapes {a.shape} and {b.shape} differ")
-    if a.ndim != 2:
-        raise ValueError(f"ssim_image: expected 2-D images, got shape {a.shape}")
+    _check_ssim_size(a, "ssim_image: image")
     consts = SsimConstants()
-    window = consts.window
-    if min(a.shape) < window:
-        raise ValueError(
-            f"ssim_image: image {a.shape} smaller than {window}x{window} window")
-    return float(np.mean(ssim_from_moments(*_window_moments(a, b, window), consts)))
+    return float(np.mean(ssim_from_moments(*_window_moments(a, b, consts.window), consts)))
+
+
+def _check_ssim_size(img, what):
+    """Raise a ValueError that starts with ``what`` unless img is 2-D and fits the SSIM window."""
+    window = SsimConstants().window
+    if img.ndim != 2 or min(img.shape) < window:
+        raise ValueError(f"{what} has shape {img.shape}, needs a 2-D image of at least "
+                         f"{window}x{window} pixels for the SSIM window")
 
 
 def _window_moments(a, b, window):
@@ -134,13 +137,10 @@ def evaluate(ckpt, dataset, seed=0):
     named = sorted(dataset, key=lambda kv: kv[0])
     if not named:
         raise ValueError("evaluate: empty dataset")
-    window = SsimConstants().window
     images = []
     for name, img in named:
         img = np.asarray(img, dtype=np.float64)
-        if img.ndim != 2 or min(img.shape) < window:
-            raise ValueError(f"evaluate: {name}: image of shape {img.shape} is not a 2-D "
-                             f"image of at least {window}x{window} pixels")
+        _check_ssim_size(img, f"evaluate: {name}")
         images.append((name, img))
     nm = ckpt.config.noise_model()
     model_cfg = ckpt.config.kpn_config()

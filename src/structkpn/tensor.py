@@ -29,8 +29,15 @@ no padded copy: it re-pads the input, which it keeps only for the weight
 gradient. The forward's core, ``_conv_forward``, takes a buffer its
 caller has padded, so ``kpn.denoise_image`` runs the same GEMMs on row bands
 that bring their own halo rows.
+
+``local_conv`` applies a per-pixel filter field, the one op the kernel
+prediction network adds to a plain CNN; its window sum ``_filter_window`` is
+shared with ``kpn.denoise_image``'s bands. Every differentiable op lives in
+this module, so ``registered_ops()`` is a constant tuple of their names,
+complete once this module is imported.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -51,11 +58,11 @@ __all__ = [
     "reduce_sum",
     "conv2d",
     "window_filter",
+    "local_conv",
     "backward",
     "grad_check",
     "make_op",
     "accumulate_grad",
-    "register_op",
     "registered_ops",
 ]
 
@@ -212,25 +219,20 @@ def accumulate_grad(t, g):
         node.grad = g if node.grad is None else node.grad + g
 
 
-# Known differentiable op names; extensions (e.g. the local-convolution hook)
-# register themselves so gradient-audit suites can enumerate full coverage.
-_OP_REGISTRY = [
+# Every differentiable op of the library, by the name its tape nodes carry, so
+# gradient-audit suites can enumerate full coverage.
+_OP_REGISTRY = (
     "add", "sub", "mul", "div", "neg", "abs", "relu",
-    "softmax", "reduce_mean", "reduce_sum", "conv2d",
-]
-
-
-def register_op(name):
-    if name not in _OP_REGISTRY:
-        _OP_REGISTRY.append(name)
+    "softmax", "reduce_mean", "reduce_sum", "conv2d", "local_conv",
+)
 
 
 def registered_ops():
-    return tuple(_OP_REGISTRY)
+    return _OP_REGISTRY
 
 
 def make_op(data, parents, backward_fn, op):
-    """Create an op-output tensor; the extension hook for new operations.
+    """Create an op-output tensor; every op of the library is built with it.
 
     ``backward_fn(grad_out)`` must call :func:`accumulate_grad` on each
     gradient-requiring parent and must not mutate ``grad_out``. The tape node
@@ -238,7 +240,8 @@ def make_op(data, parents, backward_fn, op):
     closure, and with it whatever the closure captures, until the graph dies:
     capture the parents' ``_node`` and only the arrays the backward reads. The
     node refers to ``out`` weakly, so the sweep can drop its gradient once
-    ``out`` is gone.
+    ``out`` is gone. An op built outside this module does not join
+    ``registered_ops()``, which lists the library's own ops only.
     """
     out = Tensor(data)
     nodes = tuple(p._node for p in parents)
@@ -601,6 +604,70 @@ def window_filter(x, vec):
     zero = Tensor(np.zeros(1))
     rows = conv2d(x, Tensor(vec.reshape(1, 1, 1, -1)), zero)
     return conv2d(rows, Tensor(vec.reshape(1, 1, -1, 1)), zero)
+
+
+# -- per-pixel filtering ------------------------------------------------------
+
+def _filter_geometry(k2):
+    k = math.isqrt(k2)
+    if k * k != k2 or k % 2 == 0:
+        raise ShapeError(f"local_conv: {k2} filter channels is not an odd square")
+    return k, k // 2
+
+
+def _tap(a, c, k, h, w):
+    """The (h,w) window of an r-padded array that channel c = (s+r)k+(t+r) reads at (m-s, n-t)."""
+    r = k // 2
+    s, t = c // k - r, c % k - r
+    return a[:, :, r - s:r - s + h, r - t:r - t + w]
+
+
+def _filter_window(xp, vd, k):
+    """sum_c tap(xp, c) * vd[:, c] for (N,k^2,h,w) filters over a window xp padded by r."""
+    n, _, h, w = vd.shape
+    out = np.zeros((n, 1, h, w))
+    for c in range(k * k):
+        out += _tap(xp, c, k, h, w) * vd[:, c:c + 1]
+    return out
+
+
+def local_conv(x, v):
+    """Apply per-pixel filters: out[m,n] = sum_{s,t} x[m-s, n-t] * v[(s+r)k+(t+r)].
+
+    x is (N,1,H,W), v is (N,k^2,H,W) with k odd; out-of-range taps replicate
+    the nearest edge pixel, so the output is (N,1,H,W). Every tap reads a
+    window of x edge-padded once by r; the accumulation runs in fixed channel
+    order, making results bit-reproducible. The tape keeps the padded x, and
+    the filter field only when x needs a gradient.
+    """
+    xd, vd = x.data, v.data
+    if xd.ndim != 4 or xd.shape[1] != 1:
+        raise ShapeError(f"local_conv: input must be (N,1,H,W), got {xd.shape}")
+    if vd.ndim != 4:
+        raise ShapeError(f"local_conv: filters must be (N,k^2,H,W), got {vd.shape}")
+    if vd.shape[0] != xd.shape[0] or vd.shape[2:] != xd.shape[2:]:
+        raise ShapeError(
+            f"local_conv: filter field {vd.shape} does not match input {xd.shape} "
+            "on batch/spatial axes")
+    k, r = _filter_geometry(vd.shape[1])
+    h, w = xd.shape[2:]
+    xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    xn, vn, vshape = x._node, v._node, vd.shape
+    vkept = vd if xn.requires_grad else None     # read only by the input gradient
+
+    def bw(g):
+        if vn.requires_grad:
+            gv = np.empty(vshape)
+            for c in range(k * k):
+                gv[:, c] = g[:, 0] * _tap(xp, c, k, h, w)[:, 0]
+            accumulate_grad(vn, gv)
+        if xn.requires_grad:
+            gxp = np.zeros_like(xp)
+            for c in range(k * k):
+                _tap(gxp, c, k, h, w)[...] += g * vkept[:, c:c + 1]
+            accumulate_grad(xn, _collapse_replication(gxp, r, r))
+
+    return make_op(_filter_window(xp, vd, k), (x, v), bw, "local_conv")
 
 
 # -- driver-level helpers -----------------------------------------------------

@@ -21,7 +21,7 @@ from .gradstats import stats_map
 from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn_apply,
                   params_to_tensors)
 from .losses import SsimConstants, l1_pixel, l2_pixel, loss_weights, struct_loss
-from .metrics import psnr, ssim_image
+from .metrics import _check_ssim_size, psnr, ssim_image
 from .tensor import Tensor, backward, reduce_mean
 
 __all__ = [
@@ -262,12 +262,8 @@ def train(cfg, images, start=None):
                 f"{cfg.patch_size}x{cfg.patch_size}")
     train_imgs, val_imgs = split_train_val(imgs)
     if cfg.val_interval > 0:
-        window = SsimConstants().window          # ssim_image's window, not k_r
         for i, im in enumerate(val_imgs, len(train_imgs)):
-            if min(im.shape) < window:
-                raise ValueError(
-                    f"train: validation image {i} has shape {im.shape}, needs at least "
-                    f"{window}x{window} for the SSIM window")
+            _check_ssim_size(im, f"train: validation image {i}")   # ssim_image's window, not k_r
 
     if start is None:
         params = build_model(model_cfg, cfg.seed)

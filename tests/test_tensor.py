@@ -1,5 +1,10 @@
+import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from structkpn import tensor
 from structkpn.tensor import (Tensor, ShapeError, add, sub, mul, div, neg, abs_val,
                               relu, softmax_vec, reduce_mean, reduce_sum, conv2d,
                               backward, make_op, accumulate_grad, grad_check,
-                              register_op, registered_ops)
+                              registered_ops)
 from helpers import naive_conv2d
 
 
@@ -139,17 +144,6 @@ def test_reduce_mean_empty_raises():
         reduce_mean(Tensor(np.zeros((0, 3))))
 
 
-def test_conv2d_matches_naive_oracle():
-    rng = np.random.default_rng(1)
-    for groups, cin, cout in ((1, 1, 3), (1, 2, 2), (2, 4, 6)):
-        x = rng.normal(size=(2, cin, 5, 6))
-        w = rng.normal(size=(cout, cin // groups, 3, 3))
-        b = rng.normal(size=cout)
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b), groups=groups)
-        ref = naive_conv2d(x, w, b, groups=groups)
-        assert np.allclose(out.data, ref, rtol=0, atol=1e-12)
-
-
 @st.composite
 def conv_cases(draw):
     # the last entry is the forward block size in output values: 1 gives
@@ -181,6 +175,9 @@ def blocked_conv2d(block_values, *args, **kwargs):
 @example((2, 1, 1, 1, 1, 11, 7, 9, 12, 25))         # row window: 2-row blocks, the last of 1
 @example((2, 1, 1, 1, 11, 1, 7, 6, 13, 25))         # column window: blocks of 4 and 3 rows
 @example((3, 4, 6, 2, 3, 3, 4, 7, 18, 700))         # grouped: blocks of 2 whole images, then 1
+@example((2, 1, 3, 1, 3, 3, 5, 6, 20, 262144))      # 3x3, Cin = 1
+@example((2, 2, 2, 1, 3, 3, 5, 6, 21, 262144))      # 3x3, Cin = Cout
+@example((2, 4, 6, 2, 3, 3, 5, 6, 22, 262144))      # 3x3, grouped
 def test_conv2d_property_matches_naive_oracle(case):
     n, cin, cout, groups, kh, kw, h, w, seed, block_values = case
     rng = np.random.default_rng(seed)
@@ -220,40 +217,23 @@ def test_conv2d_backward_is_adjoint_of_forward(case):
     assert abs(float((wt.data * wt.grad).sum()) - ref) <= 1e-12 * scale
 
 
-def test_conv2d_retains_no_column_buffer():
-    # a training conv keeps no tap-stacked copy of its input (9x the input for
-    # a 3x3 kernel); it keeps no padded copy either, as the backward re-pads the
-    # input (the next test bounds that tighter), so beyond its output it holds
-    # little more than its weight matrix
-    rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(4, 64, 48, 48)), requires_grad=True)
-    wt = Tensor(rng.normal(size=(64, 64, 3, 3)), requires_grad=True)
-    b = Tensor(np.zeros(64), requires_grad=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = conv2d(x, wt, b)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held - out.data.nbytes < 3 * x.data.nbytes
-
-
 def test_conv2d_tape_holds_no_padded_copy_of_its_input():
     # the backward re-pads the input, which it keeps for the weight gradient,
-    # so beyond its output a training conv keeps no padded copy (1.2x the input)
+    # so beyond its output a training conv keeps no padded copy (about 1.1x
+    # the input) and no tap-stacked copy (9x the input)
     rng = np.random.default_rng(8)
-    x = Tensor(rng.normal(size=(2, 16, 32, 32)), requires_grad=True)
-    wt = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
-    b = Tensor(np.zeros(16), requires_grad=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = conv2d(x, wt, b)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held - out.data.nbytes < 0.25 * x.data.nbytes
+    for n, c, hw in ((2, 16, 32), (4, 64, 48)):
+        x = Tensor(rng.normal(size=(n, c, hw, hw)), requires_grad=True)
+        wt = Tensor(rng.normal(size=(c, c, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(c), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, wt, b)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes < 0.25 * x.data.nbytes, (n, c, hw)
 
 
 def test_tape_frees_a_conv_output_under_relu():
@@ -414,13 +394,6 @@ def test_accumulate_grad_takes_a_node():
 
 
 def test_make_op_extension_and_registry():
-    base = registered_ops()
-    assert "conv2d" in base and "add" in base
-    register_op("unit-test-op")
-    assert "unit-test-op" in registered_ops()
-    register_op("unit-test-op")   # idempotent
-    assert list(registered_ops()).count("unit-test-op") == 1
-
     a = Tensor(np.array([2.0]), requires_grad=True)
 
     def bw(g):
@@ -429,6 +402,27 @@ def test_make_op_extension_and_registry():
     cubed = make_op(a.data ** 3, (a,), bw, "unit-test-op")
     reduce_sum(cubed).backward()
     assert np.allclose(a.grad, [12.0])
+    # the op list names the library's own ops only; an op built outside joins none
+    assert cubed._op == "unit-test-op" and "unit-test-op" not in registered_ops()
+
+
+def test_package_import_loads_no_module_and_op_list_is_constant():
+    # in a fresh interpreter: the package loads none of its modules, and the
+    # tensor module alone lists every op, local_conv included, as one tuple
+    code = ("import sys, structkpn\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('structkpn.'))\n"
+            "print(loaded())\n"
+            "from structkpn.tensor import registered_ops\n"
+            "print(loaded())\n"
+            "print(repr(registered_ops()))\n")
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    lines = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True).stdout.splitlines()
+    assert lines[:2] == ["[]", "['structkpn.tensor']"]
+    ops = ast.literal_eval(lines[2])
+    assert type(ops) is tuple and len(ops) == len(set(ops)) == 12
+    assert set(ops) == {"add", "sub", "mul", "div", "neg", "abs", "relu", "softmax",
+                        "reduce_mean", "reduce_sum", "conv2d", "local_conv"}
 
 
 def test_grad_check_rejects_nondeterministic_function():

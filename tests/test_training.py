@@ -185,45 +185,13 @@ def test_train_rejects_small_images():
         train(cfg, [])
 
 
-def test_train_peak_memory_is_bounded():
-    # no conv keeps a padded copy of its input on the tape: about 6.9 MB of
-    # traced allocations at peak for this run, against 8.5 MB when each did
-    cfg = TrainConfig(steps=2, val_interval=0, kernel_size=5, stem_channels=16,
-                      num_res_blocks=2, patch_size=24, batch_size=2,
-                      softmax_kernels=True, seed=3)
-    imgs = small_corpus()
-    tracemalloc.start()
-    try:
-        train(cfg, imgs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7.7 * 2**20
-
-
-def test_train_step_tape_keeps_only_what_backward_reads():
-    # no-softmax kpn under the struct loss: no backbone conv output, no final
-    # add and no filter field stays on the tape; about 5.1 MB of traced
-    # allocations at peak for this run, against 7.6 MB when the tape held them
-    cfg = TrainConfig(steps=2, val_interval=0, kernel_size=9, stem_channels=16,
-                      num_res_blocks=2, patch_size=24, batch_size=2,
-                      softmax_kernels=False, seed=3)
-    imgs = small_corpus()
-    tracemalloc.start()
-    try:
-        train(cfg, imgs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6.4 * 2**20
-
-
 @pytest.mark.parametrize("softmax,k", [(True, 5), (False, 9)])
 def test_train_sweep_keeps_no_interior_grads(softmax, k):
-    # the sweep drops each interior grad once it is passed on: the configs of
-    # the two tests above peak at about 3.3 MB (softmax, k = 5) and 3.1 MB
-    # (plain, k = 9) of traced allocations, against 5.1 MB when the interior
-    # grads lived as long as the graph
+    # the one train memory guard: no conv keeps a padded copy of its input,
+    # the tape keeps only what each backward reads, and the sweep drops each
+    # interior grad once it is passed on. These configs peak at about 3.3 MB
+    # (softmax, k = 5) and 3.1 MB (plain, k = 9) of traced allocations,
+    # against 5.1 MB when the interior grads lived as long as the graph
     cfg = TrainConfig(steps=2, val_interval=0, kernel_size=k, stem_channels=16,
                       num_res_blocks=2, patch_size=24, batch_size=2,
                       softmax_kernels=softmax, seed=3)
