@@ -168,11 +168,12 @@ def build_parser():
     s = sub.add_parser("stats", help="write gradient-statistics maps for an image")
     s.add_argument("--image", required=True)
     s.add_argument("--out-prefix", required=True)
-    s.add_argument("--k-r", type=int, default=11)
+    d = TrainConfig()
+    s.add_argument("--k-r", type=int, default=d.k_r)
     s.add_argument("--normalization", choices=("sqrt-over-kr", "raw"),
-                   default="sqrt-over-kr")
-    s.add_argument("--sigma-l2", type=float, default=1.8)
-    s.add_argument("--sigma-l1", type=float, default=0.35)
+                   default=d.strength_normalization)
+    s.add_argument("--sigma-l2", type=float, default=d.sigma_l2)
+    s.add_argument("--sigma-l1", type=float, default=d.sigma_l1)
     s.set_defaults(func=cmd_stats)
 
     s = sub.add_parser("train", help="train a model on a directory of PGM images")

@@ -1,19 +1,22 @@
-"""Procedural grayscale scenes mixing flat areas, hard edges, and fine texture.
+"""Clean scenes and the noise that corrupts them.
 
-Each image gets a constant or ramp background, a few solid rectangles and
+Scenes are procedural grayscale images mixing flat areas, hard edges and
+fine texture: a constant or ramp background, a few solid rectangles and
 discs (sharp edges), optionally one disc of block-wave texture (period-4
-checker, so central differences see a uniform gradient magnitude inside it),
-and optionally a smooth additive blob. Values stay inside [0.02, 0.98] so
-quantization to PGM never clips structure away.
+checker, so central differences see a uniform gradient magnitude inside
+it), and optionally a smooth additive blob. Values stay inside [0.02, 0.98]
+so quantization to PGM never clips structure away. Training, validation and
+evaluation corrupt them with ``add_noise`` (Gaussian, or Poisson-Gaussian).
 """
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 
-__all__ = ["synth_image", "synth_corpus", "block_wave"]
+__all__ = ["synth_image", "synth_corpus", "block_wave", "NoiseModel", "add_noise"]
 
 
 def block_wave(n, period=4):
@@ -93,3 +96,40 @@ def synth_corpus(out_dir, count, size=96, seed=0):
         fileio.write_pgm(p, img)
         paths.append(p)
     return paths
+
+
+NOISE_KINDS = ("gaussian", "poisson-gaussian")
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    kind: str = "gaussian"
+    sigma: float = 0.1
+    poisson_scale: float = 0.0   # expected counts per unit intensity
+
+    def __post_init__(self):
+        if self.kind not in NOISE_KINDS:
+            raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+        if self.sigma < 0:
+            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
+        if self.kind == "poisson-gaussian" and self.poisson_scale <= 0:
+            raise ValueError("poisson-gaussian noise needs poisson_scale > 0")
+
+
+def add_noise(img, nm, rng):
+    """Corrupt a [0,1] image. sigma == 0 with gaussian kind is an exact copy.
+
+    Poisson shot noise (when configured) scales intensities to expected
+    counts, samples, and scales back; Gaussian read noise is then added and
+    the result clipped to [0,1]. Draw order is fixed for reproducibility.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    out = img
+    if nm.kind == "poisson-gaussian":
+        counts = rng.poisson(np.clip(img, 0.0, None) * nm.poisson_scale)
+        out = counts.astype(np.float64) / nm.poisson_scale
+    if nm.sigma > 0:
+        out = out + rng.normal(0.0, nm.sigma, img.shape)
+    if out is img:
+        return img.copy()
+    return np.clip(out, 0.0, 1.0)

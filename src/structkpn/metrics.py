@@ -3,7 +3,8 @@
 PSNR of identical images is reported as +inf; evaluation means skip such
 sentinel rows with a warning instead of propagating them. Image SSIM slides
 the conventional 11x11 uniform window over valid positions only (no padding).
-Both assume [0,1] data.
+Both assume [0,1] data. Evaluation corrupts each clean image with the
+checkpoint's noise model from ``corpus``.
 """
 
 import csv
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .corpus import add_noise
 from .kpn import denoise_image
 from .losses import SsimConstants, ssim_from_moments, window_weights
 
@@ -132,8 +134,6 @@ def evaluate(ckpt, dataset, seed=0):
     seed always produces the same report. Every image is checked before any is
     denoised: each must be 2-D and at least the SSIM window on each side.
     """
-    from .training import add_noise   # training imports this module
-
     named = sorted(dataset, key=lambda kv: kv[0])
     if not named:
         raise ValueError("evaluate: empty dataset")

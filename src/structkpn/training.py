@@ -1,10 +1,11 @@
 """Patch-based training loop with Adam, plus checkpoint serialization.
 
 Each step samples random clean patches, corrupts them with the configured
-noise, runs the model, and applies one Adam update. Per-pixel loss weights
-come from the clean patch only. All randomness flows through one generator
-seeded from the config; its state rides along in checkpoints, so resuming a
-run reproduces the uninterrupted run bit for bit. Validation noise uses
+noise model from ``corpus``, runs the model, and applies one Adam update.
+Per-pixel loss weights come from the clean patch only. All randomness flows
+through one generator seeded from the config, whose state rides along in
+checkpoints. A fresh run is a resume from its step-0 state, and a resumed
+run matches the uninterrupted one bit for bit. Validation noise uses
 stateless per-image seeds, making curve entries comparable across steps.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import NoiseModel, add_noise
 from .fileio import read_array, read_exact, read_u32, write_array
 from .gradstats import stats_map
 from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn_apply,
@@ -25,8 +27,6 @@ from .metrics import _check_ssim_size, psnr, ssim_image
 from .tensor import Tensor, backward, reduce_mean
 
 __all__ = [
-    "NoiseModel",
-    "add_noise",
     "TrainConfig",
     "AdamState",
     "init_adam",
@@ -53,41 +53,6 @@ LOSSES = {
     "struct": struct_loss,
 }
 LOSS_KINDS = tuple(LOSSES)
-NOISE_KINDS = ("gaussian", "poisson-gaussian")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    kind: str = "gaussian"
-    sigma: float = 0.1
-    poisson_scale: float = 0.0   # expected counts per unit intensity
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
-        if self.kind == "poisson-gaussian" and self.poisson_scale <= 0:
-            raise ValueError("poisson-gaussian noise needs poisson_scale > 0")
-
-
-def add_noise(img, nm, rng):
-    """Corrupt a [0,1] image. sigma == 0 with gaussian kind is an exact copy.
-
-    Poisson shot noise (when configured) scales intensities to expected
-    counts, samples, and scales back; Gaussian read noise is then added and
-    the result clipped to [0,1]. Draw order is fixed for reproducibility.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    out = img
-    if nm.kind == "poisson-gaussian":
-        counts = rng.poisson(np.clip(img, 0.0, None) * nm.poisson_scale)
-        out = counts.astype(np.float64) / nm.poisson_scale
-    if nm.sigma > 0:
-        out = out + rng.normal(0.0, nm.sigma, img.shape)
-    if out is img:
-        return img.copy()
-    return np.clip(out, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -245,12 +210,16 @@ def train(cfg, images, start=None):
 
     Curve rows are (step, loss, val_psnr, val_ssim) with None in the val slots
     on steps where validation did not run. Raises TrainingDiverged as soon as
-    the loss goes non-finite. Resuming from a checkpoint keeps that run's
-    config (only the step target is taken from cfg) and is bit-identical to
-    never having stopped.
+    the loss goes non-finite. Resuming from a checkpoint (by default cfg's
+    step-0 state) keeps that run's config (only the step target is taken from
+    cfg) and is bit-identical to never having stopped.
     """
-    if start is not None:
-        cfg = replace(start.config, steps=cfg.steps)
+    if start is None:
+        params = build_model(cfg.kpn_config(), cfg.seed)
+        state = init_adam(params)
+        start = Checkpoint(config=cfg, step=0, params=params, adam_m=state.m, adam_v=state.v,
+                           rng_state=np.random.default_rng(cfg.seed).bit_generator.state)
+    cfg = replace(start.config, steps=cfg.steps)
     model_cfg = cfg.kpn_config()
     imgs = [np.asarray(im, dtype=np.float64) for im in images]
     if not imgs:
@@ -265,24 +234,15 @@ def train(cfg, images, start=None):
         for i, im in enumerate(val_imgs, len(train_imgs)):
             _check_ssim_size(im, f"train: validation image {i}")   # ssim_image's window, not k_r
 
-    if start is None:
-        params = build_model(model_cfg, cfg.seed)
-        state = init_adam(params)
-        rng = np.random.default_rng(cfg.seed)
-        step0 = 0
-    else:
-        params = {k: p.copy() for k, p in start.params.items()}
-        state = AdamState(m={k: a.copy() for k, a in start.adam_m.items()},
-                          v={k: a.copy() for k, a in start.adam_v.items()},
-                          t=start.step)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = start.rng_state
-        step0 = start.step
+    params, state = start.params, AdamState(m=start.adam_m, v=start.adam_v, t=start.step)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = start.rng_state
+    del start   # so a fresh run's step-0 arrays die after step 1, as each later step's do
 
     consts = cfg.loss_constants()
     need_weights = cfg.loss_kind == "struct"
     curve = []
-    for step in range(step0 + 1, cfg.steps + 1):
+    for step in range(state.t + 1, cfg.steps + 1):
         xb, yb, wts = sample_patch_pairs(train_imgs, cfg, rng, with_weights=need_weights)
         tensors = params_to_tensors(params)
         yhat = kpn_apply(tensors, Tensor(xb), model_cfg)[1]     # unbound, the filter field dies here
@@ -300,10 +260,8 @@ def train(cfg, images, start=None):
             val_psnr, val_ssim = _validate(params, model_cfg, cfg, val_imgs)
         curve.append((step, loss_val, val_psnr, val_ssim))
 
-    ckpt = Checkpoint(config=cfg, step=max(cfg.steps, step0), params=params,
-                      adam_m=state.m, adam_v=state.v,
-                      rng_state=rng.bit_generator.state)
-    return ckpt, curve
+    return Checkpoint(config=cfg, step=state.t, params=params, adam_m=state.m,
+                      adam_v=state.v, rng_state=rng.bit_generator.state), curve
 
 
 @dataclass

@@ -8,10 +8,8 @@ similarity formula, and finite differences.
 
 import csv
 import time
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from structkpn.tensor import (Tensor, add, sub, mul, div, neg, abs_val, relu,
                               softmax_vec, reduce_mean, reduce_sum, conv2d,

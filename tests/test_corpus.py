@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from structkpn.corpus import block_wave, synth_image, synth_corpus
+from structkpn.corpus import NoiseModel, add_noise, block_wave, synth_image, synth_corpus
 from structkpn.fileio import read_pgm
 
 
@@ -43,3 +43,42 @@ def test_synth_corpus_writes_readable_pgms(tmp_path):
     assert np.allclose(imgs[1], solo, atol=1.0 / 65535)
     with pytest.raises(ValueError):
         synth_corpus(tmp_path / "d2", 0)
+
+
+def test_add_noise_sigma_zero_is_exact_copy():
+    img = np.random.default_rng(60).random((16, 16))
+    out = add_noise(img, NoiseModel(kind="gaussian", sigma=0.0), np.random.default_rng(0))
+    assert np.array_equal(out, img)
+    assert out is not img
+
+
+def test_add_noise_gaussian_seeded_and_clipped():
+    img = np.random.default_rng(61).random((32, 32))
+    a = add_noise(img, NoiseModel(sigma=0.5), np.random.default_rng(9))
+    b = add_noise(img, NoiseModel(sigma=0.5), np.random.default_rng(9))
+    c = add_noise(img, NoiseModel(sigma=0.5), np.random.default_rng(10))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.min() >= 0.0 and a.max() <= 1.0
+    assert not np.array_equal(a, img)
+
+
+def test_add_noise_poisson_gaussian():
+    img = np.full((64, 64), 0.5)
+    nm = NoiseModel(kind="poisson-gaussian", sigma=0.02, poisson_scale=100.0)
+    out = add_noise(img, nm, np.random.default_rng(12))
+    assert out.shape == img.shape
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    # shot noise at 50 expected counts: std ~ sqrt(50)/100 ~ 0.07
+    assert 0.03 < out.std() < 0.15
+    again = add_noise(img, nm, np.random.default_rng(12))
+    assert np.array_equal(out, again)
+
+
+def test_noise_model_validation():
+    with pytest.raises(ValueError):
+        NoiseModel(kind="salt")
+    with pytest.raises(ValueError):
+        NoiseModel(sigma=-0.1)
+    with pytest.raises(ValueError):
+        NoiseModel(kind="poisson-gaussian", poisson_scale=0.0)

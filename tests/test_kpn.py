@@ -13,7 +13,7 @@ from structkpn.kpn import (KpnConfig, build_model, kpn_apply, denoise_image,
                            params_to_tensors, expected_param_shapes)
 from structkpn.losses import loss_weights, struct_loss
 from structkpn.tensor import (Tensor, ShapeError, backward, grad_check, local_conv, make_op,
-                              reduce_sum, registered_ops)
+                              reduce_sum)
 from helpers import naive_local_conv
 
 TINY = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2)
@@ -70,10 +70,6 @@ def test_local_conv_validation():
         local_conv(x, Tensor(np.zeros((2, 9, 4, 4))))
     with pytest.raises(ShapeError):   # multi-channel input
         local_conv(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 9, 4, 4))))
-
-
-def test_local_conv_registered_for_gradient_audits():
-    assert "local_conv" in registered_ops()
 
 
 def test_local_conv_gradients_finite_difference():

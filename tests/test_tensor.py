@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -423,6 +424,22 @@ def test_package_import_loads_no_module_and_op_list_is_constant():
     assert type(ops) is tuple and len(ops) == len(set(ops)) == 12
     assert set(ops) == {"add", "sub", "mul", "div", "neg", "abs", "relu", "softmax",
                         "reduce_mean", "reduce_sum", "conv2d", "local_conv"}
+
+
+def test_package_imports_sit_at_module_top_and_form_a_dag():
+    # an import hidden in a function body can hide a cycle between modules
+    pkg = Path(tensor.__file__).resolve().parent
+    graph = {}
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level > 0):
+                continue
+            assert node in tree.body, f"{path.name}:{node.lineno}: package import below module top"
+            deps.update([node.module] if node.module else [a.name for a in node.names])
+    assert set().union(*graph.values()) <= set(graph)
+    graphlib.TopologicalSorter(graph).prepare()   # raises CycleError on a cycle
 
 
 def test_grad_check_rejects_nondeterministic_function():

@@ -10,10 +10,9 @@ import pytest
 
 from structkpn.corpus import synth_corpus, synth_image
 from structkpn.kpn import KpnConfig
-from structkpn.training import (NoiseModel, add_noise, TrainConfig, AdamState,
-                                init_adam, adam_step,
+from structkpn.training import (TrainConfig, init_adam, adam_step,
                                 split_train_val, sample_patch_pairs,
-                                TrainingDiverged, train, Checkpoint,
+                                TrainingDiverged, train,
                                 save_checkpoint, load_checkpoint,
                                 write_curve_csv, CURVE_HEADER)
 
@@ -23,45 +22,6 @@ TINY_KW = dict(kernel_size=5, stem_channels=8, num_res_blocks=1, groups=2,
 
 def small_corpus(n=5, size=64, seed=7):
     return [synth_image(size, np.random.default_rng([seed, i])) for i in range(n)]
-
-
-def test_add_noise_sigma_zero_is_exact_copy():
-    img = np.random.default_rng(60).random((16, 16))
-    out = add_noise(img, NoiseModel(kind="gaussian", sigma=0.0), np.random.default_rng(0))
-    assert np.array_equal(out, img)
-    assert out is not img
-
-
-def test_add_noise_gaussian_seeded_and_clipped():
-    img = np.random.default_rng(61).random((32, 32))
-    a = add_noise(img, NoiseModel(sigma=0.5), np.random.default_rng(9))
-    b = add_noise(img, NoiseModel(sigma=0.5), np.random.default_rng(9))
-    c = add_noise(img, NoiseModel(sigma=0.5), np.random.default_rng(10))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert a.min() >= 0.0 and a.max() <= 1.0
-    assert not np.array_equal(a, img)
-
-
-def test_add_noise_poisson_gaussian():
-    img = np.full((64, 64), 0.5)
-    nm = NoiseModel(kind="poisson-gaussian", sigma=0.02, poisson_scale=100.0)
-    out = add_noise(img, nm, np.random.default_rng(12))
-    assert out.shape == img.shape
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    # shot noise at 50 expected counts: std ~ sqrt(50)/100 ~ 0.07
-    assert 0.03 < out.std() < 0.15
-    again = add_noise(img, nm, np.random.default_rng(12))
-    assert np.array_equal(out, again)
-
-
-def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(kind="salt")
-    with pytest.raises(ValueError):
-        NoiseModel(sigma=-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(kind="poisson-gaussian", poisson_scale=0.0)
 
 
 def test_adam_step_first_step_closed_form():
@@ -319,22 +279,22 @@ def test_train_is_deterministic_across_blas_thread_counts(tmp_path):
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
+    # a 0-step first leg is the fresh run's own starting point
     imgs = small_corpus()
-    cfg8 = TrainConfig(steps=8, val_interval=0, loss_kind="struct", **TINY_KW)
-    half, curve_a = train(cfg8, imgs)
-    path = tmp_path / "half.ckpt"
-    save_checkpoint(path, half)
-
-    cfg16 = dataclasses.replace(cfg8, steps=16)
+    cfg16 = TrainConfig(steps=16, val_interval=0, loss_kind="struct", **TINY_KW)
     full, curve_full = train(cfg16, imgs)
-    resumed, curve_b = train(cfg16, imgs, start=load_checkpoint(path))
+    for first in (0, 8):
+        leg, curve_a = train(dataclasses.replace(cfg16, steps=first), imgs)
+        path = save_checkpoint(tmp_path / f"leg{first}.ckpt", leg)
+        resumed, curve_b = train(cfg16, imgs, start=load_checkpoint(path))
 
-    assert all(np.array_equal(full.params[k], resumed.params[k]) for k in full.params)
-    assert all(np.array_equal(full.adam_m[k], resumed.adam_m[k]) for k in full.params)
-    assert all(np.array_equal(full.adam_v[k], resumed.adam_v[k]) for k in full.params)
-    assert full.rng_state == resumed.rng_state
-    assert curve_full[:8] == curve_a
-    assert curve_full[8:] == curve_b
+        assert all(np.array_equal(full.params[k], resumed.params[k]) for k in full.params)
+        assert all(np.array_equal(full.adam_m[k], resumed.adam_m[k]) for k in full.params)
+        assert all(np.array_equal(full.adam_v[k], resumed.adam_v[k]) for k in full.params)
+        assert full.rng_state == resumed.rng_state
+        assert resumed.step == full.step == 16
+        assert curve_full[:first] == curve_a
+        assert curve_full[first:] == curve_b
 
 
 def test_resume_keeps_original_config(tmp_path):
