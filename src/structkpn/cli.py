@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for usage/config/file problems, 2 when training
 aborts on a non-finite loss (the message names the failing step). All file
-outputs are byte-deterministic for a fixed command line and inputs.
+outputs are byte-deterministic for a fixed command line and inputs. ``stats``
+draws its maps with the loss-weight constants of ``TrainConfig``.
 """
 
 import argparse
@@ -96,8 +97,8 @@ def cmd_synth(args):
 
 def cmd_stats(args):
     img = read_pgm(args.image)
-    stats = stats_map(img, args.k_r, args.normalization)
-    labels = region_class_map(stats, args.sigma_l2, args.sigma_l1)
+    stats = stats_map(img, args.k_r, TrainConfig.strength_normalization)
+    labels = region_class_map(stats, TrainConfig.sigma_l2, TrainConfig.sigma_l1)
     prefix = args.out_prefix
     written = []
     written += write_scaled_pgm(f"{prefix}.strength.pgm", stats.strength)
@@ -168,12 +169,7 @@ def build_parser():
     s = sub.add_parser("stats", help="write gradient-statistics maps for an image")
     s.add_argument("--image", required=True)
     s.add_argument("--out-prefix", required=True)
-    d = TrainConfig()
-    s.add_argument("--k-r", type=int, default=d.k_r)
-    s.add_argument("--normalization", choices=("sqrt-over-kr", "raw"),
-                   default=d.strength_normalization)
-    s.add_argument("--sigma-l2", type=float, default=d.sigma_l2)
-    s.add_argument("--sigma-l1", type=float, default=d.sigma_l1)
+    s.add_argument("--k-r", type=int, default=TrainConfig.k_r)
     s.set_defaults(func=cmd_stats)
 
     s = sub.add_parser("train", help="train a model on a directory of PGM images")

@@ -109,10 +109,13 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
-        if self.kind == "poisson-gaussian" and self.poisson_scale <= 0:
+            raise ValueError(f"noise_kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+        # messages name the TrainConfig keys these values come from
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.sigma}")
+        if not (np.isfinite(self.poisson_scale) and self.poisson_scale >= 0):
+            raise ValueError(f"poisson_scale must be finite and >= 0, got {self.poisson_scale}")
+        if self.kind == "poisson-gaussian" and self.poisson_scale == 0:
             raise ValueError("poisson-gaussian noise needs poisson_scale > 0")
 
 

@@ -104,15 +104,17 @@ def read_pgm(path):
 
 
 def write_pgm(path, img, maxval=65535):
-    """Quantize a [0,1] image to PGM. 16-bit samples are written big-endian."""
+    """Quantize a finite [0,1] image to PGM. 16-bit samples are written big-endian."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"write_pgm: expected a 2-D image, got shape {img.shape}")
     if not 0 < maxval < 65536:
         raise ValueError(f"write_pgm: maxval {maxval} out of range")
+    path = Path(path)
+    if not np.isfinite(img).all():
+        raise ValueError(f"{path}: refusing to write non-finite pixels")
     q = np.round(np.clip(img, 0.0, 1.0) * maxval)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    path = Path(path)
     with open(path, "wb") as f:
         f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii"))
         f.write(q.astype(dtype).tobytes())

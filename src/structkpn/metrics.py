@@ -117,7 +117,8 @@ class EvalReport:
 
 
 def _finite_mean(values, label):
-    finite = [v for v in values if math.isfinite(v)]
+    """Mean without the +inf of identical images; a nan (non-finite image) stays in."""
+    finite = [v for v in values if v != math.inf]
     if len(finite) < len(values):
         warnings.warn(f"{label}: {len(values) - len(finite)} infinite PSNR value(s) "
                       "excluded from the mean (identical images)")

@@ -7,6 +7,8 @@ through one generator seeded from the config, whose state rides along in
 checkpoints. A fresh run is a resume from its step-0 state, and a resumed
 run matches the uninterrupted one bit for bit. Validation noise uses
 stateless per-image seeds, making curve entries comparable across steps.
+``TrainConfig`` holds the settings a run varies; its fixed constants (Adam's,
+the loss weights') stay out of config files and checkpoints.
 """
 
 import json
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 CKPT_MAGIC = b"SKPN"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 CURVE_HEADER = "step,loss,val_psnr,val_ssim"
 
 # loss_kind -> loss(yhat, clean batch, weight maps, SSIM constants) -> scalar Tensor
@@ -57,29 +59,31 @@ LOSS_KINDS = tuple(LOSSES)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    model_kind: str = "kpn"
+    model_kind: str = KpnConfig.model_kind
     loss_kind: str = "struct"
     seed: int = 0
     steps: int = 1000
     batch_size: int = 4
     patch_size: int = 48
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     val_interval: int = 50
-    kernel_size: int = 21
-    stem_channels: int = 64
-    num_res_blocks: int = 5
-    groups: int = 2
-    softmax_kernels: bool = False
+    kernel_size: int = KpnConfig.kernel_size
+    stem_channels: int = KpnConfig.stem_channels
+    num_res_blocks: int = KpnConfig.num_res_blocks
+    groups: int = KpnConfig.groups
+    softmax_kernels: bool = KpnConfig.softmax_normalize_kernels
     k_r: int = 11
-    sigma_l2: float = 1.8
-    sigma_l1: float = 0.35
-    strength_normalization: str = "sqrt-over-kr"
-    noise_kind: str = "gaussian"
-    noise_sigma: float = 0.1
-    poisson_scale: float = 0.0
+    noise_kind: str = NoiseModel.kind
+    noise_sigma: float = NoiseModel.sigma
+    poisson_scale: float = NoiseModel.poisson_scale
+
+    # Fixed constants, not fields: Adam's decays and stabilizer, and the loss-weight statistics
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+    sigma_l2 = 1.8
+    sigma_l1 = 0.35
+    strength_normalization = "sqrt-over-kr"
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -95,8 +99,8 @@ class TrainConfig:
             raise ValueError(
                 f"patch_size {self.patch_size} < kernel_size {self.kernel_size} "
                 f"+ k_r {self.k_r}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.val_interval < 0:
             raise ValueError(f"val_interval must be >= 0, got {self.val_interval}")
         self.kpn_config()
@@ -129,7 +133,7 @@ def init_adam(params):
                      t=0)
 
 
-def adam_step(params, grads, state, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr, beta1, beta2, eps):
     """One bias-corrected Adam update; returns fresh (params, state).
 
     Parameters update in sorted-name order so numerics never depend on dict

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 from structkpn.cli import main, parse_config_file, ConfigError
 from structkpn.fileio import read_pgm, read_minmax, write_pgm
-from structkpn.training import load_checkpoint, CURVE_HEADER, TrainConfig
+from structkpn.training import (load_checkpoint, save_checkpoint, CURVE_HEADER,
+                                TrainConfig)
 
 
 def write_cfg(path, **overrides):
@@ -52,6 +54,27 @@ def test_unknown_config_key_reports_line(tmp_path, capsys):
                "--out", str(out / "c.ckpt")])
     assert rc == 1
     assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("lr", "nan"), ("lr", "inf"),
+                                        ("noise_sigma", "nan"), ("poisson_scale", "nan")])
+def test_non_finite_config_values_fail_at_parse(tmp_path, key, value):
+    cfg = write_cfg(tmp_path / "n.cfg", **{key: value})
+    with pytest.raises(ConfigError, match=f"n.cfg: {key} must be finite"):
+        parse_config_file(cfg)
+
+
+def test_fixed_constants_are_neither_config_keys_nor_stats_options(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("seed = 1\nbeta1 = 0.9\n")
+    with pytest.raises(ConfigError, match="old.cfg:2: unknown config key 'beta1'"):
+        parse_config_file(cfg)
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_path),
+               "--out", str(tmp_path / "c.ckpt")])
+    assert rc == 1 and "beta1" in capsys.readouterr().err
+    assert main(["stats", "--help"]) == 0
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"--help", "--image", "--out-prefix", "--k-r"}
 
 
 def test_config_parses_types(tmp_path):
@@ -186,6 +209,26 @@ def test_denoise_kernel_dump_validation(tmp_path, capsys):
     rc = main(["denoise", "--ckpt", str(ckpt2), "--input", str(img),
                "--output", str(tmp_path / "z.pgm"), "--dump-kernels", "3,3"])
     assert rc == 1
+
+
+def test_denoise_of_a_nan_checkpoint_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--count", "2", "--size", "48", "--seed", "6"])
+    cfg = write_cfg(tmp_path / "n.cfg", steps=0, val_interval=0)
+    ckpt_path = tmp_path / "n.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(ckpt_path)]) == 0
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.params["head.b"] = np.full_like(ckpt.params["head.b"], np.nan)
+    save_checkpoint(ckpt_path, ckpt)
+    capsys.readouterr()
+    out = tmp_path / "den.pgm"
+    rc = main(["denoise", "--ckpt", str(ckpt_path), "--input", str(data / "img_000.pgm"),
+               "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "den.pgm" in err and "non-finite" in err
+    assert not out.exists()
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

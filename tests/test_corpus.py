@@ -82,3 +82,7 @@ def test_noise_model_validation():
         NoiseModel(sigma=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(kind="poisson-gaussian", poisson_scale=0.0)
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        NoiseModel(sigma=float("nan"))
+    with pytest.raises(ValueError, match="poisson_scale must be finite"):
+        NoiseModel(kind="poisson-gaussian", poisson_scale=float("inf"))

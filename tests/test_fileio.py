@@ -40,6 +40,15 @@ def test_pgm_write_clips_out_of_range(tmp_path):
     assert np.array_equal(back, [[0.0, 1.0]])
 
 
+def test_pgm_write_refuses_non_finite_pixels(tmp_path):
+    img = np.full((4, 5), 0.5)
+    img[2, 3] = np.nan
+    path = tmp_path / "nan.pgm"
+    with pytest.raises(ValueError, match="nan.pgm"):
+        write_pgm(path, img)
+    assert not path.exists()
+
+
 def test_pgm_header_comments_are_skipped(tmp_path):
     p = tmp_path / "d.pgm"
     p.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n\x00\xff")

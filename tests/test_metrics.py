@@ -192,6 +192,17 @@ def test_evaluate_infinite_psnr_excluded_with_warning():
     assert report.mean_ssim_noisy == pytest.approx(1.0)
 
 
+def test_evaluate_of_a_nan_model_reports_nan_not_inf(recwarn):
+    ckpt, imgs = tiny_checkpoint(model_kind="kpn")
+    ckpt.params["head.b"] = np.full_like(ckpt.params["head.b"], np.nan)
+    data = [(f"im{i}", im) for i, im in enumerate(imgs)]
+    with np.errstate(invalid="ignore"):
+        report = evaluate(ckpt, data, seed=1)
+    assert math.isnan(report.mean_psnr_denoised) and math.isnan(report.mean_ssim_denoised)
+    assert math.isfinite(report.mean_psnr_noisy)
+    assert not [w for w in recwarn if "identical images" in str(w.message)]
+
+
 def test_evaluate_empty_dataset():
     ckpt, _ = tiny_checkpoint()
     with pytest.raises(ValueError):

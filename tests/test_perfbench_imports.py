@@ -4,7 +4,8 @@ perfbench's own tests are outside this suite, so a removed public name would
 otherwise break the benchmark with every test here still passing. Its traced
 replay also uses the tape beyond imports: it swaps an op output's
 ``_backward_fn`` for a timed wrapper, and reads the ``.grad`` of conv outputs
-and of the denoised batch after the sweep. Those hooks are checked here too.
+and of the denoised batch after the sweep, and it reads ``TrainConfig``
+attributes, fixed class constants among them. Those are checked here too.
 """
 
 import ast
@@ -18,6 +19,7 @@ from structkpn.gradstats import stats_map
 from structkpn.kpn import KpnConfig, build_model, kpn_apply, local_conv, params_to_tensors
 from structkpn.losses import loss_weights, struct_loss
 from structkpn.tensor import Tensor, backward, conv2d, mul, reduce_sum, relu
+from structkpn.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,6 +47,18 @@ def test_every_name_perfbench_imports_exists():
             except ModuleNotFoundError:
                 missing.append(f"{fname}: from {module} import {name}")
     assert not missing, missing
+
+
+def test_every_config_name_the_replay_reads_exists():
+    # tracing.py reads the fixed constants (beta1, sigma_l2, ...) as cfg.<name>;
+    # they are class constants, not fields, so no field-based check sees them go
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    assert {"beta1", "beta2", "eps", "sigma_l2", "sigma_l1", "strength_normalization",
+            "k_r", "lr"} <= names
+    cfg = TrainConfig()
+    assert [n for n in sorted(names) if not hasattr(cfg, n)] == []
 
 
 def _wrapped_sweep(out, upstream, wrap):

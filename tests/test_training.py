@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,7 @@ def test_adam_step_first_step_closed_form():
     params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
     grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
     lr, eps = 1e-3, 1e-8
-    new_p, state = adam_step(params, grads, init_adam(params), lr=lr, eps=eps)
+    new_p, state = adam_step(params, grads, init_adam(params), lr, 0.9, 0.999, eps)
     assert state.t == 1
     for k in params:
         g = grads[k]
@@ -63,7 +64,7 @@ def test_adam_two_steps_match_manual_recurrence():
 def test_adam_key_mismatch_raises():
     params = {"a": np.zeros(2)}
     with pytest.raises(KeyError):
-        adam_step(params, {"b": np.zeros(2)}, init_adam(params))
+        adam_step(params, {"b": np.zeros(2)}, init_adam(params), 1e-3, 0.9, 0.999, 1e-8)
 
 
 def test_split_train_val_rounding():
@@ -197,6 +198,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+    old = tmp_path / "v1.ckpt"      # the format that still stored the fixed constants
+    old.write_bytes(b"SKPN" + struct.pack("<I", 1) + b"\x00" * 16)
+    with pytest.raises(ValueError, match="v1.ckpt: unsupported checkpoint version 1"):
+        load_checkpoint(old)
 
 
 def tiny_checkpoint_bytes(tmp_path):
