@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 for usage/config/file problems, 2 when training
 aborts on a non-finite loss (the message names the failing step). All file
 outputs are byte-deterministic for a fixed command line and inputs. ``stats``
-draws its maps with the loss-weight constants of ``TrainConfig``.
+draws its maps with the loss-weight constants training uses, ``gradstats``'
+defaults.
 """
 
 import argparse
@@ -97,8 +98,8 @@ def cmd_synth(args):
 
 def cmd_stats(args):
     img = read_pgm(args.image)
-    stats = stats_map(img, args.k_r, TrainConfig.strength_normalization)
-    labels = region_class_map(stats, TrainConfig.sigma_l2, TrainConfig.sigma_l1)
+    stats = stats_map(img, args.k_r)
+    labels = region_class_map(stats)
     prefix = args.out_prefix
     written = []
     written += write_scaled_pgm(f"{prefix}.strength.pgm", stats.strength)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, window_filter
+from .tensor import box_filter
 
 __all__ = [
     "GradStatsMap",
@@ -26,6 +26,9 @@ __all__ = [
     "REGION_FINE",
     "REGION_EDGE",
     "COHERENCE_EPS",
+    "SIGMA_L2",
+    "SIGMA_L1",
+    "STRENGTH_NORMALIZATION",
 ]
 
 # Degenerate flat patch: coherence is defined as 0 when sqrt(l1)+sqrt(l2) < eps.
@@ -34,6 +37,13 @@ COHERENCE_EPS = 1e-12
 REGION_FLAT = 0   # L1-dominated
 REGION_FINE = 1   # SSIM-dominated
 REGION_EDGE = 2   # L2-dominated
+
+# The loss-weight statistics: the softmax scales of coherence (L2) and of the
+# flat-region constant (L1), and the strength normalisation; every default of
+# this module, of ``losses.loss_weights`` and of ``TrainConfig`` reads these.
+SIGMA_L2 = 1.8
+SIGMA_L1 = 0.35
+STRENGTH_NORMALIZATION = "sqrt-over-kr"
 
 
 @dataclass
@@ -97,7 +107,7 @@ def _normalize_strength(lam1, k_r, normalization):
     raise ValueError(f"unknown strength normalization {normalization!r}")
 
 
-def structure_stats(g, normalization="sqrt-over-kr"):
+def structure_stats(g, normalization=STRENGTH_NORMALIZATION):
     """(strength, coherence) for one flattened patch-gradient matrix.
 
     The patch size is recovered from the row count (rows = k_r^2).
@@ -108,7 +118,7 @@ def structure_stats(g, normalization="sqrt-over-kr"):
     return float(_normalize_strength(lam1, k_r, normalization)), float(_coherence(lam1, lam2))
 
 
-def stats_map(img, k_r, normalization="sqrt-over-kr"):
+def stats_map(img, k_r, normalization=STRENGTH_NORMALIZATION):
     """Per-pixel structure stats over k_r x k_r patches of a [0,1] image.
 
     Patches are replicated past the borders. Intended for the ground-truth
@@ -118,15 +128,15 @@ def stats_map(img, k_r, normalization="sqrt-over-kr"):
     if k_r % 2 == 0 or k_r < 1:
         raise ValueError(f"patch size k_r must be odd and positive, got {k_r}")
     gx, gy = image_gradients(img)
-    moments = Tensor(np.stack([gx * gx, gx * gy, gy * gy])[:, None])
-    sxx, sxy, syy = window_filter(moments, np.ones(k_r)).data[:, 0]
+    # the structure tensor sums the window: k_r^2 times box_filter's mean
+    sxx, sxy, syy = box_filter(np.stack([gx * gx, gx * gy, gy * gy]), k_r) * (k_r * k_r)
     lam1, lam2 = _eigs_from_moments(sxx, sxy, syy)
     strength = _normalize_strength(lam1, k_r, normalization)
     coherence = _coherence(lam1, lam2)
     return GradStatsMap(strength=strength, coherence=coherence, patch_size=k_r)
 
 
-def region_class_map(stats, sigma_l2=1.8, sigma_l1=0.35):
+def region_class_map(stats, sigma_l2=SIGMA_L2, sigma_l1=SIGMA_L1):
     """Classify each pixel by its dominant loss component.
 
     The loss-weight softmax acts on [mu*sigma_l2, sigma_l1, strength]; softmax

@@ -5,24 +5,23 @@ Each pixel gets sum-to-one weights (gamma1, gamma2, gamma3) from a softmax of
 fine high-strength structure on SSIM, and flat regions on L1. The total loss
 averages (weighted term + plain L1)/2 over all pixels. Weights are computed
 from the clean image only and are constants during backprop; gradients flow to
-the denoised image through the L1/L2 terms and a windowed per-pixel SSIM map.
+the denoised image through the L1/L2 terms and the windowed per-pixel SSIM map,
+``tensor.ssim_map``, one op with a closed-form backward.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gradstats import GradStatsMap
-from .tensor import (Tensor, ShapeError, abs_val, add, mul, reduce_mean, reduce_sum, sub,
-                     window_filter)
+from .gradstats import SIGMA_L1, SIGMA_L2, GradStatsMap
+from .tensor import (Tensor, ShapeError, abs_val, add, mul, reduce_mean, reduce_sum,
+                     ssim_from_moments, ssim_map, sub)
 
 __all__ = [
     "SsimConstants",
     "LossWeights",
     "l1_pixel",
     "l2_pixel",
-    "ssim_from_moments",
-    "ssim_map",
     "ssim_patch",
     "loss_weights",
     "struct_loss",
@@ -38,13 +37,9 @@ class SsimConstants:
     c2 = 9e-4                 # (0.03 * L)^2
 
 
-def window_vector(k):
-    """Normalized uniform 1-D window; the 2-D window is its outer product."""
-    return np.full(k, 1.0 / k)
-
-
 def window_weights(shape):
-    return np.outer(window_vector(shape[0]), window_vector(shape[1]))
+    """Normalized uniform 2-D window: the outer product of two 1-D ones."""
+    return np.outer(np.full(shape[0], 1.0 / shape[0]), np.full(shape[1], 1.0 / shape[1]))
 
 
 @dataclass
@@ -67,28 +62,6 @@ def l2_pixel(yhat, y):
     return mul(d, d)
 
 
-def ssim_from_moments(mp, mq, mpp, mqq, mpq, consts):
-    """SSIM from window means (mp, mq) and raw second moments E[p^2], E[q^2], E[pq].
-
-    Written with operators only, so it maps ndarrays to ndarrays and Tensors
-    to a differentiable Tensor.
-    """
-    sp = mpp - mp * mp
-    sq = mqq - mq * mq
-    spq = mpq - mp * mq
-    num = (2.0 * mp * mq + consts.c1) * (2.0 * spq + consts.c2)
-    den = (mp * mp + mq * mq + consts.c1) * (sp + sq + consts.c2)
-    return num / den
-
-
-def ssim_map(p, q, consts=SsimConstants()):
-    """Per-pixel SSIM of two (N,1,H,W) Tensors, windows edge-replicated past the borders."""
-    vec = window_vector(consts.window)
-    return ssim_from_moments(window_filter(p, vec), window_filter(q, vec),
-                             window_filter(p * p, vec), window_filter(q * q, vec),
-                             window_filter(p * q, vec), consts)
-
-
 def ssim_patch(p, q, consts=SsimConstants()):
     """Single-window SSIM of two equally-shaped patches, in (-1, 1].
 
@@ -106,7 +79,7 @@ def ssim_patch(p, q, consts=SsimConstants()):
     return s if isinstance(p, Tensor) or isinstance(q, Tensor) else s.item()
 
 
-def loss_weights(stats: GradStatsMap, sigma_l2=1.8, sigma_l1=0.35):
+def loss_weights(stats: GradStatsMap, sigma_l2=SIGMA_L2, sigma_l1=SIGMA_L1):
     """Per-pixel softmax of [mu*sigma_l2, sigma_l1, strength] -> (g1, g2, g3).
 
     Depends only on ground-truth statistics; the maps are constants w.r.t.

@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import add_noise
 from .kpn import denoise_image
-from .losses import SsimConstants, ssim_from_moments, window_weights
+from .losses import SsimConstants, window_weights
+from .tensor import ssim_from_moments
 
 __all__ = ["psnr", "ssim_image", "EvalRow", "EvalReport", "evaluate", "EVAL_HEADER"]
 
@@ -64,10 +65,11 @@ def _check_ssim_size(img, what):
 def _window_moments(a, b, window):
     """(5, ho, wo) valid-window means of a, b, a*a, b*b and a*b.
 
-    One BLAS gemv per moment, not losses.ssim_map: separable window sums round
-    differently, and perfbench/reference.json pins eval's ssim_noisy bit for
-    bit. The gemv runs over bands of output rows, so the 121x window copies
-    stay cache-sized. OpenBLAS's dgemv_t computes outputs in groups of 4 with
+    One BLAS gemv per moment, not the ``tensor.box_filter`` that
+    ``tensor.ssim_map`` runs: its separable shifted adds round differently, and
+    perfbench/reference.json pins eval's ssim_noisy bit for bit. The gemv
+    runs over bands of output rows, so the 121x window copies stay
+    cache-sized. OpenBLAS's dgemv_t computes outputs in groups of 4 with
     its own tail path. A band starting at a multiple of 4 rows starts at a
     multiple of 4 pixels, a group boundary of the whole-image call, so at one
     BLAS thread every moment rounds exactly as in one call; a band of 1 to 3

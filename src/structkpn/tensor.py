@@ -22,19 +22,24 @@ interior gradients of dropped Tensors are gone, as in PyTorch's autograd,
 which keeps no non-leaf grad unless asked.
 
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
-end to end, so each kernel tap is one strided slice of it and the output
-accumulates one GEMM per tap (or small chunk of taps), with no column buffer,
-over cache-sized blocks written straight into the output. Its backward keeps
-no padded copy: it re-pads the input, which it keeps only for the weight
-gradient. The forward's core, ``_conv_forward``, takes a buffer its
-caller has padded, so ``kpn.denoise_image`` runs the same GEMMs on row bands
-that bring their own halo rows.
+end to end, so each kernel tap is one strided slice of it, and works over
+cache-sized blocks written straight into the output. A wide conv accumulates
+one GEMM per tap (or small chunk of taps) with no column buffer; a narrow one
+copies a block's taps into one reused buffer and runs one GEMM per block, and
+gathers its input gradient the same way. Its backward keeps no padded copy:
+it re-pads the input, which it keeps only for the weight gradient. The
+forward's core, ``_conv_forward``, takes a buffer its caller has padded, so
+``kpn.denoise_image`` runs the same GEMMs on row bands that bring their own
+halo rows.
 
 ``local_conv`` applies a per-pixel filter field, the one op the kernel
 prediction network adds to a plain CNN; its window sum ``_filter_window`` is
-shared with ``kpn.denoise_image``'s bands. Every differentiable op lives in
-this module, so ``registered_ops()`` is a constant tuple of their names,
-complete once this module is imported.
+shared with ``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
+of the structure-aware loss as one op: its window means come from
+``box_filter``, a numpy box filter that ``gradstats`` also uses, and its
+backward is the closed form through the box's adjoint. Every differentiable
+op lives in this module, so ``registered_ops()`` is a constant tuple of their
+names, complete once this module is imported.
 """
 
 import math
@@ -57,8 +62,10 @@ __all__ = [
     "reduce_mean",
     "reduce_sum",
     "conv2d",
-    "window_filter",
     "local_conv",
+    "box_filter",
+    "ssim_from_moments",
+    "ssim_map",
     "backward",
     "grad_check",
     "make_op",
@@ -223,7 +230,7 @@ def accumulate_grad(t, g):
 # gradient-audit suites can enumerate full coverage.
 _OP_REGISTRY = (
     "add", "sub", "mul", "div", "neg", "abs", "relu",
-    "softmax", "reduce_mean", "reduce_sum", "conv2d", "local_conv",
+    "softmax", "reduce_mean", "reduce_sum", "conv2d", "local_conv", "ssim_map",
 )
 
 
@@ -396,21 +403,20 @@ def _collapse_replication(gpad, ph, pw):
     """Fold the gradient of a replication-padded array back onto the source.
 
     Every padded cell reads the nearest in-bounds pixel, so its gradient
-    accumulates there; the clip map is separable, rows then columns.
+    accumulates there; the clip map is separable, rows then columns. The fold
+    runs in place, so gpad must be the caller's own buffer, and the result is
+    the view of its source region.
     """
     h = gpad.shape[2] - 2 * ph
     w = gpad.shape[3] - 2 * pw
-    rows = gpad[:, :, ph:ph + h, :]
     if ph > 0:
-        rows = rows.copy()
-        rows[:, :, 0, :] += gpad[:, :, :ph, :].sum(axis=2)
-        rows[:, :, -1, :] += gpad[:, :, ph + h:, :].sum(axis=2)
-    out = rows[:, :, :, pw:pw + w]
+        gpad[:, :, ph, :] += gpad[:, :, :ph, :].sum(axis=2)
+        gpad[:, :, ph + h - 1, :] += gpad[:, :, ph + h:, :].sum(axis=2)
+    rows = gpad[:, :, ph:ph + h, :]
     if pw > 0:
-        out = out.copy()
-        out[:, :, :, 0] += rows[:, :, :, :pw].sum(axis=3)
-        out[:, :, :, -1] += rows[:, :, :, pw + w:].sum(axis=3)
-    return out
+        rows[:, :, :, pw] += rows[:, :, :, :pw].sum(axis=3)
+        rows[:, :, :, pw + w - 1] += rows[:, :, :, pw + w:].sum(axis=3)
+    return rows[:, :, :, pw:pw + w]
 
 
 # Adding a tap's GEMM into the output costs a pass over its Cout_g rows, and
@@ -419,38 +425,75 @@ def _collapse_replication(gpad, ph, pw):
 # size reaches Cout_g and at least this many rows.
 _MIN_GEMM_K = 8
 
+# A narrow conv, whose taps stacked (taps x Cin_g rows) make at most this many
+# rows, runs its forward as one GEMM per block over all of them: one copy of
+# the block's taps beats a GEMM and an add per tap. At 64 channels (576 rows,
+# or 288 in 2 groups) the per-tap chunks are faster.
+_STACK_ROWS = 256
+
+# OpenBLAS computes a GEMM's columns in groups (of 8 on AVX-512), and at an
+# inner size of 16 or more the columns of a short last group round differently
+# from full ones, so a column's bits depend on where its block ends. A stacked
+# GEMM of that inner size runs on a whole number of this many columns instead,
+# which makes the row bands of kpn.denoise_image match the whole-image forward
+# bit for bit. Narrower stacks, such as the stem's 9 taps, keep their exact
+# width and their bits.
+_GEMM_COLS = 16
+
 # The forward pass accumulates its tap GEMMs over blocks of about this many
 # output values (Cout x padded-pitch columns), 2 MB a block. Every tap re-reads
 # the block and its one temporary, so they must stay in cache rather than
 # stream through memory. Sizing by values, not columns, lets a small conv put
-# a whole batch in one block instead of making many tiny GEMM calls.
+# a whole batch in one block instead of making many tiny GEMM calls. A block
+# of stacked taps is sized by twice their rows instead, when that is more than
+# Cout: their buffer (1 MB at most) then stays in cache beside the output.
 _BLOCK_VALUES = 262144
 
 
-def _conv_taps(wdata, groups, wp):
-    """conv2d's weight matrix and tap chunks for a kernel over rows of pitch wp.
+def _tap_chunks(wdata, groups, wp):
+    """The flat shifts dy*wp + dx of a kernel's taps, grouped into conv2d's chunks.
 
-    Column t*Cin_g + c of the (groups, Cout_g, taps*Cin_g) matrix holds the
-    weight of input channel c at tap t, the row order of ``_tap_rows``. A chunk
-    is (its weight columns, the flat shifts dy*wp + dx of its taps).
+    A chunk is (its columns of ``_conv_taps``' weight matrix, its shifts).
     """
     cout, cin_g, kh, kw = wdata.shape
-    cout_g, taps = cout // groups, kh * kw
+    taps = kh * kw
     shifts = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
-    step = -(-max(cout_g, _MIN_GEMM_K) // cin_g)            # taps per chunk
-    chunks = [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
-              for t in range(0, taps, step)]
-    wmat = wdata.reshape(groups, cout_g, cin_g, taps).swapaxes(2, 3) \
-        .reshape(groups, cout_g, taps * cin_g)
+    step = -(-max(cout // groups, _MIN_GEMM_K) // cin_g)    # taps per chunk
+    return [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
+            for t in range(0, taps, step)]
+
+
+def _conv_taps(wdata, groups, wp):
+    """conv2d's weight matrix and forward tap chunks for a kernel over rows of pitch wp.
+
+    Column t*Cin_g + c of the (groups, Cout_g, taps*Cin_g) matrix holds the
+    weight of input channel c at tap t, the row order of ``_tap_rows``. A
+    narrow conv (at most ``_STACK_ROWS`` columns) has one chunk of all its
+    taps; a wider one has ``_tap_chunks``.
+    """
+    cout, cin_g, kh, kw = wdata.shape
+    chunks = _tap_chunks(wdata, groups, wp)
+    if kh * kw * cin_g <= _STACK_ROWS:
+        chunks = [(slice(0, kh * kw * cin_g), [s for _, ss in chunks for s in ss])]
+    wmat = wdata.reshape(groups, cout // groups, cin_g, kh * kw).swapaxes(2, 3) \
+        .reshape(groups, cout // groups, kh * kw * cin_g)
     return wmat, chunks
 
 
-def _tap_rows(xf, ss, base, length):
-    """The GEMM operand of a chunk's taps: flat slices of xf, stacked when several."""
+def _tap_rows(xf, ss, base, length, buf=None):
+    """The GEMM operand of a chunk's taps: flat slices of xf, stacked when several.
+
+    Stacked taps are copied into the front of ``buf`` when one is given.
+    """
     if len(ss) == 1:
         return xf[..., base + ss[0]:base + ss[0] + length]
-    return np.stack([xf[..., base + s:base + s + length] for s in ss],
-                    axis=1).reshape(xf.shape[0], -1, length)
+    groups, cin_g = xf.shape[:2]
+    shape = (groups, len(ss), cin_g, length)
+    rows = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
+    for j, s in enumerate(ss):
+        tap = xf[..., base + s:base + s + length]
+        rows[:, j, :, :tap.shape[-1]] = tap      # columns past xf's end are left as they are
+    return rows.reshape(groups, -1, length)
 
 
 def _conv_forward(xf, wmat, chunks, bias, out):
@@ -462,8 +505,9 @@ def _conv_forward(xf, wmat, chunks, bias, out):
     The output accumulates one GEMM per chunk of taps over blocks of about
     ``_BLOCK_VALUES`` output values of whole padded rows (a band of one image,
     or several whole images); each block gets the bias and its cropped rows
-    are copied into out. A 1x1 kernel runs one GEMM per image straight into
-    out. Columns between images are computed and cropped away.
+    are copied into out. A chunk of several taps is copied into one buffer,
+    allocated once per call. A 1x1 kernel runs one GEMM per image straight
+    into out. Columns between images are computed and cropped away.
     """
     groups, cin_g, n, hp, wp = xf.shape
     _, cout, h, w = out.shape
@@ -480,33 +524,42 @@ def _conv_forward(xf, wmat, chunks, bias, out):
     # whole padded images as fit; its last row stops at column w. The
     # temporary has the block's row pitch too, since numpy adds arrays of
     # equal strides several times faster than arrays of unequal strides.
-    per = _BLOCK_VALUES // (cout * hp * wp)            # images per block
+    # Stacked taps are copied into one buffer of the block's width, and their
+    # GEMM runs on a whole number of _GEMM_COLS columns, past the block's end.
+    stacked = groups * chunks[0][0].stop if len(chunks[0][1]) > 1 else 0
+    align = _GEMM_COLS if stacked and chunks[0][0].stop >= _GEMM_COLS else 1
+    rows = max(cout, 2 * stacked)
+    per = _BLOCK_VALUES // (rows * hp * wp)            # images per block
     if per > 1:
         band, pitch = h, hp
     else:
         per = 1
-        band = pitch = -(-h // -(-cout * h * wp // _BLOCK_VALUES))   # split evenly
-    acc_buf = np.empty(cout * min(per, n) * pitch * wp)
+        band = pitch = -(-h // -(-rows * h * wp // _BLOCK_VALUES))   # split evenly
+    widest = -(-min(per, n) * pitch * wp // align) * align
+    acc_buf = np.empty(cout * widest)
     tmp_buf = np.empty_like(acc_buf) if len(chunks) > 1 else None
+    tap_buf = np.zeros(stacked * widest) if stacked else None
     for b in range(0, n, per):
         nb = min(per, n - b)
         for i in range(0, h, band):
             nr = min(band, h - i)
-            base, length = (b * hp + i) * wp, ((nb - 1) * pitch + nr) * wp - (wp - w)
-            full = cout * nb * pitch * wp
+            base = (b * hp + i) * wp
+            length = -(-(((nb - 1) * pitch + nr) * wp - (wp - w)) // align) * align
+            full = cout * -(-nb * pitch * wp // align) * align
             acc = acc_buf[:full].reshape(groups, cout_g, -1)[..., :length]
             if tmp_buf is not None:
                 tmp = tmp_buf[:full].reshape(groups, cout_g, -1)[..., :length]
             for ks, ss in chunks:
+                taps = _tap_rows(xf, ss, base, length, tap_buf)
                 if ks.start == 0:
-                    np.matmul(wmat[..., ks], _tap_rows(xf, ss, base, length), out=acc)
+                    np.matmul(wmat[..., ks], taps, out=acc)
                 else:
-                    np.matmul(wmat[..., ks], _tap_rows(xf, ss, base, length), out=tmp)
+                    np.matmul(wmat[..., ks], taps, out=tmp)
                     acc += tmp
             acc += bias.reshape(groups, cout_g, 1)
             np.copyto(out[b:b + nb, :, i:i + nr],
-                      acc_buf[:full].reshape(cout, nb, pitch, wp)[:, :, :nr, :w]
-                      .transpose(1, 0, 2, 3))
+                      acc_buf[:full].reshape(cout, -1)[:, :nb * pitch * wp]
+                      .reshape(cout, nb, pitch, wp)[:, :, :nr, :w].transpose(1, 0, 2, 3))
 
 
 def conv2d(x, weights, bias, groups=1):
@@ -520,13 +573,18 @@ def conv2d(x, weights, bias, groups=1):
     and output pixel (b, i, j) is flat index (b*Hp + i)*Wp + j. Tap (dy, dx) is
     then the strided slice of xf starting at dy*Wp + dx, for the whole batch at
     once. The forward, ``_conv_forward``, accumulates one GEMM per chunk of
-    taps: one tap (a view of xf), or a small stack of taps when Cin/groups is
-    below Cout/groups or ``_MIN_GEMM_K`` (all 9 for the stem), block by block
-    into the output. The forward drops xf once the output is written. The
-    backward runs over the whole batch and rebuilds xf from x, with the same
-    pad, only for the weight gradient, so the tape keeps x's data only when
-    the weights need a gradient; the input gradient needs only the output
-    gradient and the weights. Columns between images get zero gradient.
+    taps, block by block into the output: all taps in one chunk when they
+    stack to at most ``_STACK_ROWS`` rows (the 16- and 8-channel convs and
+    every stem), else one tap (a view of xf) or a small stack of taps when
+    Cin/groups is below Cout/groups or ``_MIN_GEMM_K``. The forward drops xf
+    once the output is written. The backward runs over the whole batch and
+    rebuilds xf from x, with the same pad, only for the weight gradient, one
+    GEMM per chunk of ``_tap_chunks``, so the tape keeps x's data only when
+    the weights need a gradient. The input gradient needs only the output
+    gradient and the weights: a narrow conv gathers it, one stacked GEMM per
+    block of the output gradient's taps, and a wide one scatters it, adding
+    each chunk's GEMM into the columns its taps read. Columns between images
+    get zero gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -559,19 +617,26 @@ def conv2d(x, weights, bias, groups=1):
                 else xt).reshape(groups, cin_g, m)
 
     xf = fold(x.data)
-    wmat, chunks = _conv_taps(weights.data, groups, wp)
+    wmat, fwd_chunks = _conv_taps(weights.data, groups, wp)
     out_data = np.empty((n, cout, h, w))
-    _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, chunks, bias.data, out_data)
+    _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, fwd_chunks, bias.data, out_data)
     del xf                                       # the backward re-pads x
     xn, wn, bn, wshape = x._node, weights._node, bias._node, weights.data.shape
     xd = x.data if wn.requires_grad else None    # read only by the weight gradient
 
+    chunks = _tap_chunks(weights.data, groups, wp)
+    shifts = [s for _, ss in chunks for s in ss]
+    # A narrow conv gathers its input gradient from gf zero-extended in front by
+    # the largest shift; a wide one, or a 1x1 (no shift), scatters it.
+    top = shifts[-1] if kh * kw * cout_g <= _STACK_ROWS else 0
+
     def bwd(g):
         if bn.requires_grad:
             accumulate_grad(bn, g.sum(axis=(0, 2, 3)))
-        gf = np.zeros((cout, n, hp, wp))
-        gf[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
-        gf = gf.reshape(groups, cout_g, m)[..., :span]
+        gfe = np.zeros((cout, top + m))
+        gfe[:, top:].reshape(cout, n, hp, wp)[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
+        gfe = gfe.reshape(groups, cout_g, top + m)
+        gf = gfe[..., top:top + span]
         if wn.requires_grad:
             xf = fold(xd)
             dw = np.empty_like(wmat)
@@ -581,29 +646,31 @@ def conv2d(x, weights, bias, groups=1):
             accumulate_grad(wn, dw.reshape(groups, cout_g, kh * kw, cin_g).swapaxes(2, 3)
                             .reshape(wshape))
         if xn.requires_grad:
-            gxf = np.zeros((groups, cin_g, m))
-            dx = np.empty((groups, chunks[0][0].stop, span))
-            for ks, ss in chunks:
-                d = dx[:, :ks.stop - ks.start]
-                np.matmul(wmat[..., ks].swapaxes(-1, -2), gf, out=d)
-                for j, s in enumerate(ss):
-                    gxf[..., s:s + span] += d[:, j * cin_g:(j + 1) * cin_g]
+            if top:
+                # input column k gets W_t^T gf[k - s_t] from every tap t: the forward's
+                # stacked GEMM per block, over gf's taps and the transposed weights
+                wt = wmat.reshape(groups, cout_g, kh * kw, cin_g).transpose(0, 3, 2, 1) \
+                    .reshape(groups, cin_g, -1)
+                back = [top - s for s in shifts]
+                cols = max(1, _BLOCK_VALUES // max(cin, 2 * groups * wt.shape[-1]))
+                buf = np.empty(groups * wt.shape[-1] * cols)
+                gxf = np.empty((groups, cin_g, m))
+                for k in range(0, m, cols):
+                    np.matmul(wt, _tap_rows(gfe, back, k, min(cols, m - k), buf),
+                              out=gxf[..., k:k + cols])
+            else:
+                # each chunk's GEMM is added into the columns its taps read
+                gxf = np.zeros((groups, cin_g, m))
+                dx = np.empty((groups, chunks[0][0].stop, span))
+                for ks, ss in chunks:
+                    d = dx[:, :ks.stop - ks.start]
+                    np.matmul(wmat[..., ks].swapaxes(-1, -2), gf, out=d)
+                    for j, s in enumerate(ss):
+                        gxf[..., s:s + span] += d[:, j * cin_g:(j + 1) * cin_g]
             gxf = gxf.reshape(cin, n, hp, wp).transpose(1, 0, 2, 3)
             accumulate_grad(xn, _collapse_replication(gxf, ph, pw))
 
     return make_op(out_data, (x, weights, bias), bwd, "conv2d")
-
-
-def window_filter(x, vec):
-    """Same-size separable filter of an (N,1,H,W) tensor by an odd-length 1-D window.
-
-    Filters along rows, then along columns: two edge-replicated ``conv2d``
-    calls, so the 2-D window is ``outer(vec, vec)`` and the gradient is conv2d's.
-    """
-    vec = np.asarray(vec, dtype=np.float64)
-    zero = Tensor(np.zeros(1))
-    rows = conv2d(x, Tensor(vec.reshape(1, 1, 1, -1)), zero)
-    return conv2d(rows, Tensor(vec.reshape(1, 1, -1, 1)), zero)
 
 
 # -- per-pixel filtering ------------------------------------------------------
@@ -668,6 +735,96 @@ def local_conv(x, v):
             accumulate_grad(xn, _collapse_replication(gxp, r, r))
 
     return make_op(_filter_window(xp, vd, k), (x, v), bw, "local_conv")
+
+
+# -- windowed statistics ------------------------------------------------------
+
+def box_filter(x, k):
+    """Mean of every k x k window over the last two axes, edge-replicated past the borders.
+
+    Separable shifted adds in a fixed order over one edge-padded copy: the k
+    column shifts left to right, then the k row shifts top to bottom, then one
+    scaling by 1/k^2. A plain numpy filter, not an op; ``ssim_map`` is its
+    differentiable use.
+    """
+    r = k // 2
+    h, w = x.shape[-2:]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(r, r), (r, r)], mode="edge")
+    rows = xp[..., :w].copy()
+    for d in range(1, k):
+        rows += xp[..., d:d + w]
+    out = rows[..., :h, :].copy()
+    for d in range(1, k):
+        out += rows[..., d:d + h, :]
+    out *= 1.0 / (k * k)
+    return out
+
+
+def _box_adjoint(g, k):
+    """The adjoint of ``box_filter``: the gradient of its input given its output's g."""
+    r = k // 2
+    h, w = g.shape[-2:]
+    rows = np.zeros(g.shape[:-2] + (h + 2 * r, w))
+    for d in range(k):
+        rows[..., d:d + h, :] += g
+    gp = np.zeros(g.shape[:-2] + (h + 2 * r, w + 2 * r))
+    for d in range(k):
+        gp[..., d:d + w] += rows
+    gp *= 1.0 / (k * k)
+    return _collapse_replication(gp.reshape(-1, 1, h + 2 * r, w + 2 * r), r, r).reshape(g.shape)
+
+
+def ssim_from_moments(mp, mq, mpp, mqq, mpq, consts):
+    """SSIM from window means (mp, mq) and raw second moments E[p^2], E[q^2], E[pq].
+
+    ``consts`` gives the stabilizers c1 and c2. Written with operators only,
+    so it maps ndarrays to ndarrays and Tensors to a differentiable Tensor.
+    """
+    sp = mpp - mp * mp
+    sq = mqq - mq * mq
+    spq = mpq - mp * mq
+    num = (2.0 * mp * mq + consts.c1) * (2.0 * spq + consts.c2)
+    den = (mp * mp + mq * mq + consts.c1) * (sp + sq + consts.c2)
+    return num / den
+
+
+def ssim_map(p, q, consts):
+    """Per-pixel SSIM of two (N,1,H,W) Tensors over ``consts.window``-wide box windows.
+
+    Windows are edge-replicated past the borders. The forward feeds the five
+    ``box_filter`` means to ``ssim_from_moments``. With S = A1*A2 / (B1*B2),
+    A1 = 2 mp mq + c1, A2 = 2 cov + c2, B1 = mp^2 + mq^2 + c1 and
+    B2 = var p + var q + c2, the backward is the closed form
+
+        dS/dp = B^T(G dS/dmp) + 2p B^T(G dS/dE[p^2]) + q B^T(G dS/dE[pq])
+
+    with B^T the box's adjoint, as in Zhao et al., "Loss Functions for Image
+    Restoration with Neural Networks" (arXiv 1511.08861); q's gradient is the
+    same with p and q swapped. The partials divide only by B1*B2 and B2,
+    which the stabilizers keep away from zero.
+    """
+    _require_same_shape("ssim_map", p, q)
+    if p.data.ndim != 4 or p.data.shape[1] != 1:
+        raise ShapeError(f"ssim_map: expected (N,1,H,W), got {p.data.shape}")
+    k, c1, c2 = consts.window, consts.c1, consts.c2
+    pd, qd, pn, qn = p.data, q.data, p._node, q._node
+    mp, mq, mpp, mqq, mpq = box_filter(np.stack([pd, qd, pd * pd, qd * qd, pd * qd]), k)
+    s = ssim_from_moments(mp, mq, mpp, mqq, mpq, consts)
+
+    def bwd(g):
+        a1 = 2.0 * mp * mq + c1
+        a2 = 2.0 * (mpq - mp * mq) + c2
+        b1 = mp * mp + mq * mq + c1
+        b2 = (mpp - mp * mp) + (mqq - mq * mq) + c2
+        gden = g / (b1 * b2)
+        common = [-g * s / b2, 2.0 * a1 * gden]            # G dS/dE[x^2], G dS/dE[xy]
+        for xn, xd, od, mx, mo in ((pn, pd, qd, mp, mq), (qn, qd, pd, mq, mp)):
+            if xn.requires_grad:
+                gm = 2.0 * (mo * (a2 - a1) - mx * s * (b2 - b1)) * gden
+                bm, bxx, bxy = _box_adjoint(np.stack([gm] + common), k)
+                accumulate_grad(xn, bm + 2.0 * xd * bxx + od * bxy)
+
+    return make_op(s, (p, q), bwd, "ssim_map")
 
 
 # -- driver-level helpers -----------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import NoiseModel, add_noise
 from .fileio import read_array, read_exact, read_u32, write_array
-from .gradstats import stats_map
+from .gradstats import SIGMA_L1, SIGMA_L2, STRENGTH_NORMALIZATION, stats_map
 from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn_apply,
                   params_to_tensors)
 from .losses import SsimConstants, l1_pixel, l2_pixel, loss_weights, struct_loss
@@ -81,9 +81,9 @@ class TrainConfig:
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-    sigma_l2 = 1.8
-    sigma_l1 = 0.35
-    strength_normalization = "sqrt-over-kr"
+    sigma_l2 = SIGMA_L2
+    sigma_l1 = SIGMA_L1
+    strength_normalization = STRENGTH_NORMALIZATION
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:

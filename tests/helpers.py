@@ -54,6 +54,23 @@ def naive_conv2d(x, w, bias, groups=1):
     return out
 
 
+def naive_box_mean(x, k):
+    """Mean of the k x k window around each pixel of a 2-D array, out-of-range
+    reads replicating the nearest edge pixel (so a window may be wider than
+    the image), one pixel at a time."""
+    h, w = x.shape
+    r = k // 2
+    out = np.zeros((h, w))
+    for m in range(h):
+        for n in range(w):
+            acc = 0.0
+            for s in range(-r, r + 1):
+                for t in range(-r, r + 1):
+                    acc += float(x[min(max(m + s, 0), h - 1), min(max(n + t, 0), w - 1)])
+            out[m, n] = acc / (k * k)
+    return out
+
+
 def direct_ssim(p, q, c1=1e-4, c2=9e-4, weights=None):
     """SSIM of two windows straight from the definition."""
     p = np.asarray(p, dtype=np.float64)

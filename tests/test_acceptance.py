@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from structkpn.tensor import (Tensor, add, sub, mul, div, neg, abs_val, relu,
-                              softmax_vec, reduce_mean, reduce_sum, conv2d,
+                              softmax_vec, reduce_mean, reduce_sum, conv2d, ssim_map,
                               registered_ops, grad_check)
 from structkpn.kpn import (KpnConfig, local_conv, build_model, params_to_tensors,
                            kpn_apply)
@@ -81,6 +81,14 @@ def test_criterion_2_every_op_passes_finite_difference_checks():
         u = Tensor(rng.normal(size=(1, 1, 4, 4)))
         return (lambda p: reduce_sum(mul(local_conv(p[0], p[1]), u)), [x, v])
 
+    def ssim_map_case():
+        # both images take a gradient, and windows reach past every border
+        p = Tensor(rng.uniform(size=(2, 1, 4, 5)), requires_grad=True, name="p")
+        q = Tensor(rng.uniform(size=(2, 1, 4, 5)), requires_grad=True, name="q")
+        u = Tensor(rng.normal(size=(2, 1, 4, 5)))
+        return (lambda ps: reduce_sum(mul(ssim_map(ps[0], ps[1], SsimConstants(window=3)), u)),
+                [p, q])
+
     a, b = pair()
     builders = {
         "add": (lambda p: score(add(p[0], p[1])), [a, b]),
@@ -96,6 +104,7 @@ def test_criterion_2_every_op_passes_finite_difference_checks():
         "reduce_sum": (lambda p: reduce_sum(mul(p[0], proj)), [away_from_zero()]),
         "conv2d": conv_case(),
         "local_conv": local_conv_case(),
+        "ssim_map": ssim_map_case(),
     }
     # a new op cannot ship without a matching finite-difference case
     assert set(builders) == set(registered_ops())

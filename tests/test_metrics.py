@@ -12,8 +12,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from structkpn import metrics
 from structkpn.corpus import synth_image
-from structkpn.losses import SsimConstants, ssim_from_moments, window_weights
+from structkpn.losses import SsimConstants, window_weights
 from structkpn.metrics import psnr, ssim_image, evaluate, EVAL_HEADER
+from structkpn.tensor import ssim_from_moments
 from structkpn.training import TrainConfig, train
 from helpers import direct_ssim
 

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 from structkpn import tensor
 from structkpn.tensor import (Tensor, ShapeError, add, sub, mul, div, neg, abs_val,
                               relu, softmax_vec, reduce_mean, reduce_sum, conv2d,
-                              backward, make_op, accumulate_grad, grad_check,
-                              registered_ops)
-from helpers import naive_conv2d
+                              box_filter, ssim_map, backward, make_op, accumulate_grad,
+                              grad_check, registered_ops)
+from structkpn.losses import SsimConstants
+from helpers import direct_ssim, naive_box_mean, naive_conv2d
 
 
 def test_add_mul_backward_hand_values():
@@ -166,19 +167,27 @@ def blocked_conv2d(block_values, *args, **kwargs):
 
 @settings(max_examples=40, deadline=None)
 @given(conv_cases())
-@example((2, 1, 1, 1, 1, 11, 6, 9, 0, 262144))      # struct_loss row window, k_r = 11
-@example((2, 1, 1, 1, 11, 1, 9, 6, 1, 262144))      # struct_loss column window
+@example((2, 1, 1, 1, 1, 11, 6, 9, 0, 262144))      # 1x11 row kernel, Cin = Cout = 1
+@example((2, 1, 1, 1, 11, 1, 9, 6, 1, 262144))      # 11x1 column kernel
 @example((2, 1, 4, 1, 3, 3, 5, 7, 2, 262144))       # stem: Cin = 1
 @example((2, 3, 9, 1, 1, 1, 4, 6, 3, 262144))       # head: 1x1, Cout > Cin
 @example((3, 4, 6, 2, 3, 3, 4, 7, 4, 262144))       # grouped residual block
 @example((3, 4, 6, 2, 3, 3, 7, 9, 10, 100))         # grouped: 2-row blocks, the last of 1
 @example((2, 1, 4, 1, 3, 3, 7, 5, 11, 1))           # stem, one-row blocks
-@example((2, 1, 1, 1, 1, 11, 7, 9, 12, 25))         # row window: 2-row blocks, the last of 1
-@example((2, 1, 1, 1, 11, 1, 7, 6, 13, 25))         # column window: blocks of 4 and 3 rows
+@example((2, 1, 1, 1, 1, 11, 7, 9, 12, 25))         # 1x11 rows: 2-row blocks, the last of 1
+@example((2, 1, 1, 1, 11, 1, 7, 6, 13, 25))         # 11x1 columns: blocks of 4 and 3 rows
 @example((3, 4, 6, 2, 3, 3, 4, 7, 18, 700))         # grouped: blocks of 2 whole images, then 1
 @example((2, 1, 3, 1, 3, 3, 5, 6, 20, 262144))      # 3x3, Cin = 1
 @example((2, 2, 2, 1, 3, 3, 5, 6, 21, 262144))      # 3x3, Cin = Cout
 @example((2, 4, 6, 2, 3, 3, 5, 6, 22, 262144))      # 3x3, grouped
+@example((1, 28, 2, 1, 3, 3, 4, 5, 23, 262144))     # 252 stacked rows: one stacked chunk
+@example((1, 29, 2, 1, 3, 3, 4, 5, 24, 262144))     # 261 rows, over _STACK_ROWS: per-tap chunks
+@example((1, 85, 2, 1, 1, 3, 3, 4, 25, 262144))     # 1x3 at 255 stacked rows
+@example((1, 86, 2, 1, 1, 3, 3, 4, 26, 262144))     # 1x3 at 258 rows: per-tap chunks
+@example((2, 16, 16, 1, 3, 3, 5, 6, 27, 262144))    # SMOKE 16-channel conv: taps stacked
+@example((2, 16, 16, 2, 3, 3, 5, 6, 28, 262144))    # SMOKE grouped 8-channel conv: stacked
+@example((2, 16, 16, 1, 3, 3, 7, 6, 29, 4100))      # 144 stacked rows: 2-row blocks, the last of 1
+@example((3, 16, 8, 2, 3, 3, 4, 5, 30, 26000))      # stacked, grouped: 2 whole images, then 1
 def test_conv2d_property_matches_naive_oracle(case):
     n, cin, cout, groups, kh, kw, h, w, seed, block_values = case
     rng = np.random.default_rng(seed)
@@ -195,13 +204,18 @@ def test_conv2d_property_matches_naive_oracle(case):
 @example((3, 4, 6, 2, 3, 3, 4, 7, 5, 262144))       # grouped, batch folded end to end
 @example((3, 3, 9, 1, 1, 1, 4, 6, 6, 262144))       # 1x1 with N > 1: one GEMM per image
 @example((2, 1, 4, 1, 3, 3, 5, 7, 7, 262144))       # stem: Cin = 1, taps stacked in one chunk
-@example((2, 1, 1, 1, 1, 11, 6, 9, 8, 262144))      # window_filter rows
-@example((2, 1, 1, 1, 11, 1, 9, 6, 9, 262144))      # window_filter columns
+@example((2, 1, 1, 1, 1, 11, 6, 9, 8, 262144))      # 1x11 row kernel
+@example((2, 1, 1, 1, 11, 1, 9, 6, 9, 262144))      # 11x1 column kernel
 @example((3, 4, 6, 2, 3, 3, 7, 9, 14, 100))         # grouped: 2-row blocks, the last of 1
 @example((2, 1, 4, 1, 3, 3, 7, 5, 15, 1))           # stem, one-row blocks
-@example((2, 1, 1, 1, 1, 11, 7, 9, 16, 25))         # window_filter rows: 2-row blocks, last of 1
-@example((2, 1, 1, 1, 11, 1, 7, 6, 17, 25))         # window_filter columns: 4- and 3-row blocks
+@example((2, 1, 1, 1, 1, 11, 7, 9, 16, 25))         # 1x11 rows: 2-row blocks, the last of 1
+@example((2, 1, 1, 1, 11, 1, 7, 6, 17, 25))         # 11x1 columns: 4- and 3-row blocks
 @example((3, 4, 6, 2, 3, 3, 4, 7, 19, 700))         # grouped: blocks of 2 whole images, then 1
+@example((1, 28, 2, 1, 3, 3, 4, 5, 31, 262144))     # 252 stacked rows: one stacked chunk
+@example((1, 29, 2, 1, 3, 3, 4, 5, 32, 262144))     # 261 rows, over _STACK_ROWS: per-tap chunks
+@example((2, 16, 16, 2, 3, 3, 5, 6, 33, 262144))    # SMOKE grouped 8-channel conv: stacked
+@example((2, 16, 16, 1, 3, 3, 7, 6, 34, 4100))      # 144 stacked rows: 2-row blocks, the last of 1
+@example((3, 16, 8, 2, 3, 3, 4, 5, 35, 26000))      # stacked, grouped: 2 whole images, then 1
 def test_conv2d_backward_is_adjoint_of_forward(case):
     # conv2d with zero bias is bilinear, so <conv(x, W), g> = <x, dX> = <W, dW>;
     # a gradient leaking across image borders in the folded layout breaks it
@@ -216,6 +230,47 @@ def test_conv2d_backward_is_adjoint_of_forward(case):
     scale = float(np.abs(out.data * g).sum())
     assert abs(float((x.data * x.grad).sum()) - ref) <= 1e-12 * scale
     assert abs(float((wt.data * wt.grad).sum()) - ref) <= 1e-12 * scale
+
+
+def test_box_filter_matches_naive_window_mean():
+    rng = np.random.default_rng(36)
+    # windows of 1 to 11, wider than the image on one or both axes, and a batch axis
+    for shape, k in (((6, 7), 1), ((6, 7), 3), ((6, 7), 5), ((4, 9), 11), ((3, 2), 7),
+                     ((1, 5), 3), ((2, 3, 5, 4), 3)):
+        x = rng.normal(size=shape)
+        got = box_filter(x, k)
+        flat = x.reshape(-1, *shape[-2:])
+        want = np.stack([naive_box_mean(im, k) for im in flat]).reshape(shape)
+        assert got.shape == shape
+        assert np.allclose(got, want, rtol=0, atol=1e-14), (shape, k)
+
+
+def test_ssim_map_matches_direct_ssim_per_pixel():
+    # value: every pixel is the SSIM of its edge-replicated windows; gradient:
+    # central differences of the same per-pixel oracle, summed against u
+    rng = np.random.default_rng(37)
+    consts = SsimConstants(window=3)
+    p, q = rng.uniform(size=(2, 1, 4, 5)), rng.uniform(size=(2, 1, 4, 5))
+    u = rng.normal(size=p.shape)
+
+    def oracle(pv):
+        pp, qp = (np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge") for a in (pv, q))
+        return np.array([[[[direct_ssim(pp[b, 0, m:m + 3, n:n + 3], qp[b, 0, m:m + 3, n:n + 3])
+                            for n in range(5)] for m in range(4)]] for b in range(2)])
+
+    pt = Tensor(p, requires_grad=True)
+    s = ssim_map(pt, Tensor(q), consts)
+    assert np.allclose(s.data, oracle(p), rtol=0, atol=1e-12)
+    backward(reduce_sum(mul(s, Tensor(u))))
+    eps, fd = 1e-6, np.empty(p.size)
+    for i in range(p.size):
+        hi, lo = p.copy(), p.copy()
+        hi.flat[i] += eps
+        lo.flat[i] -= eps
+        fd[i] = ((oracle(hi) - oracle(lo)) * u).sum() / (2 * eps)
+    assert np.allclose(pt.grad.reshape(-1), fd, rtol=1e-6, atol=1e-8)
+    with pytest.raises(ShapeError):
+        ssim_map(pt, Tensor(q[:, :, :3]), consts)
 
 
 def test_conv2d_tape_holds_no_padded_copy_of_its_input():
@@ -421,9 +476,9 @@ def test_package_import_loads_no_module_and_op_list_is_constant():
                            capture_output=True, text=True, check=True).stdout.splitlines()
     assert lines[:2] == ["[]", "['structkpn.tensor']"]
     ops = ast.literal_eval(lines[2])
-    assert type(ops) is tuple and len(ops) == len(set(ops)) == 12
+    assert type(ops) is tuple and len(ops) == len(set(ops)) == 13
     assert set(ops) == {"add", "sub", "mul", "div", "neg", "abs", "relu", "softmax",
-                        "reduce_mean", "reduce_sum", "conv2d", "local_conv"}
+                        "reduce_mean", "reduce_sum", "conv2d", "local_conv", "ssim_map"}
 
 
 def test_package_imports_sit_at_module_top_and_form_a_dag():
