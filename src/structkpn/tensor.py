@@ -24,13 +24,25 @@ which keeps no non-leaf grad unless asked.
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
 end to end, so each kernel tap is one strided slice of it, and works over
 cache-sized blocks written straight into the output. A wide conv accumulates
-one GEMM per tap (or small chunk of taps) with no column buffer; a narrow one
-copies a block's taps into one reused buffer and runs one GEMM per block, and
-gathers its input gradient the same way. Its backward keeps no padded copy:
-it re-pads the input, which it keeps only for the weight gradient. The
-forward's core, ``_conv_forward``, takes a buffer its caller has padded, so
+one GEMM per tap (or small chunk of taps) in the block itself, with no column
+buffer and no temporary, and its backward adds each tap's input gradient
+straight into the columns that tap reads; a narrow one copies a block's taps
+into one reused buffer and runs one GEMM per block, and gathers its input
+gradient the same way. A 1x1 conv pads nothing: it runs one GEMM per image
+on the input as given. Its backward keeps no padded copy: it re-pads the
+input, which it keeps only for the weight gradient. The forward's core,
+``_conv_forward``, takes a buffer its caller has padded, so
 ``kpn.denoise_image`` runs the same GEMMs on row bands that bring their own
 halo rows.
+
+A conv GEMM that adds into its output goes through ``_gemm``,
+C = A B + beta C, the update BLAS computes natively: it calls the CBLAS
+dgemm of the OpenBLAS that numpy ships and has already loaded, through
+``ctypes``, so taps, groups and images accumulate inside BLAS. Where numpy
+ships no such library, ``_gemm`` runs ``np.matmul`` and an add, the same
+arithmetic and the same bits. A GEMM that only writes its output (a narrow
+conv's, a weight gradient's) stays one batched ``np.matmul`` over the
+groups, which costs less per call.
 
 ``local_conv`` applies a per-pixel filter field, the one op the kernel
 prediction network adds to a plain CNN; its window sum ``_filter_window`` is
@@ -42,8 +54,10 @@ op lives in this module, so ``registered_ops()`` is a constant tuple of their
 names, complete once this module is imported.
 """
 
+import ctypes
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 
@@ -397,6 +411,87 @@ def reduce_sum(a):
     return make_op(np.asarray(a.data.sum()), (a,), bwd, "reduce_sum")
 
 
+# -- GEMM ---------------------------------------------------------------------
+
+def _blas_dgemm():
+    """The CBLAS dgemm of the OpenBLAS bundled with numpy, or None where numpy ships none.
+
+    numpy's wheels bundle scipy-openblas (64-bit integers, symbols suffixed
+    ``64_``) and load it on import, so this binds the same library and its
+    thread setting; nothing new is installed or loaded.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_cblas_dgemm64_
+        except (OSError, AttributeError):
+            continue
+        i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+        fn.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [dbl, ptr, i64, ptr, i64, dbl, ptr, i64]
+        fn.restype = None
+        return fn
+    return None
+
+
+_DGEMM = _blas_dgemm()
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112     # CBLAS enum values
+
+
+def _blas_layout(a, what):
+    """(CBLAS transpose flag, leading dimension) of a float64 matrix or of the .T of one.
+
+    BLAS reads rows of unit column stride, each a leading dimension apart, so
+    any other layout (or a leading dimension below the row's width) would
+    make it read the wrong memory; those raise instead. A length-1 axis has
+    no stride to check.
+    """
+    if a.ndim != 2 or a.dtype != np.float64:
+        raise ShapeError(f"_gemm: {what} must be a 2-D float64 matrix, got {a.dtype} {a.shape}")
+    (rows, cols), (rs, cs) = a.shape, a.strides
+    if cols == 1 or cs == 8:
+        ld = rs // 8 if rows > 1 else cols
+        if rs % 8 == 0 and ld >= cols:
+            return _NO_TRANS, ld
+    if rows == 1 or rs == 8:
+        ld = cs // 8 if cols > 1 else rows
+        if cs % 8 == 0 and ld >= rows:
+            return _TRANS, ld
+    raise ShapeError(f"_gemm: {what} has shape {a.shape} and strides {a.strides}; BLAS needs "
+                     "unit column stride and a row stride of at least the row's width")
+
+
+def _gemm(a, b, c, beta):
+    """c = a @ b + beta * c in place, for 2-D float64 matrices; c must not overlap a or b.
+
+    a and b may each be a row-major matrix or the transpose (``.T``) of one;
+    c must be row-major. Every operand's layout is checked before the call.
+    With beta 0, c's old values are not read. Where numpy ships no OpenBLAS
+    to bind, the product is ``np.matmul`` and, with beta 1, an add into c.
+    So is a product of one row or one column, which numpy runs as a gemv and
+    BLAS's dgemm would round differently, and an empty one.
+    """
+    (m, k), (k2, n) = a.shape, b.shape
+    if c.shape != (m, n) or k2 != k:
+        raise ShapeError(f"_gemm: {a.shape} @ {b.shape} does not make {c.shape}")
+    ta, lda = _blas_layout(a, "a")
+    tb, ldb = _blas_layout(b, "b")
+    tc, ldc = _blas_layout(c, "c")
+    if tc != _NO_TRANS or not c.flags.writeable:
+        raise ShapeError("_gemm: c must be a writeable row-major matrix")
+    if np.may_share_memory(c, a) or np.may_share_memory(c, b):
+        raise ShapeError("_gemm: c overlaps an operand")
+    if _DGEMM is None or min(m, n) <= 1 or k == 0:
+        if beta == 0:
+            np.matmul(a, b, out=c)
+        else:
+            if beta != 1:
+                c *= beta
+            c += np.matmul(a, b)
+    else:
+        _DGEMM(_ROW_MAJOR, ta, tb, m, n, k, 1.0, a.ctypes.data, lda, b.ctypes.data, ldb,
+               float(beta), c.ctypes.data, ldc)
+
+
 # -- convolution --------------------------------------------------------------
 
 def _collapse_replication(gpad, ph, pw):
@@ -441,10 +536,10 @@ _STACK_ROWS = 256
 _GEMM_COLS = 16
 
 # The forward pass accumulates its tap GEMMs over blocks of about this many
-# output values (Cout x padded-pitch columns), 2 MB a block. Every tap re-reads
-# the block and its one temporary, so they must stay in cache rather than
-# stream through memory. Sizing by values, not columns, lets a small conv put
-# a whole batch in one block instead of making many tiny GEMM calls. A block
+# output values (Cout x padded-pitch columns), 2 MB a block. Every tap's GEMM
+# adds into the block, so it must stay in cache rather than stream through
+# memory. Sizing by values, not columns, lets a small conv put a whole batch
+# in one block instead of making many tiny GEMM calls. A block
 # of stacked taps is sized by twice their rows instead, when that is more than
 # Cout: their buffer (1 MB at most) then stays in cache beside the output.
 _BLOCK_VALUES = 262144
@@ -504,28 +599,22 @@ def _conv_forward(xf, wmat, chunks, bias, out):
     a band of rows can bring its real neighbours as its top and bottom halo.
     The output accumulates one GEMM per chunk of taps over blocks of about
     ``_BLOCK_VALUES`` output values of whole padded rows (a band of one image,
-    or several whole images); each block gets the bias and its cropped rows
-    are copied into out. A chunk of several taps is copied into one buffer,
-    allocated once per call. A 1x1 kernel runs one GEMM per image straight
-    into out. Columns between images are computed and cropped away.
+    or several whole images). A narrow conv's one chunk is one batched
+    ``np.matmul`` per block; with several chunks each group runs 2-D GEMMs,
+    the first chunk's writing the block and each later one adding into it
+    inside BLAS. Each block then gets the bias and its cropped rows are
+    copied into out. A chunk of several taps is copied into one buffer,
+    allocated once per call. Columns between images are computed and cropped
+    away.
     """
     groups, cin_g, n, hp, wp = xf.shape
     _, cout, h, w = out.shape
     cout_g = cout // groups
     xf = xf.reshape(groups, cin_g, -1)
-    if hp == h and wp == w:
-        # a 1x1 kernel: image b's output is one contiguous (Cout, H*W) block
-        for b in range(n):
-            np.matmul(wmat, _tap_rows(xf, chunks[0][1], b * h * w, h * w),
-                      out=out[b].reshape(groups, cout_g, h * w))
-        out += bias.reshape(cout, 1, 1)
-        return
     # A block is whole padded rows: a band of rows of one image, or as many
-    # whole padded images as fit; its last row stops at column w. The
-    # temporary has the block's row pitch too, since numpy adds arrays of
-    # equal strides several times faster than arrays of unequal strides.
-    # Stacked taps are copied into one buffer of the block's width, and their
-    # GEMM runs on a whole number of _GEMM_COLS columns, past the block's end.
+    # whole padded images as fit; its last row stops at column w. Stacked
+    # taps are copied into one buffer of the block's width, and their GEMM
+    # runs on a whole number of _GEMM_COLS columns, past the block's end.
     stacked = groups * chunks[0][0].stop if len(chunks[0][1]) > 1 else 0
     align = _GEMM_COLS if stacked and chunks[0][0].stop >= _GEMM_COLS else 1
     rows = max(cout, 2 * stacked)
@@ -537,7 +626,6 @@ def _conv_forward(xf, wmat, chunks, bias, out):
         band = pitch = -(-h // -(-rows * h * wp // _BLOCK_VALUES))   # split evenly
     widest = -(-min(per, n) * pitch * wp // align) * align
     acc_buf = np.empty(cout * widest)
-    tmp_buf = np.empty_like(acc_buf) if len(chunks) > 1 else None
     tap_buf = np.zeros(stacked * widest) if stacked else None
     for b in range(0, n, per):
         nb = min(per, n - b)
@@ -547,15 +635,13 @@ def _conv_forward(xf, wmat, chunks, bias, out):
             length = -(-(((nb - 1) * pitch + nr) * wp - (wp - w)) // align) * align
             full = cout * -(-nb * pitch * wp // align) * align
             acc = acc_buf[:full].reshape(groups, cout_g, -1)[..., :length]
-            if tmp_buf is not None:
-                tmp = tmp_buf[:full].reshape(groups, cout_g, -1)[..., :length]
             for ks, ss in chunks:
                 taps = _tap_rows(xf, ss, base, length, tap_buf)
-                if ks.start == 0:
-                    np.matmul(wmat[..., ks], taps, out=acc)
+                if len(chunks) == 1:
+                    np.matmul(wmat, taps, out=acc)
                 else:
-                    np.matmul(wmat[..., ks], taps, out=tmp)
-                    acc += tmp
+                    for j in range(groups):
+                        _gemm(wmat[j, :, ks], taps[j], acc[j], ks.start > 0)
             acc += bias.reshape(groups, cout_g, 1)
             np.copyto(out[b:b + nb, :, i:i + nr],
                       acc_buf[:full].reshape(cout, -1)[:, :nb * pitch * wp]
@@ -572,19 +658,21 @@ def conv2d(x, weights, bias, groups=1):
     xf = (groups, Cin/groups, N*Hp*Wp), so the N padded images sit end to end
     and output pixel (b, i, j) is flat index (b*Hp + i)*Wp + j. Tap (dy, dx) is
     then the strided slice of xf starting at dy*Wp + dx, for the whole batch at
-    once. The forward, ``_conv_forward``, accumulates one GEMM per chunk of
-    taps, block by block into the output: all taps in one chunk when they
-    stack to at most ``_STACK_ROWS`` rows (the 16- and 8-channel convs and
-    every stem), else one tap (a view of xf) or a small stack of taps when
-    Cin/groups is below Cout/groups or ``_MIN_GEMM_K``. The forward drops xf
-    once the output is written. The backward runs over the whole batch and
-    rebuilds xf from x, with the same pad, only for the weight gradient, one
-    GEMM per chunk of ``_tap_chunks``, so the tape keeps x's data only when
-    the weights need a gradient. The input gradient needs only the output
-    gradient and the weights: a narrow conv gathers it, one stacked GEMM per
-    block of the output gradient's taps, and a wide one scatters it, adding
-    each chunk's GEMM into the columns its taps read. Columns between images
-    get zero gradient.
+    once. The forward, ``_conv_forward``, runs one GEMM per chunk of taps,
+    block by block into the output, each later chunk adding into the block
+    inside BLAS: all taps in one chunk when they stack to at most
+    ``_STACK_ROWS`` rows (the 16- and 8-channel convs and every stem), else
+    one tap (a view of xf) or a small stack of taps when Cin/groups is below
+    Cout/groups or ``_MIN_GEMM_K``. The forward
+    drops xf once the output is written. The backward runs over the whole
+    batch and rebuilds xf from x, with the same pad, only for the weight
+    gradient, one GEMM per chunk of ``_tap_chunks``, so the tape keeps x's
+    data only when the weights need a gradient. The input gradient needs only
+    the output gradient and the weights: a narrow conv gathers it, one
+    stacked GEMM per block of the output gradient's taps, and a wide one
+    scatters it, each tap's GEMM adding straight into the columns that tap
+    reads. Columns between images get zero gradient. A 1x1 kernel takes
+    ``_pointwise_conv`` instead, with no padded or channel-major copy.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -604,6 +692,8 @@ def conv2d(x, weights, bias, groups=1):
             f" input has Cin {cin}")
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({cout},)")
+    if kh == kw == 1:
+        return _pointwise_conv(x, weights, bias, groups)
 
     cout_g = cout // groups
     ph, pw = kh // 2, kw // 2
@@ -612,9 +702,8 @@ def conv2d(x, weights, bias, groups=1):
     span = m - (hp - h) * wp - (wp - w)          # flat index of the last output pixel + 1
 
     def fold(xd):
-        xt = xd.transpose(1, 0, 2, 3)            # a 1x1 kernel at N = 1 reshapes it without a copy
-        return (np.pad(xt, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge") if ph or pw
-                else xt).reshape(groups, cin_g, m)
+        return np.pad(xd.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                      mode="edge").reshape(groups, cin_g, m)
 
     xf = fold(x.data)
     wmat, fwd_chunks = _conv_taps(weights.data, groups, wp)
@@ -627,7 +716,7 @@ def conv2d(x, weights, bias, groups=1):
     chunks = _tap_chunks(weights.data, groups, wp)
     shifts = [s for _, ss in chunks for s in ss]
     # A narrow conv gathers its input gradient from gf zero-extended in front by
-    # the largest shift; a wide one, or a 1x1 (no shift), scatters it.
+    # the largest shift; a wide one scatters it.
     top = shifts[-1] if kh * kw * cout_g <= _STACK_ROWS else 0
 
     def bwd(g):
@@ -659,16 +748,59 @@ def conv2d(x, weights, bias, groups=1):
                     np.matmul(wt, _tap_rows(gfe, back, k, min(cols, m - k), buf),
                               out=gxf[..., k:k + cols])
             else:
-                # each chunk's GEMM is added into the columns its taps read
+                # each tap's GEMM adds into the columns the tap reads
                 gxf = np.zeros((groups, cin_g, m))
-                dx = np.empty((groups, chunks[0][0].stop, span))
-                for ks, ss in chunks:
-                    d = dx[:, :ks.stop - ks.start]
-                    np.matmul(wmat[..., ks].swapaxes(-1, -2), gf, out=d)
-                    for j, s in enumerate(ss):
-                        gxf[..., s:s + span] += d[:, j * cin_g:(j + 1) * cin_g]
+                for t, s in enumerate(shifts):
+                    for j in range(groups):
+                        _gemm(wmat[j, :, t * cin_g:(t + 1) * cin_g].T, gf[j],
+                              gxf[j, :, s:s + span], 1)
             gxf = gxf.reshape(cin, n, hp, wp).transpose(1, 0, 2, 3)
             accumulate_grad(xn, _collapse_replication(gxf, ph, pw))
+
+    return make_op(out_data, (x, weights, bias), bwd, "conv2d")
+
+
+def _pointwise_conv(x, weights, bias, groups):
+    """conv2d with a 1x1 kernel: one GEMM per image and group on the arrays as given.
+
+    Image b's channels already form a (Cin, H*W) matrix, so nothing is padded
+    or folded channel-major. The forward's GEMM adds each image's product to
+    the bias already in its output: addition commutes, so every value is the
+    product plus the bias rounded once, the bits of adding the bias after,
+    as long as BLAS sums the Cin/groups terms in one pass (OpenBLAS's inner
+    block is 384 on AVX-512; the head has 64). The input gradient lands in
+    (N, Cin, H, W) image by image, and the weight gradient sums the images
+    in order, each GEMM adding into it inside BLAS.
+    """
+    n, cin, h, w = x.data.shape
+    cout = weights.data.shape[0]
+    cin_g, cout_g = cin // groups, cout // groups
+    wmat = weights.data.reshape(groups, cout_g, cin_g)
+    xs = x.data.reshape(n, groups, cin_g, h * w)
+    out_data = np.empty((n, cout, h, w))
+    outs = out_data.reshape(n, groups, cout_g, h * w)
+    for b in range(n):
+        out_data[b] = bias.data.reshape(cout, 1, 1)
+        for j in range(groups):
+            _gemm(wmat[j], xs[b, j], outs[b, j], 1)
+    xn, wn, bn, wshape = x._node, weights._node, bias._node, weights.data.shape
+    xkept = xs if wn.requires_grad else None     # read only by the weight gradient
+
+    def bwd(g):
+        if bn.requires_grad:
+            accumulate_grad(bn, g.sum(axis=(0, 2, 3)))
+        gs = np.ascontiguousarray(g).reshape(n, groups, cout_g, h * w)
+        if wn.requires_grad:
+            dw = np.empty((groups, cout_g, cin_g))
+            for j in range(groups):
+                for b in range(n):
+                    _gemm(gs[b, j], xkept[b, j].T, dw[j], b > 0)
+            accumulate_grad(wn, dw.reshape(wshape))
+        if xn.requires_grad:
+            dx = np.empty((n, groups, cin_g, h * w))
+            for b in range(n):
+                np.matmul(wmat.swapaxes(-1, -2), gs[b], out=dx[b])
+            accumulate_grad(xn, dx.reshape(n, cin, h, w))
 
     return make_op(out_data, (x, weights, bias), bwd, "conv2d")
 

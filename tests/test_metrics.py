@@ -172,6 +172,24 @@ def test_evaluate_report_rows_and_csv(tmp_path):
     assert float(rows[1][1]) == pytest.approx(report.rows[0].psnr_noisy)
 
 
+def test_evaluate_scores_each_image_as_ssim_image_does():
+    # evaluate reuses the clean image's two window moments for its second
+    # score; every column keeps the bits of a fresh ssim_image call
+    ckpt, imgs = tiny_checkpoint(model_kind="kpn")
+    data = [(f"im{i}", im) for i, im in enumerate(imgs)]
+    report = evaluate(ckpt, data, seed=2)
+    for i, (row, img) in enumerate(zip(report.rows, imgs)):
+        noisy = metrics.add_noise(img, ckpt.config.noise_model(), np.random.default_rng([2, i]))
+        den, _ = metrics.denoise_image(ckpt.params, ckpt.config.kpn_config(), noisy)
+        assert row.ssim_noisy == ssim_image(img, noisy)
+        assert row.ssim_denoised == ssim_image(img, den)
+    a, b = noisy_pair((97, 131))
+    full = metrics._window_moments(a, b, 11)
+    other = np.clip(b[::-1] + 0.01, 0, 1)
+    again = metrics._window_moments(a, other, 11, clean=full[[0, 2]])
+    assert np.array_equal(again, metrics._window_moments(a, other, 11))
+
+
 def test_evaluate_deterministic_per_seed():
     ckpt, imgs = tiny_checkpoint()
     data = [(f"im{i}", im) for i, im in enumerate(imgs)]

@@ -188,6 +188,8 @@ def blocked_conv2d(block_values, *args, **kwargs):
 @example((2, 16, 16, 2, 3, 3, 5, 6, 28, 262144))    # SMOKE grouped 8-channel conv: stacked
 @example((2, 16, 16, 1, 3, 3, 7, 6, 29, 4100))      # 144 stacked rows: 2-row blocks, the last of 1
 @example((3, 16, 8, 2, 3, 3, 4, 5, 30, 26000))      # stacked, grouped: 2 whole images, then 1
+@example((4, 3, 7, 1, 1, 1, 3, 5, 41, 262144))      # 1x1, N > 1, Cout > Cin: per-image GEMMs
+@example((3, 4, 8, 2, 1, 1, 4, 3, 42, 262144))      # grouped 1x1, N > 1, Cout > Cin
 def test_conv2d_property_matches_naive_oracle(case):
     n, cin, cout, groups, kh, kw, h, w, seed, block_values = case
     rng = np.random.default_rng(seed)
@@ -216,9 +218,16 @@ def test_conv2d_property_matches_naive_oracle(case):
 @example((2, 16, 16, 2, 3, 3, 5, 6, 33, 262144))    # SMOKE grouped 8-channel conv: stacked
 @example((2, 16, 16, 1, 3, 3, 7, 6, 34, 4100))      # 144 stacked rows: 2-row blocks, the last of 1
 @example((3, 16, 8, 2, 3, 3, 4, 5, 35, 26000))      # stacked, grouped: 2 whole images, then 1
+@example((2, 1, 1, 1, 3, 3, 1, 1, 233, 1))          # 1x1 image: the output's terms cancel
+@example((4, 3, 7, 1, 1, 1, 3, 5, 43, 262144))      # 1x1, N > 1, Cout > Cin: per-image backward
+@example((3, 4, 8, 2, 1, 1, 4, 3, 44, 262144))      # grouped 1x1, N > 1, Cout > Cin
 def test_conv2d_backward_is_adjoint_of_forward(case):
     # conv2d with zero bias is bilinear, so <conv(x, W), g> = <x, dX> = <W, dW>;
-    # a gradient leaking across image borders in the folded layout breaks it
+    # a gradient leaking across image borders in the folded layout breaks it.
+    # Each side's rounding error is bounded by its absolute terms, so each
+    # check is scaled by both sides' sums of |terms|: Sum|out*g| alone can be
+    # tiny where the output cancels, as on a 1x1 image whose taps all read
+    # one pixel.
     n, cin, cout, groups, kh, kw, h, w, seed, block_values = case
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(n, cin, h, w)), requires_grad=True)
@@ -228,8 +237,56 @@ def test_conv2d_backward_is_adjoint_of_forward(case):
     reduce_sum(mul(out, Tensor(g))).backward()
     ref = float((out.data * g).sum())
     scale = float(np.abs(out.data * g).sum())
-    assert abs(float((x.data * x.grad).sum()) - ref) <= 1e-12 * scale
-    assert abs(float((wt.data * wt.grad).sum()) - ref) <= 1e-12 * scale
+    for v, dv in ((x.data, x.grad), (wt.data, wt.grad)):
+        assert abs(float((v * dv).sum()) - ref) <= 1e-12 * (float(np.abs(v * dv).sum()) + scale)
+
+
+@pytest.mark.parametrize("n, cin, cout, groups, k, h, w", [
+    (2, 64, 64, 1, 3, 10, 13),       # wide: per-tap GEMMs accumulate, the input gradient scatters
+    (2, 64, 64, 2, 3, 10, 13),       # wide, grouped: one 2-D GEMM per group
+    (4, 16, 40, 1, 1, 6, 7),         # 1x1, N = 4, Cout > Cin: per-image GEMMs
+    (2, 16, 16, 2, 3, 9, 8),         # narrow: stacked taps, gathered input gradient
+])
+def test_conv2d_bytes_match_the_numpy_fallback(n, cin, cout, groups, k, h, w, monkeypatch):
+    # _gemm's BLAS update C = A B + beta C keeps the bits of np.matmul plus an add
+    rng = np.random.default_rng([45, cin, groups, k])
+    xv, wv = rng.normal(size=(n, cin, h, w)), rng.normal(size=(cout, cin // groups, k, k))
+    bv, u = rng.normal(size=cout), rng.normal(size=(n, cout, h, w))
+
+    def run():
+        x, wt, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+        out = conv2d(x, wt, b, groups=groups)
+        reduce_sum(mul(out, Tensor(u))).backward()
+        return [a.tobytes() for a in (out.data, x.grad, wt.grad, b.grad)]
+
+    blas = run()
+    monkeypatch.setattr(tensor, "_DGEMM", None)
+    assert run() == blas
+
+
+def test_gemm_updates_in_place_and_rejects_strided_operands():
+    rng = np.random.default_rng(46)
+    a, b, c0 = rng.normal(size=(5, 3)), rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+    c = c0.copy()
+    tensor._gemm(a.T, b, c, 1)                   # a transposed operand is read as such
+    assert np.allclose(c, a.T @ b + c0, rtol=0, atol=1e-14)
+    tensor._gemm(a.T, b, c, 0)
+    assert np.allclose(c, a.T @ b, rtol=0, atol=1e-14)
+    wide = rng.normal(size=(3, 10))
+    with pytest.raises(ShapeError):              # non-unit column stride
+        tensor._gemm(wide[:, ::2], b, c, 0)
+    with pytest.raises(ShapeError):              # shapes that do not chain
+        tensor._gemm(a, b, c, 0)
+    with pytest.raises(ShapeError):              # output overlapping an operand
+        tensor._gemm(wide[:, :3], wide[:, 3:7], wide[:, 6:10], 0)
+
+
+def test_gemm_binds_the_openblas_numpy_ships():
+    # a silent fallback to np.matmul would cost conv2d its in-place updates unseen
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if not sorted(libs.glob("libscipy_openblas64_*")):
+        pytest.skip("this numpy ships no scipy-openblas library")
+    assert tensor._DGEMM is not None
 
 
 def test_box_filter_matches_naive_window_mean():
