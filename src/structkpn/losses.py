@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradstats import SIGMA_L1, SIGMA_L2, GradStatsMap
-from .tensor import (Tensor, ShapeError, abs_val, add, mul, reduce_mean, reduce_sum,
-                     ssim_from_moments, ssim_map, sub)
+from .tensor import (Tensor, ShapeError, abs_val, add, mul, reduce_mean, ssim_from_moments,
+                     ssim_map, sub)
 
 __all__ = [
     "SsimConstants",
@@ -63,20 +63,16 @@ def l2_pixel(yhat, y):
 
 
 def ssim_patch(p, q, consts=SsimConstants()):
-    """Single-window SSIM of two equally-shaped patches, in (-1, 1].
+    """Single-window SSIM of two equally-shaped array patches, a float in (-1, 1].
 
-    Window statistics use the uniform normalized window over the whole
-    patch. Tensor input gives a differentiable scalar Tensor; plain
-    arrays give a float.
+    Window statistics use the uniform normalized window over the whole patch.
     """
-    pt = p if isinstance(p, Tensor) else Tensor(p)
-    qt = q if isinstance(q, Tensor) else Tensor(q)
-    if pt.data.shape != qt.data.shape:
-        raise ShapeError(f"ssim_patch: patch shapes {pt.data.shape} != {qt.data.shape}")
-    w = Tensor(window_weights(pt.data.shape[-2:]).reshape(pt.data.shape))
-    s = ssim_from_moments(reduce_sum(pt * w), reduce_sum(qt * w), reduce_sum(pt * pt * w),
-                          reduce_sum(qt * qt * w), reduce_sum(pt * qt * w), consts)
-    return s if isinstance(p, Tensor) or isinstance(q, Tensor) else s.item()
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ShapeError(f"ssim_patch: patch shapes {p.shape} != {q.shape}")
+    w = window_weights(p.shape[-2:]).reshape(p.shape)
+    return float(ssim_from_moments((p * w).sum(), (q * w).sum(), (p * p * w).sum(),
+                                   (q * q * w).sum(), (p * q * w).sum(), consts))
 
 
 def loss_weights(stats: GradStatsMap, sigma_l2=SIGMA_L2, sigma_l1=SIGMA_L1):

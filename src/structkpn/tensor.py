@@ -23,26 +23,24 @@ which keeps no non-leaf grad unless asked.
 
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
 end to end, so each kernel tap is one strided slice of it, and works over
-cache-sized blocks written straight into the output. A wide conv accumulates
-one GEMM per tap (or small chunk of taps) in the block itself, with no column
-buffer and no temporary, and its backward adds each tap's input gradient
-straight into the columns that tap reads; a narrow one copies a block's taps
-into one reused buffer and runs one GEMM per block, and gathers its input
-gradient the same way. A 1x1 conv pads nothing: it runs one GEMM per image
-on the input as given. Its backward keeps no padded copy: it re-pads the
-input, which it keeps only for the weight gradient. The forward's core,
-``_conv_forward``, takes a buffer its caller has padded, so
-``kpn.denoise_image`` runs the same GEMMs on row bands that bring their own
-halo rows.
+cache-sized blocks written straight into the output. At every width it
+accumulates one GEMM per tap (or small chunk of taps) in the block itself,
+with no column buffer and no temporary, and its backward adds each tap's
+input gradient straight into the columns that tap reads. A 1x1 conv pads
+nothing: it runs one GEMM per image on the input as given. Its backward
+keeps no padded copy: it re-pads the input, which it keeps only for the
+weight gradient. The forward's core, ``_conv_forward``, takes a buffer its
+caller has padded, so ``kpn.denoise_image`` runs the same GEMMs on row bands
+that bring their own halo rows.
 
 A conv GEMM that adds into its output goes through ``_gemm``,
 C = A B + beta C, the update BLAS computes natively: it calls the CBLAS
 dgemm of the OpenBLAS that numpy ships and has already loaded, through
 ``ctypes``, so taps, groups and images accumulate inside BLAS. Where numpy
 ships no such library, ``_gemm`` runs ``np.matmul`` and an add, the same
-arithmetic and the same bits. A GEMM that only writes its output (a narrow
-conv's, a weight gradient's) stays one batched ``np.matmul`` over the
-groups, which costs less per call.
+arithmetic and the same bits. The GEMMs that only write their output, a
+k x k conv's weight gradient and a 1x1 conv's input gradient, stay one
+batched ``np.matmul`` over the groups, which costs less per call.
 
 ``local_conv`` applies a per-pixel filter field, the one op the kernel
 prediction network adds to a plain CNN; its window sum ``_filter_window`` is
@@ -520,21 +518,6 @@ def _collapse_replication(gpad, ph, pw):
 # size reaches Cout_g and at least this many rows.
 _MIN_GEMM_K = 8
 
-# A narrow conv, whose taps stacked (taps x Cin_g rows) make at most this many
-# rows, runs its forward as one GEMM per block over all of them: one copy of
-# the block's taps beats a GEMM and an add per tap. At 64 channels (576 rows,
-# or 288 in 2 groups) the per-tap chunks are faster.
-_STACK_ROWS = 256
-
-# OpenBLAS computes a GEMM's columns in groups (of 8 on AVX-512), and at an
-# inner size of 16 or more the columns of a short last group round differently
-# from full ones, so a column's bits depend on where its block ends. A stacked
-# GEMM of that inner size runs on a whole number of this many columns instead,
-# which makes the row bands of kpn.denoise_image match the whole-image forward
-# bit for bit. Narrower stacks, such as the stem's 9 taps, keep their exact
-# width and their bits.
-_GEMM_COLS = 16
-
 # The forward pass accumulates its tap GEMMs over blocks of about this many
 # output values (Cout x padded-pitch columns), 2 MB a block. Every tap's GEMM
 # adds into the block, so it must stay in cache rather than stream through
@@ -545,50 +528,38 @@ _GEMM_COLS = 16
 _BLOCK_VALUES = 262144
 
 
-def _tap_chunks(wdata, groups, wp):
-    """The flat shifts dy*wp + dx of a kernel's taps, grouped into conv2d's chunks.
+def _conv_taps(wdata, groups, wp):
+    """conv2d's weight matrix and tap chunks for a kernel over rows of pitch wp.
 
-    A chunk is (its columns of ``_conv_taps``' weight matrix, its shifts).
+    Column t*Cin_g + c of the (groups, Cout_g, taps*Cin_g) matrix holds the
+    weight of input channel c at tap t, the row order of ``_tap_rows``. A
+    chunk is (its columns of that matrix, the flat shifts dy*wp + dx of its
+    taps); it holds one tap unless ``_MIN_GEMM_K`` asks for more.
     """
     cout, cin_g, kh, kw = wdata.shape
     taps = kh * kw
     shifts = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
     step = -(-max(cout // groups, _MIN_GEMM_K) // cin_g)    # taps per chunk
-    return [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
-            for t in range(0, taps, step)]
-
-
-def _conv_taps(wdata, groups, wp):
-    """conv2d's weight matrix and forward tap chunks for a kernel over rows of pitch wp.
-
-    Column t*Cin_g + c of the (groups, Cout_g, taps*Cin_g) matrix holds the
-    weight of input channel c at tap t, the row order of ``_tap_rows``. A
-    narrow conv (at most ``_STACK_ROWS`` columns) has one chunk of all its
-    taps; a wider one has ``_tap_chunks``.
-    """
-    cout, cin_g, kh, kw = wdata.shape
-    chunks = _tap_chunks(wdata, groups, wp)
-    if kh * kw * cin_g <= _STACK_ROWS:
-        chunks = [(slice(0, kh * kw * cin_g), [s for _, ss in chunks for s in ss])]
-    wmat = wdata.reshape(groups, cout // groups, cin_g, kh * kw).swapaxes(2, 3) \
-        .reshape(groups, cout // groups, kh * kw * cin_g)
+    chunks = [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
+              for t in range(0, taps, step)]
+    wmat = wdata.reshape(groups, cout // groups, cin_g, taps).swapaxes(2, 3) \
+        .reshape(groups, cout // groups, taps * cin_g)
     return wmat, chunks
 
 
 def _tap_rows(xf, ss, base, length, buf=None):
-    """The GEMM operand of a chunk's taps: flat slices of xf, stacked when several.
+    """The GEMM operand of a chunk's taps: flat slices of xf (..., Cin_g, M), stacked when several.
 
     Stacked taps are copied into the front of ``buf`` when one is given.
     """
     if len(ss) == 1:
         return xf[..., base + ss[0]:base + ss[0] + length]
-    groups, cin_g = xf.shape[:2]
-    shape = (groups, len(ss), cin_g, length)
+    lead = xf.shape[:-2]
+    shape = lead + (len(ss), xf.shape[-2], length)
     rows = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
     for j, s in enumerate(ss):
-        tap = xf[..., base + s:base + s + length]
-        rows[:, j, :, :tap.shape[-1]] = tap      # columns past xf's end are left as they are
-    return rows.reshape(groups, -1, length)
+        rows[..., j, :, :] = xf[..., base + s:base + s + length]
+    return rows.reshape(lead + (-1, length))
 
 
 def _conv_forward(xf, wmat, chunks, bias, out):
@@ -597,55 +568,46 @@ def _conv_forward(xf, wmat, chunks, bias, out):
     xf is (groups, Cin/groups, N, Hp, Wp): N inputs, each already padded by
     kh//2 rows and kw//2 columns; out is (N, Cout, H, W). The caller pads, so
     a band of rows can bring its real neighbours as its top and bottom halo.
-    The output accumulates one GEMM per chunk of taps over blocks of about
-    ``_BLOCK_VALUES`` output values of whole padded rows (a band of one image,
-    or several whole images). A narrow conv's one chunk is one batched
-    ``np.matmul`` per block; with several chunks each group runs 2-D GEMMs,
-    the first chunk's writing the block and each later one adding into it
-    inside BLAS. Each block then gets the bias and its cropped rows are
-    copied into out. A chunk of several taps is copied into one buffer,
-    allocated once per call. Columns between images are computed and cropped
-    away.
+    The output accumulates one 2-D GEMM per chunk of taps and group over
+    blocks of about ``_BLOCK_VALUES`` output values of whole padded rows (a
+    band of one image, or several whole images), group by group, so a
+    group's rows stay in cache across its taps: the first chunk's GEMM writes
+    them and each later one adds into them inside BLAS. Each block then
+    gets the bias and its cropped rows are copied into out. A chunk of
+    several taps is copied into one buffer, allocated once per call. Columns
+    between images are computed and cropped away.
     """
     groups, cin_g, n, hp, wp = xf.shape
     _, cout, h, w = out.shape
     cout_g = cout // groups
     xf = xf.reshape(groups, cin_g, -1)
     # A block is whole padded rows: a band of rows of one image, or as many
-    # whole padded images as fit; its last row stops at column w. Stacked
-    # taps are copied into one buffer of the block's width, and their GEMM
-    # runs on a whole number of _GEMM_COLS columns, past the block's end.
-    stacked = groups * chunks[0][0].stop if len(chunks[0][1]) > 1 else 0
-    align = _GEMM_COLS if stacked and chunks[0][0].stop >= _GEMM_COLS else 1
-    rows = max(cout, 2 * stacked)
+    # whole padded images as fit; its last row stops at column w.
+    stacked = chunks[0][0].stop if len(chunks[0][1]) > 1 else 0   # a chunk's rows per group
+    rows = max(cout, 2 * groups * stacked)
     per = _BLOCK_VALUES // (rows * hp * wp)            # images per block
     if per > 1:
         band, pitch = h, hp
     else:
         per = 1
         band = pitch = -(-h // -(-rows * h * wp // _BLOCK_VALUES))   # split evenly
-    widest = -(-min(per, n) * pitch * wp // align) * align
+    widest = min(per, n) * pitch * wp
     acc_buf = np.empty(cout * widest)
-    tap_buf = np.zeros(stacked * widest) if stacked else None
+    tap_buf = np.empty(stacked * widest) if stacked else None
     for b in range(0, n, per):
         nb = min(per, n - b)
         for i in range(0, h, band):
             nr = min(band, h - i)
             base = (b * hp + i) * wp
-            length = -(-(((nb - 1) * pitch + nr) * wp - (wp - w)) // align) * align
-            full = cout * -(-nb * pitch * wp // align) * align
-            acc = acc_buf[:full].reshape(groups, cout_g, -1)[..., :length]
-            for ks, ss in chunks:
-                taps = _tap_rows(xf, ss, base, length, tap_buf)
-                if len(chunks) == 1:
-                    np.matmul(wmat, taps, out=acc)
-                else:
-                    for j in range(groups):
-                        _gemm(wmat[j, :, ks], taps[j], acc[j], ks.start > 0)
+            length = ((nb - 1) * pitch + nr) * wp - (wp - w)
+            block = acc_buf[:cout * nb * pitch * wp].reshape(cout, nb, pitch, wp)
+            acc = block.reshape(groups, cout_g, -1)[..., :length]
+            for j in range(groups):
+                for ks, ss in chunks:
+                    taps = _tap_rows(xf[j], ss, base, length, tap_buf)
+                    _gemm(wmat[j, :, ks], taps, acc[j], ks.start > 0)
             acc += bias.reshape(groups, cout_g, 1)
-            np.copyto(out[b:b + nb, :, i:i + nr],
-                      acc_buf[:full].reshape(cout, -1)[:, :nb * pitch * wp]
-                      .reshape(cout, nb, pitch, wp)[:, :, :nr, :w].transpose(1, 0, 2, 3))
+            np.copyto(out[b:b + nb, :, i:i + nr], block[:, :, :nr, :w].transpose(1, 0, 2, 3))
 
 
 def conv2d(x, weights, bias, groups=1):
@@ -660,19 +622,16 @@ def conv2d(x, weights, bias, groups=1):
     then the strided slice of xf starting at dy*Wp + dx, for the whole batch at
     once. The forward, ``_conv_forward``, runs one GEMM per chunk of taps,
     block by block into the output, each later chunk adding into the block
-    inside BLAS: all taps in one chunk when they stack to at most
-    ``_STACK_ROWS`` rows (the 16- and 8-channel convs and every stem), else
-    one tap (a view of xf) or a small stack of taps when Cin/groups is below
-    Cout/groups or ``_MIN_GEMM_K``. The forward
-    drops xf once the output is written. The backward runs over the whole
-    batch and rebuilds xf from x, with the same pad, only for the weight
-    gradient, one GEMM per chunk of ``_tap_chunks``, so the tape keeps x's
-    data only when the weights need a gradient. The input gradient needs only
-    the output gradient and the weights: a narrow conv gathers it, one
-    stacked GEMM per block of the output gradient's taps, and a wide one
-    scatters it, each tap's GEMM adding straight into the columns that tap
-    reads. Columns between images get zero gradient. A 1x1 kernel takes
-    ``_pointwise_conv`` instead, with no padded or channel-major copy.
+    inside BLAS: a chunk is one tap (a view of xf), or a small stack of taps
+    when Cin/groups is below Cout/groups or ``_MIN_GEMM_K`` (every stem). The
+    forward drops xf once the output is written. The backward runs over the
+    whole batch and rebuilds xf from x, with the same pad, only for the weight
+    gradient, one GEMM per forward chunk, so the tape keeps x's data only when
+    the weights need a gradient. The input gradient needs only the output
+    gradient and the weights: it scatters, each tap's GEMM adding straight
+    into the columns that tap reads. Columns between images get zero
+    gradient. A 1x1 kernel takes ``_pointwise_conv`` instead, with no padded
+    or channel-major copy.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -706,26 +665,20 @@ def conv2d(x, weights, bias, groups=1):
                       mode="edge").reshape(groups, cin_g, m)
 
     xf = fold(x.data)
-    wmat, fwd_chunks = _conv_taps(weights.data, groups, wp)
+    wmat, chunks = _conv_taps(weights.data, groups, wp)
     out_data = np.empty((n, cout, h, w))
-    _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, fwd_chunks, bias.data, out_data)
+    _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, chunks, bias.data, out_data)
     del xf                                       # the backward re-pads x
     xn, wn, bn, wshape = x._node, weights._node, bias._node, weights.data.shape
     xd = x.data if wn.requires_grad else None    # read only by the weight gradient
-
-    chunks = _tap_chunks(weights.data, groups, wp)
     shifts = [s for _, ss in chunks for s in ss]
-    # A narrow conv gathers its input gradient from gf zero-extended in front by
-    # the largest shift; a wide one scatters it.
-    top = shifts[-1] if kh * kw * cout_g <= _STACK_ROWS else 0
 
     def bwd(g):
         if bn.requires_grad:
             accumulate_grad(bn, g.sum(axis=(0, 2, 3)))
-        gfe = np.zeros((cout, top + m))
-        gfe[:, top:].reshape(cout, n, hp, wp)[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
-        gfe = gfe.reshape(groups, cout_g, top + m)
-        gf = gfe[..., top:top + span]
+        gf = np.zeros((cout, m))
+        gf.reshape(cout, n, hp, wp)[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
+        gf = gf.reshape(groups, cout_g, m)[..., :span]
         if wn.requires_grad:
             xf = fold(xd)
             dw = np.empty_like(wmat)
@@ -735,25 +688,12 @@ def conv2d(x, weights, bias, groups=1):
             accumulate_grad(wn, dw.reshape(groups, cout_g, kh * kw, cin_g).swapaxes(2, 3)
                             .reshape(wshape))
         if xn.requires_grad:
-            if top:
-                # input column k gets W_t^T gf[k - s_t] from every tap t: the forward's
-                # stacked GEMM per block, over gf's taps and the transposed weights
-                wt = wmat.reshape(groups, cout_g, kh * kw, cin_g).transpose(0, 3, 2, 1) \
-                    .reshape(groups, cin_g, -1)
-                back = [top - s for s in shifts]
-                cols = max(1, _BLOCK_VALUES // max(cin, 2 * groups * wt.shape[-1]))
-                buf = np.empty(groups * wt.shape[-1] * cols)
-                gxf = np.empty((groups, cin_g, m))
-                for k in range(0, m, cols):
-                    np.matmul(wt, _tap_rows(gfe, back, k, min(cols, m - k), buf),
-                              out=gxf[..., k:k + cols])
-            else:
-                # each tap's GEMM adds into the columns the tap reads
-                gxf = np.zeros((groups, cin_g, m))
+            # each tap's GEMM adds into the columns the tap reads
+            gxf = np.zeros((groups, cin_g, m))
+            for j in range(groups):
                 for t, s in enumerate(shifts):
-                    for j in range(groups):
-                        _gemm(wmat[j, :, t * cin_g:(t + 1) * cin_g].T, gf[j],
-                              gxf[j, :, s:s + span], 1)
+                    _gemm(wmat[j, :, t * cin_g:(t + 1) * cin_g].T, gf[j],
+                          gxf[j, :, s:s + span], 1)
             gxf = gxf.reshape(cin, n, hp, wp).transpose(1, 0, 2, 3)
             accumulate_grad(xn, _collapse_replication(gxf, ph, pw))
 

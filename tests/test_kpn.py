@@ -268,14 +268,18 @@ def test_denoise_image_bands_match_whole_image(monkeypatch, kind, softmax, band_
     assert den.tobytes() == again[0].tobytes() and kernels.tobytes() == again[1].tobytes()
 
 
-@pytest.mark.parametrize("kind, softmax", [("kpn", False), ("kpn", True), ("plain-cnn", False)])
+@pytest.mark.parametrize("kind, softmax, stem_channels", [
+    ("kpn", False, 8), ("kpn", True, 8), ("plain-cnn", False, 8), ("kpn", True, 16)],
+    ids=["kpn-False", "kpn-True", "plain-cnn-False", "kpn-True-16"])
 @pytest.mark.parametrize("blocks", [0, 1, 2])
-def test_denoise_image_stream_matches_kpn_apply(monkeypatch, kind, softmax, blocks):
+def test_denoise_image_stream_matches_kpn_apply(monkeypatch, kind, softmax, stem_channels,
+                                                blocks):
     # the backbone lags its input by 1 + 2 * blocks rows (5 at 2 blocks); bands
     # of 1, 2 and 3 rows are shorter than that, 4 rows do not divide 13, and 20
     # rows take the image in one band; images of 1 and 5 rows are no taller
-    # than the lag at 2 blocks
-    cfg = KpnConfig(kernel_size=5, stem_channels=8, num_res_blocks=blocks, groups=2,
+    # than the lag at 2 blocks. 16 channels is the SMOKE width, where a band's
+    # per-tap sums can round differently from the whole image's.
+    cfg = KpnConfig(kernel_size=5, stem_channels=stem_channels, num_res_blocks=blocks, groups=2,
                     softmax_normalize_kernels=softmax, model_kind=kind)
     params = build_model(cfg, seed=4)
     rng = np.random.default_rng(54)

@@ -3,8 +3,9 @@ import pytest
 
 from structkpn.gradstats import GradStatsMap, stats_map
 from structkpn.losses import (SsimConstants, LossWeights, l1_pixel, l2_pixel,
-                              ssim_patch, loss_weights, struct_loss)
-from structkpn.tensor import Tensor, ShapeError, backward, grad_check, reduce_sum
+                              ssim_patch, loss_weights, struct_loss, window_weights)
+from structkpn.tensor import (Tensor, ShapeError, backward, grad_check, reduce_sum,
+                              ssim_from_moments)
 from helpers import direct_ssim
 
 
@@ -84,17 +85,17 @@ def test_ssim_patch_bounds_and_contrast_penalty():
     assert -1.0 <= ssim_patch(p, 1.0 - p) <= 1.0
 
 
-def test_ssim_patch_tensor_path_matches_numpy_and_differentiates():
+def test_ssim_patch_matches_the_tensor_moments_formula():
+    # ssim_patch takes arrays only; its moments are the same (x * w).sum()
+    # that the formula gives over Tensors, so its float keeps those bits
     rng = np.random.default_rng(27)
     p = rng.random((7, 7))
     q = rng.random((7, 7))
-    val_np = ssim_patch(p, q)
-    pt = Tensor(p, requires_grad=True, name="p")
-    out = ssim_patch(pt, q)
-    assert abs(out.item() - val_np) <= 1e-14
-
-    report = grad_check(lambda ps: ssim_patch(ps[0], q), [pt], coords_per_param=15)
-    assert report.passed, report.per_param
+    pt, qt, w = Tensor(p), Tensor(q), Tensor(window_weights(p.shape))
+    s = ssim_from_moments(reduce_sum(pt * w), reduce_sum(qt * w), reduce_sum(pt * pt * w),
+                          reduce_sum(qt * qt * w), reduce_sum(pt * qt * w), SsimConstants())
+    val = ssim_patch(p, q)
+    assert isinstance(val, float) and val == s.item()
 
 
 def test_ssim_patch_shape_mismatch():

@@ -180,14 +180,14 @@ def blocked_conv2d(block_values, *args, **kwargs):
 @example((2, 1, 3, 1, 3, 3, 5, 6, 20, 262144))      # 3x3, Cin = 1
 @example((2, 2, 2, 1, 3, 3, 5, 6, 21, 262144))      # 3x3, Cin = Cout
 @example((2, 4, 6, 2, 3, 3, 5, 6, 22, 262144))      # 3x3, grouped
-@example((1, 28, 2, 1, 3, 3, 4, 5, 23, 262144))     # 252 stacked rows: one stacked chunk
-@example((1, 29, 2, 1, 3, 3, 4, 5, 24, 262144))     # 261 rows, over _STACK_ROWS: per-tap chunks
-@example((1, 85, 2, 1, 1, 3, 3, 4, 25, 262144))     # 1x3 at 255 stacked rows
+@example((1, 28, 2, 1, 3, 3, 4, 5, 23, 262144))     # Cin = 28 > Cout: one tap per chunk
+@example((1, 29, 2, 1, 3, 3, 4, 5, 24, 262144))     # Cin = 29 > Cout: one tap per chunk
+@example((1, 85, 2, 1, 1, 3, 3, 4, 25, 262144))     # 1x3, Cin = 85: per-tap chunks
 @example((1, 86, 2, 1, 1, 3, 3, 4, 26, 262144))     # 1x3 at 258 rows: per-tap chunks
-@example((2, 16, 16, 1, 3, 3, 5, 6, 27, 262144))    # SMOKE 16-channel conv: taps stacked
-@example((2, 16, 16, 2, 3, 3, 5, 6, 28, 262144))    # SMOKE grouped 8-channel conv: stacked
-@example((2, 16, 16, 1, 3, 3, 7, 6, 29, 4100))      # 144 stacked rows: 2-row blocks, the last of 1
-@example((3, 16, 8, 2, 3, 3, 4, 5, 30, 26000))      # stacked, grouped: 2 whole images, then 1
+@example((2, 16, 16, 1, 3, 3, 5, 6, 27, 262144))    # SMOKE 16-channel conv: per-tap chunks
+@example((2, 16, 16, 2, 3, 3, 5, 6, 28, 262144))    # SMOKE grouped 8-channel conv: per-tap chunks
+@example((2, 16, 16, 1, 3, 3, 7, 6, 29, 4100))      # 16 channels: both images in one small block
+@example((3, 16, 8, 2, 3, 3, 4, 5, 30, 26000))      # grouped, Cout < Cin: 3 whole images a block
 @example((4, 3, 7, 1, 1, 1, 3, 5, 41, 262144))      # 1x1, N > 1, Cout > Cin: per-image GEMMs
 @example((3, 4, 8, 2, 1, 1, 4, 3, 42, 262144))      # grouped 1x1, N > 1, Cout > Cin
 def test_conv2d_property_matches_naive_oracle(case):
@@ -205,7 +205,7 @@ def test_conv2d_property_matches_naive_oracle(case):
 @given(conv_cases())
 @example((3, 4, 6, 2, 3, 3, 4, 7, 5, 262144))       # grouped, batch folded end to end
 @example((3, 3, 9, 1, 1, 1, 4, 6, 6, 262144))       # 1x1 with N > 1: one GEMM per image
-@example((2, 1, 4, 1, 3, 3, 5, 7, 7, 262144))       # stem: Cin = 1, taps stacked in one chunk
+@example((2, 1, 4, 1, 3, 3, 5, 7, 7, 262144))       # stem: Cin = 1, all 9 taps in one chunk
 @example((2, 1, 1, 1, 1, 11, 6, 9, 8, 262144))      # 1x11 row kernel
 @example((2, 1, 1, 1, 11, 1, 9, 6, 9, 262144))      # 11x1 column kernel
 @example((3, 4, 6, 2, 3, 3, 7, 9, 14, 100))         # grouped: 2-row blocks, the last of 1
@@ -213,11 +213,11 @@ def test_conv2d_property_matches_naive_oracle(case):
 @example((2, 1, 1, 1, 1, 11, 7, 9, 16, 25))         # 1x11 rows: 2-row blocks, the last of 1
 @example((2, 1, 1, 1, 11, 1, 7, 6, 17, 25))         # 11x1 columns: 4- and 3-row blocks
 @example((3, 4, 6, 2, 3, 3, 4, 7, 19, 700))         # grouped: blocks of 2 whole images, then 1
-@example((1, 28, 2, 1, 3, 3, 4, 5, 31, 262144))     # 252 stacked rows: one stacked chunk
-@example((1, 29, 2, 1, 3, 3, 4, 5, 32, 262144))     # 261 rows, over _STACK_ROWS: per-tap chunks
-@example((2, 16, 16, 2, 3, 3, 5, 6, 33, 262144))    # SMOKE grouped 8-channel conv: stacked
-@example((2, 16, 16, 1, 3, 3, 7, 6, 34, 4100))      # 144 stacked rows: 2-row blocks, the last of 1
-@example((3, 16, 8, 2, 3, 3, 4, 5, 35, 26000))      # stacked, grouped: 2 whole images, then 1
+@example((1, 28, 2, 1, 3, 3, 4, 5, 31, 262144))     # Cin = 28 > Cout: one tap per chunk
+@example((1, 29, 2, 1, 3, 3, 4, 5, 32, 262144))     # Cin = 29 > Cout: one tap per chunk
+@example((2, 16, 16, 2, 3, 3, 5, 6, 33, 262144))    # SMOKE grouped 8-channel conv: per-tap chunks
+@example((2, 16, 16, 1, 3, 3, 7, 6, 34, 4100))      # 16 channels: both images in one small block
+@example((3, 16, 8, 2, 3, 3, 4, 5, 35, 26000))      # grouped, Cout < Cin: 3 whole images a block
 @example((2, 1, 1, 1, 3, 3, 1, 1, 233, 1))          # 1x1 image: the output's terms cancel
 @example((4, 3, 7, 1, 1, 1, 3, 5, 43, 262144))      # 1x1, N > 1, Cout > Cin: per-image backward
 @example((3, 4, 8, 2, 1, 1, 4, 3, 44, 262144))      # grouped 1x1, N > 1, Cout > Cin
@@ -245,7 +245,7 @@ def test_conv2d_backward_is_adjoint_of_forward(case):
     (2, 64, 64, 1, 3, 10, 13),       # wide: per-tap GEMMs accumulate, the input gradient scatters
     (2, 64, 64, 2, 3, 10, 13),       # wide, grouped: one 2-D GEMM per group
     (4, 16, 40, 1, 1, 6, 7),         # 1x1, N = 4, Cout > Cin: per-image GEMMs
-    (2, 16, 16, 2, 3, 9, 8),         # narrow: stacked taps, gathered input gradient
+    (2, 16, 16, 2, 3, 9, 8),         # SMOKE width, grouped: the same per-tap plan
 ])
 def test_conv2d_bytes_match_the_numpy_fallback(n, cin, cout, groups, k, h, w, monkeypatch):
     # _gemm's BLAS update C = A B + beta C keeps the bits of np.matmul plus an add

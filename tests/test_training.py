@@ -150,8 +150,8 @@ def test_train_rejects_small_images():
 def test_train_sweep_keeps_no_interior_grads(softmax, k):
     # the one train memory guard: no conv keeps a padded copy of its input,
     # the tape keeps only what each backward reads, and the sweep drops each
-    # interior grad once it is passed on. These configs peak at about 3.4 MB
-    # (softmax, k = 5) and 3.2 MB (plain, k = 9) of traced allocations,
+    # interior grad once it is passed on. These configs peak at about 3.2 MB
+    # (softmax, k = 5) and 2.9 MB (plain, k = 9) of traced allocations,
     # against 5.1 MB when the interior grads lived as long as the graph
     cfg = TrainConfig(steps=2, val_interval=0, kernel_size=k, stem_channels=16,
                       num_res_blocks=2, patch_size=24, batch_size=2,
