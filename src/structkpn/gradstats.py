@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import box_filter
+from .tensor import box_filter, edge_pad
 
 __all__ = [
     "GradStatsMap",
@@ -65,7 +65,7 @@ def image_gradients(img):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 3 or img.shape[1] < 3:
         raise ValueError(f"image_gradients needs an image of at least 3x3, got {img.shape}")
-    pad = np.pad(img, 1, mode="edge")
+    pad = edge_pad(img, 1, 1, np.empty((img.shape[0] + 2, img.shape[1] + 2)))
     gx = (pad[1:-1, 2:] - pad[1:-1, :-2]) * 0.5
     gy = (pad[2:, 1:-1] - pad[:-2, 1:-1]) * 0.5
     return gx, gy

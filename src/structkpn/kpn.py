@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_window, add,
-                     conv2d, local_conv, relu, softmax_vec)
+                     conv2d, edge_pad, local_conv, relu, softmax_vec)
 
 __all__ = [
     "KpnConfig",
@@ -297,8 +297,8 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
                 if cfg.softmax_normalize_kernels:
                     v = softmax_vec(v, axis=1)
                 # the band's rows of the input, edge-padded by r as local_conv pads it
-                xp = np.pad(img[np.clip(np.arange(i - r, j + r), 0, h - 1)], ((0, 0), (r, r)),
-                            mode="edge")
+                xp = edge_pad(img[np.clip(np.arange(i - r, j + r), 0, h - 1)], 0, r,
+                              np.empty((j - i + 2 * r, w + 2 * r)))
                 den[i:j] = _filter_window(xp[None, None], v.data, k)[0, 0]
                 for p, (m, n) in enumerate(pixels):
                     if i <= m < j:

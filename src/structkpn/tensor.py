@@ -14,12 +14,25 @@ output, ``mul`` and ``div`` their operands, ``conv2d`` its input only when the
 weights need a gradient, and ``add``, ``sub`` and the reductions nothing. An
 op output that no backward reads is freed as soon as its caller drops it.
 
-The sweep frees gradients the same way: an op node remembers its output
+The sweep frees what it has used: once a node's backward has run, the node
+drops its closure and its parent edges, so the arrays the closure saved die
+during the sweep, not with the graph. A graph can therefore be swept once; a
+second sweep raises ``ShapeError``, as PyTorch's autograd does without
+``retain_graph``. Gradients go the same way: an op node remembers its output
 Tensor by a weak reference, and once the node's backward has passed its
 gradient on, the node drops it unless the caller still holds that Tensor.
 After ``backward``, leaves and held op outputs keep ``.grad`` and the
-interior gradients of dropped Tensors are gone, as in PyTorch's autograd,
-which keeps no non-leaf grad unless asked.
+interior gradients of dropped Tensors are gone, as PyTorch keeps no non-leaf
+grad unless asked.
+
+A ``StepArena`` lends the large per-step arrays of the ops (conv outputs,
+padded inputs and gradients, relu/add/softmax outputs, relu's and
+``local_conv``'s gradients, ``accumulate_grad``'s sums) while it is entered,
+and takes a buffer back once ``sys.getrefcount`` shows that no Tensor,
+closure or view refers to it. ``training.train`` enters one around each
+step, so the next step reuses the pages the last one freed instead of
+faulting fresh ones. With no arena entered, every op allocates with
+``np.empty`` as before.
 
 ``conv2d`` pads its input once into a channel-major buffer holding the batch
 end to end, so each kernel tap is one strided slice of it, and works over
@@ -52,8 +65,10 @@ op lives in this module, so ``registered_ops()`` is a constant tuple of their
 names, complete once this module is imported.
 """
 
+import bisect
 import ctypes
 import math
+import sys
 import weakref
 from pathlib import Path
 
@@ -76,6 +91,7 @@ __all__ = [
     "conv2d",
     "local_conv",
     "box_filter",
+    "edge_pad",
     "ssim_from_moments",
     "ssim_map",
     "backward",
@@ -83,11 +99,68 @@ __all__ = [
     "make_op",
     "accumulate_grad",
     "registered_ops",
+    "StepArena",
 ]
 
 
 class ShapeError(ValueError):
     """Shape/contract violation."""
+
+
+class StepArena:
+    """Float64 buffers lent to the ops of one training step at a time.
+
+    ``with arena:`` makes the ops take their large arrays from ``lend``; the
+    arena keeps every buffer it made across steps. A buffer is free when
+    ``sys.getrefcount`` shows only the arena's own references: any Tensor,
+    closure, gradient or view of it holds a reference to the buffer itself,
+    since numpy points every view at the array that owns the memory. A
+    request takes the smallest free buffer that holds it, unless that buffer
+    is over eight times its size (so a 64-channel activation may borrow the
+    buffer of a 441-channel filter field, but a loss map may not); failing
+    that it makes a buffer of its own size, which replaces the largest free
+    buffer too small for it, so the arena holds about as many buffers as a
+    step has live at once. Lent arrays are uninitialised, as from
+    ``np.empty``.
+    """
+
+    def __init__(self):
+        self._bufs = []                           # flat buffers by ascending size
+
+    def __enter__(self):
+        global _arena
+        _arena = self
+        return self
+
+    def __exit__(self, *exc):
+        global _arena
+        _arena = None
+
+    def lend(self, shape):
+        n = math.prod(shape)
+        bufs, small = self._bufs, None
+        for i in range(len(bufs)):
+            if sys.getrefcount(bufs[i]) > 2:      # more than the list and the call's argument
+                continue
+            size = bufs[i].size
+            if size >= n:
+                if size <= 8 * n:
+                    return bufs[i][:n].reshape(shape)
+                break
+            small = i
+        if small is not None:
+            del bufs[small]
+        buf = np.empty(n)
+        bisect.insort(bufs, buf, key=len)
+        return buf[:n].reshape(shape)
+
+
+_arena = None      # the entered StepArena, if any
+
+
+def _empty(shape):
+    """An uninitialised float64 array: lent by the entered arena, else ``np.empty``."""
+    return np.empty(shape) if _arena is None else _arena.lend(shape)
 
 
 def _require_same_shape(op, a, b):
@@ -144,7 +217,8 @@ class Tensor:
     grad = _node_field("grad", "Gradient filled by the last backward sweep, or None; an op "
                        "output keeps it only if held when the sweep passed it.")
     requires_grad = _node_field("requires_grad", "Whether a gradient flows into this tensor.")
-    _backward_fn = _node_field("backward_fn", "The op's backward closure (None on a leaf).")
+    _backward_fn = _node_field("backward_fn", "The op's backward closure (None on a leaf, "
+                               "``_swept`` once a sweep has run and dropped it).")
     _parents = property(lambda self: self._node.parents, doc="The parents' tape nodes.")
     _op = property(lambda self: self._node.op, doc="The name of the op that made the tensor.")
 
@@ -188,9 +262,12 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar; fills ``.grad`` on the graph.
 
-        Leaves and the op outputs the caller still holds keep ``.grad``; an
-        op output that is gone loses its gradient as soon as its backward has
-        run, so the sweep holds only the gradients still to be passed on.
+        Each op node drops its closure and parent edges once the closure has
+        run, so what the closure saved dies during the sweep, and sweeping
+        the graph again raises ``ShapeError``. Leaves and the op outputs the
+        caller still holds keep ``.grad``; an op output that is gone loses
+        its gradient as soon as its backward has run, so the sweep holds only
+        the gradients still to be passed on.
         """
         if self.data.shape != ():
             raise ShapeError(
@@ -200,10 +277,21 @@ class Tensor:
             node.grad = None
         self._node.grad = np.ones((), dtype=np.float64)
         for node in reversed(order):
-            if node.backward_fn is not None and node.grad is not None:
-                node.backward_fn(node.grad)
+            fn = node.backward_fn
+            if fn is None:
+                continue
+            node.backward_fn, node.parents = _swept, ()
+            if node.grad is not None:
+                fn(node.grad)
                 if node.owner is not None and node.owner() is None:
                     node.grad = None
+            del fn                                # the closure dies here, with what it saved
+
+
+def _swept(grad):
+    """The backward of a node whose closure a sweep has run and dropped."""
+    raise ShapeError("backward: the graph was already swept, which freed what its ops "
+                     "saved; build it again to sweep it again")
 
 
 def _toposort(root):
@@ -230,12 +318,15 @@ def accumulate_grad(t, g):
     """Add ``g`` into the grad of ``t``, a Tensor or its node (no-op for constants).
 
     Never mutates ``g``. A backward closure that passes nodes keeps no value
-    alive; one that captures its parent Tensors keeps their data alive for as
-    long as the graph lives.
+    alive; one that captures its parent Tensors keeps their data alive until
+    the sweep has run it.
     """
     node = t._node if isinstance(t, Tensor) else t
     if node.requires_grad:
-        node.grad = g if node.grad is None else node.grad + g
+        if node.grad is None:
+            node.grad = g
+        else:
+            node.grad = np.add(node.grad, g, out=_empty(node.grad.shape))
 
 
 # Every differentiable op of the library, by the name its tape nodes carry, so
@@ -256,8 +347,9 @@ def make_op(data, parents, backward_fn, op):
     ``backward_fn(grad_out)`` must call :func:`accumulate_grad` on each
     gradient-requiring parent and must not mutate ``grad_out``. The tape node
     is dropped entirely when no parent requires a gradient. The tape keeps the
-    closure, and with it whatever the closure captures, until the graph dies:
-    capture the parents' ``_node`` and only the arrays the backward reads. The
+    closure, and with it whatever the closure captures, until the sweep has
+    run it or the graph dies unswept: capture the parents' ``_node`` and only
+    the arrays the backward reads. The
     node refers to ``out`` weakly, so the sweep can drop its gradient once
     ``out`` is gone. An op built outside this module does not join
     ``registered_ops()``, which lists the library's own ops only.
@@ -282,7 +374,7 @@ def add(a, b):
         def bwd(g):
             accumulate_grad(an, g)
 
-        return make_op(a.data + shift, (a,), bwd, "add")
+        return make_op(np.add(a.data, shift, out=_empty(a.data.shape)), (a,), bwd, "add")
 
     _require_same_shape("add", a, b)
     bn = b._node
@@ -291,7 +383,7 @@ def add(a, b):
         accumulate_grad(an, g)
         accumulate_grad(bn, g)
 
-    return make_op(a.data + b.data, (a, b), bwd, "add")
+    return make_op(np.add(a.data, b.data, out=_empty(a.data.shape)), (a, b), bwd, "add")
 
 
 def sub(a, b):
@@ -364,11 +456,11 @@ def relu(a):
     The backward masks by the output: max(x, 0) > 0 exactly where x > 0,
     signed zeros, NaN and infinities included, so the input need not live.
     """
-    out_data = np.maximum(a.data, 0.0)
+    out_data = np.maximum(a.data, 0.0, out=_empty(a.data.shape))
     an = a._node
 
     def bwd(g):
-        accumulate_grad(an, g * (out_data > 0))
+        accumulate_grad(an, np.multiply(g, out_data > 0, out=_empty(g.shape)))
 
     return make_op(out_data, (a,), bwd, "relu")
 
@@ -377,7 +469,7 @@ def softmax_vec(v, axis=-1):
     """Max-shifted softmax along ``axis``; output sums to 1 there."""
     shifted = v.data - v.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = np.divide(e, e.sum(axis=axis, keepdims=True), out=_empty(e.shape))
     vn = v._node
 
     def bwd(g):
@@ -491,6 +583,22 @@ def _gemm(a, b, c, beta):
 
 
 # -- convolution --------------------------------------------------------------
+
+def edge_pad(x, ph, pw, out):
+    """Write x (..., H, W) edge-padded by ph rows and pw columns into out; returns out.
+
+    out is (..., H + 2ph, W + 2pw), any buffer the caller owns. Every padded
+    cell copies the nearest in-bounds pixel, the values of ``np.pad`` with
+    mode "edge", which cannot write into a given buffer.
+    """
+    h, w = x.shape[-2:]
+    out[..., ph:ph + h, pw:pw + w] = x
+    out[..., :ph, pw:pw + w] = x[..., :1, :]
+    out[..., ph + h:, pw:pw + w] = x[..., h - 1:, :]
+    out[..., :pw] = out[..., pw:pw + 1]
+    out[..., pw + w:] = out[..., pw + w - 1:pw + w]
+    return out
+
 
 def _collapse_replication(gpad, ph, pw):
     """Fold the gradient of a replication-padded array back onto the source.
@@ -661,12 +769,12 @@ def conv2d(x, weights, bias, groups=1):
     span = m - (hp - h) * wp - (wp - w)          # flat index of the last output pixel + 1
 
     def fold(xd):
-        return np.pad(xd.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                      mode="edge").reshape(groups, cin_g, m)
+        return edge_pad(xd.transpose(1, 0, 2, 3), ph, pw,
+                        _empty((cin, n, hp, wp))).reshape(groups, cin_g, m)
 
     xf = fold(x.data)
     wmat, chunks = _conv_taps(weights.data, groups, wp)
-    out_data = np.empty((n, cout, h, w))
+    out_data = _empty((n, cout, h, w))
     _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, chunks, bias.data, out_data)
     del xf                                       # the backward re-pads x
     xn, wn, bn, wshape = x._node, weights._node, bias._node, weights.data.shape
@@ -676,8 +784,10 @@ def conv2d(x, weights, bias, groups=1):
     def bwd(g):
         if bn.requires_grad:
             accumulate_grad(bn, g.sum(axis=(0, 2, 3)))
-        gf = np.zeros((cout, m))
-        gf.reshape(cout, n, hp, wp)[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
+        gf = _empty((cout, n, hp, wp))
+        gf[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
+        gf[:, :, :h, w:] = 0.0                  # the columns between images get no gradient
+        gf[:, :, h:] = 0.0
         gf = gf.reshape(groups, cout_g, m)[..., :span]
         if wn.requires_grad:
             xf = fold(xd)
@@ -689,7 +799,8 @@ def conv2d(x, weights, bias, groups=1):
                             .reshape(wshape))
         if xn.requires_grad:
             # each tap's GEMM adds into the columns the tap reads
-            gxf = np.zeros((groups, cin_g, m))
+            gxf = _empty((groups, cin_g, m))
+            gxf.fill(0.0)
             for j in range(groups):
                 for t, s in enumerate(shifts):
                     _gemm(wmat[j, :, t * cin_g:(t + 1) * cin_g].T, gf[j],
@@ -717,7 +828,7 @@ def _pointwise_conv(x, weights, bias, groups):
     cin_g, cout_g = cin // groups, cout // groups
     wmat = weights.data.reshape(groups, cout_g, cin_g)
     xs = x.data.reshape(n, groups, cin_g, h * w)
-    out_data = np.empty((n, cout, h, w))
+    out_data = _empty((n, cout, h, w))
     outs = out_data.reshape(n, groups, cout_g, h * w)
     for b in range(n):
         out_data[b] = bias.data.reshape(cout, 1, 1)
@@ -737,7 +848,7 @@ def _pointwise_conv(x, weights, bias, groups):
                     _gemm(gs[b, j], xkept[b, j].T, dw[j], b > 0)
             accumulate_grad(wn, dw.reshape(wshape))
         if xn.requires_grad:
-            dx = np.empty((n, groups, cin_g, h * w))
+            dx = _empty((n, groups, cin_g, h * w))
             for b in range(n):
                 np.matmul(wmat.swapaxes(-1, -2), gs[b], out=dx[b])
             accumulate_grad(xn, dx.reshape(n, cin, h, w))
@@ -790,18 +901,19 @@ def local_conv(x, v):
             "on batch/spatial axes")
     k, r = _filter_geometry(vd.shape[1])
     h, w = xd.shape[2:]
-    xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    xp = edge_pad(xd, r, r, np.empty(xd.shape[:2] + (h + 2 * r, w + 2 * r)))
     xn, vn, vshape = x._node, v._node, vd.shape
     vkept = vd if xn.requires_grad else None     # read only by the input gradient
 
     def bw(g):
         if vn.requires_grad:
-            gv = np.empty(vshape)
+            gv = _empty(vshape)
             for c in range(k * k):
                 gv[:, c] = g[:, 0] * _tap(xp, c, k, h, w)[:, 0]
             accumulate_grad(vn, gv)
         if xn.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = _empty(xp.shape)
+            gxp.fill(0.0)
             for c in range(k * k):
                 _tap(gxp, c, k, h, w)[...] += g * vkept[:, c:c + 1]
             accumulate_grad(xn, _collapse_replication(gxp, r, r))
@@ -821,7 +933,7 @@ def box_filter(x, k):
     """
     r = k // 2
     h, w = x.shape[-2:]
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(r, r), (r, r)], mode="edge")
+    xp = edge_pad(x, r, r, np.empty(x.shape[:-2] + (h + 2 * r, w + 2 * r)))
     rows = xp[..., :w].copy()
     for d in range(1, k):
         rows += xp[..., d:d + w]

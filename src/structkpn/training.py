@@ -26,7 +26,7 @@ from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn
                   params_to_tensors)
 from .losses import SsimConstants, l1_pixel, l2_pixel, loss_weights, struct_loss
 from .metrics import _check_ssim_size, psnr, ssim_image
-from .tensor import Tensor, backward, reduce_mean
+from .tensor import StepArena, Tensor, backward, reduce_mean
 
 __all__ = [
     "TrainConfig",
@@ -190,12 +190,19 @@ def sample_patch_pairs(images, cfg, rng, with_weights=True):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the 1-based step where it happened."""
+    """Loss or a gradient became non-finite; carries the 1-based step where it happened.
 
-    def __init__(self, step, value):
-        super().__init__(f"non-finite loss {value} at step {step}")
+    ``value`` is the step's loss; ``param`` names the parameter whose gradient
+    went non-finite, or is None when the loss itself did.
+    """
+
+    def __init__(self, step, value, param=None):
+        what = f"non-finite loss {value}" if param is None else \
+            f"non-finite gradient of parameter {param!r} (loss {value})"
+        super().__init__(f"{what} at step {step}")
         self.step = step
         self.value = value
+        self.param = param
 
 
 def _validate(params, model_cfg, cfg, val_imgs):
@@ -214,9 +221,16 @@ def train(cfg, images, start=None):
 
     Curve rows are (step, loss, val_psnr, val_ssim) with None in the val slots
     on steps where validation did not run. Raises TrainingDiverged as soon as
-    the loss goes non-finite. Resuming from a checkpoint (by default cfg's
-    step-0 state) keeps that run's config (only the step target is taken from
-    cfg) and is bit-identical to never having stopped.
+    the loss goes non-finite, or a gradient does, which is checked before Adam
+    so no parameter ever takes a non-finite update. Resuming from a checkpoint
+    (by default cfg's step-0 state) keeps that run's config (only the step
+    target is taken from cfg) and is bit-identical to never having stopped.
+
+    Each step, from sampling to the Adam update, runs inside one
+    ``StepArena``, which lends the ops their large arrays; the sweep frees
+    the step's tape as it goes, so the buffers it hands back serve the next
+    step's forward. Validation runs outside the arena, and the arena goes
+    with this call.
     """
     if start is None:
         params = build_model(cfg.kpn_config(), cfg.seed)
@@ -241,23 +255,28 @@ def train(cfg, images, start=None):
     params, state = start.params, AdamState(m=start.adam_m, v=start.adam_v, t=start.step)
     rng = np.random.default_rng()
     rng.bit_generator.state = start.rng_state
-    del start   # so a fresh run's step-0 arrays die after step 1, as each later step's do
+    del start   # the step-0 parameters die once step 1's update replaces them
 
     consts = cfg.loss_constants()
     need_weights = cfg.loss_kind == "struct"
     curve = []
+    arena = StepArena()
     for step in range(state.t + 1, cfg.steps + 1):
-        xb, yb, wts = sample_patch_pairs(train_imgs, cfg, rng, with_weights=need_weights)
-        tensors = params_to_tensors(params)
-        yhat = kpn_apply(tensors, Tensor(xb), model_cfg)[1]     # unbound, the filter field dies here
-        loss = LOSSES[cfg.loss_kind](yhat, yb, wts, consts)
-        loss_val = float(loss.item())
-        if not math.isfinite(loss_val):
-            raise TrainingDiverged(step, loss_val)
-        grad_by_tensor = backward(loss, list(tensors.values()))
-        grads = {name: grad_by_tensor[t] for name, t in tensors.items()}
-        params, state = adam_step(params, grads, state,
-                                  cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+        with arena:
+            xb, yb, wts = sample_patch_pairs(train_imgs, cfg, rng, with_weights=need_weights)
+            tensors = params_to_tensors(params)
+            yhat = kpn_apply(tensors, Tensor(xb), model_cfg)[1]   # unbound, the filter field dies here
+            loss = LOSSES[cfg.loss_kind](yhat, yb, wts, consts)
+            loss_val = float(loss.item())
+            if not math.isfinite(loss_val):
+                raise TrainingDiverged(step, loss_val)
+            grad_by_tensor = backward(loss, list(tensors.values()))   # frees the tape
+            grads = {name: grad_by_tensor[t] for name, t in tensors.items()}
+            for name in sorted(grads):
+                if not np.isfinite(grads[name]).all():
+                    raise TrainingDiverged(step, loss_val, name)
+            params, state = adam_step(params, grads, state,
+                                      cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
         val_psnr = val_ssim = None
         if val_imgs and cfg.val_interval > 0 and (
                 step % cfg.val_interval == 0 or step == cfg.steps):

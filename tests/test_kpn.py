@@ -131,11 +131,12 @@ def test_sweep_keeps_interior_grads_only_for_held_tensors():
                 mp.setattr(tensor, "make_op", keeping)
             tensors = params_to_tensors(params)
             loss = struct_loss(kpn_apply(tensors, Tensor(noisy), cfg)[1], clean, wts)
+        # counted before the sweep, which drops every edge it has passed
+        interior = [n for n in tensor._toposort(loss._node)[:-1] if n.backward_fn is not None]
         loss.backward()
-        return tensors, loss
+        return tensors, interior
 
-    tensors, loss = sweep(None)
-    interior = [n for n in tensor._toposort(loss._node)[:-1] if n.backward_fn is not None]
+    tensors, interior = sweep(None)
     # 9 model nodes (stem, conv1, relu, conv2, add, relu, head, softmax,
     # local_conv) and 11 loss nodes below the final scaling, ssim_map one of them
     assert len(interior) == 20

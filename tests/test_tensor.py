@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from structkpn import tensor
 from structkpn.tensor import (Tensor, ShapeError, add, sub, mul, div, neg, abs_val,
                               relu, softmax_vec, reduce_mean, reduce_sum, conv2d,
-                              box_filter, ssim_map, backward, make_op, accumulate_grad,
-                              grad_check, registered_ops)
+                              box_filter, edge_pad, local_conv, ssim_map, backward, make_op,
+                              accumulate_grad, grad_check, registered_ops, StepArena)
 from structkpn.losses import SsimConstants
 from helpers import direct_ssim, naive_box_mean, naive_conv2d
 
@@ -58,13 +58,19 @@ def test_diamond_graph_accumulates_both_paths():
     assert np.array_equal(a.grad, [12.0])
 
 
-def test_repeated_backward_resets_grads():
+def test_second_backward_of_swept_graph_raises():
+    # the sweep drops each closure once it has run, so what mul saved is gone
+    # and a second sweep must say so rather than silently do nothing
     a = Tensor(np.array([2.0]), requires_grad=True)
     loss = reduce_sum(mul(a, a))
     loss.backward()
-    g1 = a.grad.copy()
-    loss.backward()
-    assert np.array_equal(a.grad, g1)   # no double accumulation across sweeps
+    assert np.array_equal(a.grad, [4.0])
+    assert loss._parents == ()
+    with pytest.raises(ShapeError, match="already swept"):
+        loss.backward()
+    b = reduce_sum(mul(a, a))                    # a fresh graph sweeps anew, without accumulating
+    b.backward()
+    assert np.array_equal(a.grad, [4.0])
 
 
 def test_constant_subgraph_drops_tape():
@@ -100,6 +106,51 @@ def test_backward_requires_scalar():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(ShapeError):
         mul(a, a).backward()
+
+
+def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
+    # every op that borrows from the arena, each input needing a gradient,
+    # swept twice in one arena whose buffers go out full of NaN: the second
+    # graph runs on buffers the first one freed, and no byte may move
+    rng = np.random.default_rng(47)
+    xv, w3, b3 = rng.normal(size=(2, 4, 6, 7)), rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
+    w1, b1 = rng.normal(size=(9, 4, 1, 1)), rng.normal(size=9)
+    imgv = rng.normal(size=(2, 1, 6, 7))
+
+    def sweep():
+        leaves = [Tensor(a, requires_grad=True) for a in (xv, w3, b3, w1, b1, imgv)]
+        x, wa, ba, wb, bb, img = leaves
+        h = add(x, relu(conv2d(x, wa, ba, groups=2)))            # x's grad is a sum
+        v = softmax_vec(conv2d(add(h, 0.5), wb, bb), axis=1)
+        out = local_conv(img, v)
+        loss = reduce_sum(mul(out, out))
+        loss.backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+    plain = sweep()
+    lend, lends = StepArena.lend, []
+
+    def poisoned(self, shape):
+        out = lend(self, shape)
+        out.fill(np.nan)
+        lends.append(len(self._bufs))
+        return out
+
+    monkeypatch.setattr(StepArena, "lend", poisoned)
+    arena = StepArena()
+    with arena:
+        assert sweep() == plain
+        assert sweep() == plain
+    assert len(lends) > max(lends) and tensor._arena is None
+
+
+def test_edge_pad_matches_np_pad():
+    rng = np.random.default_rng(48)
+    x = rng.normal(size=(2, 3, 5, 4))
+    for ph, pw in ((0, 0), (0, 2), (1, 1), (3, 2), (6, 7)):
+        out = edge_pad(x, ph, pw, np.full((2, 3, 5 + 2 * ph, 4 + 2 * pw), np.nan))
+        want = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="edge")
+        assert out.tobytes() == want.tobytes()
 
 
 def test_shape_mismatch_raises_with_axis():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import struct
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structkpn import tensor, training
 from structkpn.corpus import synth_corpus, synth_image
 from structkpn.kpn import KpnConfig
 from structkpn.training import (TrainConfig, init_adam, adam_step,
@@ -148,11 +150,12 @@ def test_train_rejects_small_images():
 
 @pytest.mark.parametrize("softmax,k", [(True, 5), (False, 9)])
 def test_train_sweep_keeps_no_interior_grads(softmax, k):
-    # the one train memory guard: no conv keeps a padded copy of its input,
-    # the tape keeps only what each backward reads, and the sweep drops each
-    # interior grad once it is passed on. These configs peak at about 3.2 MB
-    # (softmax, k = 5) and 2.9 MB (plain, k = 9) of traced allocations,
-    # against 5.1 MB when the interior grads lived as long as the graph
+    # the train memory guard: no conv keeps a padded copy of its input, the
+    # tape keeps only what each backward reads, and the sweep drops each
+    # interior grad once it is passed on. These configs peak at about 2.4 MB
+    # (softmax, k = 5) and 2.7 MB (plain, k = 9) of traced allocations; 3.2
+    # and 2.9 MB while each step's tape lived through the next forward, and
+    # 5.1 MB when the interior grads lived as long as the graph
     cfg = TrainConfig(steps=2, val_interval=0, kernel_size=k, stem_channels=16,
                       num_res_blocks=2, patch_size=24, batch_size=2,
                       softmax_kernels=softmax, seed=3)
@@ -166,6 +169,58 @@ def test_train_sweep_keeps_no_interior_grads(softmax, k):
     assert peak < 4.2 * 2**20
 
 
+@pytest.mark.parametrize("softmax,k", [(True, 5), (False, 9)])
+def test_train_keeps_one_tape(softmax, k):
+    # each step's tape dies during its own sweep and the arena lends the next
+    # step the freed buffers, so three steps peak about 1.13-1.16x as high
+    # as one (traced); when step k's tape lived through step k+1's forward
+    # this read 1.40-1.45x
+    imgs = small_corpus()
+    peaks = []
+    for steps in (1, 3):
+        cfg = TrainConfig(steps=steps, val_interval=0, kernel_size=k, stem_channels=16,
+                          num_res_blocks=2, patch_size=24, batch_size=2,
+                          softmax_kernels=softmax, seed=3)
+        tracemalloc.start()
+        try:
+            train(cfg, imgs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("softmax", [True, False])
+def test_train_arena_poisoned_with_nan_keeps_every_byte(tmp_path, monkeypatch, softmax):
+    # every lent buffer goes out full of NaN: a buffer lent while something
+    # still reads it, or an op that reads a lent buffer before writing it,
+    # would change the bytes against the same train with no arena at all
+    cfg = TrainConfig(steps=3, val_interval=2, **{**TINY_KW, "softmax_kernels": softmax})
+    imgs = small_corpus()
+    lend = tensor.StepArena.lend
+    lends = []
+
+    def poisoned(self, shape):
+        out = lend(self, shape)
+        out.fill(np.nan)
+        lends.append(len(self._bufs))
+        return out
+
+    def files(tag):
+        ckpt, curve = train(cfg, imgs)
+        return (save_checkpoint(tmp_path / f"{tag}.ckpt", ckpt).read_bytes(),
+                write_curve_csv(tmp_path / f"{tag}.csv", curve).read_bytes())
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor.StepArena, "lend", lambda self, shape: np.empty(shape))
+        off = files("off")
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor.StepArena, "lend", poisoned)
+        on = files("poisoned")
+    assert len(lends) > 3 * max(lends)           # most lends reuse a buffer
+    assert on == off
+
+
 def test_train_divergence_names_step():
     cfg = TrainConfig(loss_kind="l2", steps=10, val_interval=0,
                       **{**TINY_KW, "lr": 1e80, "softmax_kernels": False})
@@ -173,7 +228,38 @@ def test_train_divergence_names_step():
         with np.errstate(all="ignore"):
             train(cfg, small_corpus())
     assert exc.value.step == 2
+    assert exc.value.param is None
     assert "step 2" in str(exc.value)
+    assert tensor._arena is None                 # the raise left no arena lending
+
+
+def test_train_divergence_names_first_nonfinite_gradient(monkeypatch):
+    # non-finite gradients injected at step 2 into two parameters: the first
+    # in sorted order is named, and Adam never runs on them
+    cfg = TrainConfig(steps=4, val_interval=0, **TINY_KW)
+    sweep, updates = training.backward, []
+
+    def injecting(loss, params):
+        grads = sweep(loss, params)
+        if len(updates) == 1:
+            for t in params:
+                if t.name in ("res0.conv1.w", "head.b"):
+                    grads[t] = np.full_like(grads[t], np.inf if t.name == "head.b" else np.nan)
+        return grads
+
+    def counting(*args):
+        updates.append(1)
+        return adam_step(*args)
+
+    monkeypatch.setattr(training, "backward", injecting)
+    monkeypatch.setattr(training, "adam_step", counting)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(cfg, small_corpus())
+    assert (exc.value.step, exc.value.param) == (2, "head.b")
+    assert "'head.b'" in str(exc.value) and "step 2" in str(exc.value)
+    assert math.isfinite(exc.value.value)
+    assert len(updates) == 1
+    assert tensor._arena is None
 
 
 def test_checkpoint_roundtrip_is_byte_identical(tmp_path):
