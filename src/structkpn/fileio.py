@@ -18,7 +18,6 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "write_scaled_pgm",
-    "read_minmax",
     "read_exact",
     "read_u32",
     "write_array",
@@ -87,7 +86,11 @@ def _read_header_numbers(f, count, path):
 
 
 def read_pgm(path):
-    """Load a binary PGM as float64 in [0,1] (sample / maxval)."""
+    """Load a binary PGM as float64 in [0,1] (sample / maxval).
+
+    A sample above maxval, which the format forbids, is a ValueError naming
+    the file, so every image that loads lies in [0,1].
+    """
     path = Path(path)
     with open(path, "rb") as f:
         if f.read(2) != b"P5":
@@ -100,6 +103,8 @@ def read_pgm(path):
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         raw = read_exact(f, w * h * dtype.itemsize, path)
     img = np.frombuffer(raw, dtype=dtype).reshape(h, w)
+    if img.max() > maxval:
+        raise ValueError(f"{path}: PGM sample {img.max()} exceeds maxval {maxval}")
     return img.astype(np.float64) / maxval
 
 
@@ -136,9 +141,3 @@ def write_scaled_pgm(path, arr):
     sidecar.write_text(f"min {lo!r}\nmax {hi!r}\n", encoding="ascii")
     return pgm_path, sidecar
 
-
-def read_minmax(sidecar_path):
-    lines = Path(sidecar_path).read_text(encoding="ascii").split()
-    if len(lines) != 4 or lines[0] != "min" or lines[2] != "max":
-        raise ValueError(f"{sidecar_path}: malformed min/max sidecar")
-    return float(lines[1]), float(lines[3])

@@ -3,19 +3,21 @@
 The backbone is a 3x3 stem, a chain of residual blocks (3x3 conv, relu,
 3x3 conv, skip add; the last block uses 2 convolution groups), a relu, and a
 1x1 head. The config's ``model_kind`` picks the head: a "kpn" head has k^2
-output channels, and each pixel's k^2 channel slice is applied to the input
-frame by ``tensor.local_conv``, which replicates edges so output size equals
-input size; kernels can optionally be softmax-normalized per pixel so they are
-positive and sum to one. A "plain-cnn" head has one channel, starts at zero,
-and adds a residual to the input through a global skip.
+output channels, and each pixel's k^2 channel slice is a filter applied to
+the input frame with edges replicated, so output size equals input size;
+kernels can optionally be softmax-normalized per pixel so they are positive
+and sum to one. ``tensor.kpn_filter`` runs the head, the softmax and the
+filtering as one op over blocks, so the whole (N, k^2, H, W) field is never
+built. A "plain-cnn" head has one channel, starts at zero, and adds a
+residual to the input through a global skip.
 
 Training runs the whole batch on the tape (``kpn_apply``). ``denoise_image``
 streams one image through the same layers in bands of whole rows, each 3x3
 conv carrying the 2 input rows it still needs from the band before, so its
 memory follows the band, not the image. Both read the one layer list of
 ``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
-each band is filtered by ``tensor._filter_window``, the sum ``local_conv``
-runs.
+each band goes through ``tensor._filter_blocks``, the forward of
+``kpn_filter``, one band a block.
 """
 
 import math
@@ -23,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_window, add,
-                     conv2d, edge_pad, local_conv, relu, softmax_vec)
+from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_blocks, _head_field,
+                     add, conv2d, edge_pad, kpn_filter, relu)
+from .tensor import local_conv  # noqa: F401  perfbench/tracing.py imports it from here
 
 __all__ = [
     "KpnConfig",
@@ -148,22 +151,21 @@ def _backbone(params, x, cfg):
 
 
 def kpn_apply(params, x, cfg):
-    """Graph forward pass of either model kind: (head output, denoised image).
+    """Graph forward pass of either model kind: the denoised image as a Tensor.
 
     params maps layer names to Tensors; x is an (N,1,H,W) Tensor. A kpn head
-    is the per-pixel filter field (k^2 channels, softmax-normalized per pixel
-    when configured) applied to x by local_conv; a plain-cnn head is one
-    residual channel added to x.
+    and its per-pixel filtering of x are one ``kpn_filter`` op (k^2 channels,
+    softmax-normalized per pixel when configured), which never holds the
+    whole filter field; a plain-cnn head is one residual channel added to x.
     """
     check_param_shapes({name: t.data.shape for name, t in params.items()}, cfg)
     if x.data.ndim != 4 or x.data.shape[1] != 1:
         raise ShapeError(f"kpn_apply: input must be (N,1,H,W), got {x.data.shape}")
-    v = conv2d(_backbone(params, x, cfg), params["head.w"], params["head.b"])
+    feats = _backbone(params, x, cfg)
     if cfg.model_kind == "plain-cnn":
-        return v, add(x, v)
-    if cfg.softmax_normalize_kernels:
-        v = softmax_vec(v, axis=1)
-    return v, local_conv(x, v)
+        return add(x, conv2d(feats, params["head.w"], params["head.b"]))
+    return kpn_filter(x, feats, params["head.w"], params["head.b"],
+                      cfg.softmax_normalize_kernels)
 
 
 # denoise_image streams the image through the network in bands of whole rows
@@ -255,19 +257,20 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
 
     The image streams through the network in bands of whole rows of about
     ``_BAND_PIXELS`` pixels, so no activation and no filter field is ever held
-    whole: a 256^2 image at the default config peaks at about 27 MB of
+    whole: a 256^2 image at the default config peaks at about 23 MB of
     allocations (tracemalloc) where the whole-image backbone took 139 MB. Each
     3x3 conv keeps the last 2 rows of its input from the band before and emits
     its output one row behind its input, each residual add holds back its skip
     input 2 rows to meet its second conv, and only the image's top and bottom
     rows replicate as conv2d's padding does. Each band of features leaves the
-    backbone into the 1x1 head, the optional softmax and the per-pixel
-    filtering, over the same bands; the head is pointwise, so it needs no
-    halo. The result is within 1e-12 of ``kpn_apply`` on the whole image (the
-    GEMMs see other shapes, so the last bits can differ) and byte-identical
-    across reruns at a fixed BLAS thread count. kernels is a (P,k,k) array
-    holding the filter of each (m, n) in kernel_pixels (kpn only); tap (s,t)
-    of a filter sits at [s+r, t+r]. Pixels are checked before the forward pass.
+    backbone into ``kpn_filter``'s forward (the 1x1 head, the optional
+    softmax and the per-pixel filtering), one band a block; the head is
+    pointwise, so it needs no halo. The result is within 1e-12 of
+    ``kpn_apply`` on the whole image (the GEMMs see other shapes, so the
+    last bits can differ) and byte-identical across reruns at a fixed BLAS
+    thread count. kernels is a (P,k,k) array holding the filter of each
+    (m, n) in kernel_pixels (kpn only); tap (s,t) of a filter sits at
+    [s+r, t+r]. Pixels are checked before the forward pass.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
@@ -281,27 +284,29 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
         if not (0 <= m < h and 0 <= n < w):
             raise ValueError(f"denoise_image: pixel ({m}, {n}) outside the {h}x{w} image")
     params = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in params.items()}
-    head_w, head_b = Tensor(params["head.w"]), Tensor(params["head.b"])
+    wmat, bias = params["head.w"][:, :, 0, 0], params["head.b"]
     k = cfg.kernel_size
     r = k // 2
     den = np.empty((h, w))
     kernels = np.empty((len(pixels), k, k))
     band = max(1, _BAND_PIXELS // w)
     for row, feats in _stream_backbone(params, cfg, img, band):
-        for i in range(row, row + feats.shape[1], band):   # the last bands come out longer
-            j = min(i + band, row + feats.shape[1])
-            v = conv2d(Tensor(feats[None, :, i - row:j - row]), head_w, head_b)
-            if cfg.model_kind == "plain-cnn":
-                den[i:j] = img[i:j] + v.data[0, 0]
-            else:
-                if cfg.softmax_normalize_kernels:
-                    v = softmax_vec(v, axis=1)
-                # the band's rows of the input, edge-padded by r as local_conv pads it
-                xp = edge_pad(img[np.clip(np.arange(i - r, j + r), 0, h - 1)], 0, r,
-                              np.empty((j - i + 2 * r, w + 2 * r)))
-                den[i:j] = _filter_window(xp[None, None], v.data, k)[0, 0]
-                for p, (m, n) in enumerate(pixels):
-                    if i <= m < j:
-                        kernels[p] = v.data[0, :, m - i, n].reshape(k, k)
-            del v                                # not held beside the next band's head output
+        j = row + feats.shape[1]
+        fd = feats.reshape(feats.shape[0], -1)
+        if cfg.model_kind == "plain-cnn":
+            den[row:j] = img[row:j] + _head_field(fd[None], wmat, bias, False,
+                                                  np.empty((1, 1, fd.shape[1]))).reshape(-1, w)
+            continue
+        # the band's rows of the input, edge-padded by r as kpn_filter pads it
+        xp = edge_pad(img[np.clip(np.arange(row - r, j + r), 0, h - 1)], 0, r,
+                      np.empty((j - row + 2 * r, w + 2 * r)))
+        # a block is a band's rows, as splitting a band further costs time
+        blocks = _filter_blocks(xp[None, None], fd[None], wmat, bias,
+                                cfg.softmax_normalize_kernels, den[None, None, row:j],
+                                k * k * band * w)
+        for i, i_end, field in blocks:
+            for p, (m, n) in enumerate(pixels):
+                if row + i <= m < row + i_end:
+                    kernels[p] = field[0, :, (m - row - i) * w + n].reshape(k, k)
+        del field                                # not held while the next band runs
     return den, kernels

@@ -27,7 +27,8 @@ grad unless asked.
 
 A ``StepArena`` lends the large per-step arrays of the ops (conv outputs,
 padded inputs and gradients, relu/add/softmax outputs, relu's and
-``local_conv``'s gradients, ``accumulate_grad``'s sums) while it is entered,
+``local_conv``'s gradients, ``kpn_filter``'s block buffer, output and
+feature gradient, ``accumulate_grad``'s sums) while it is entered,
 and takes a buffer back once ``sys.getrefcount`` shows that no Tensor,
 closure or view refers to it. ``training.train`` enters one around each
 step, so the next step reuses the pages the last one freed instead of
@@ -56,8 +57,12 @@ k x k conv's weight gradient and a 1x1 conv's input gradient, stay one
 batched ``np.matmul`` over the groups, which costs less per call.
 
 ``local_conv`` applies a per-pixel filter field, the one op the kernel
-prediction network adds to a plain CNN; its window sum ``_filter_window`` is
-shared with ``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
+prediction network adds to a plain CNN. ``kpn_filter`` is the network's
+1x1 head, the optional per-pixel softmax and ``local_conv`` as one op that
+builds the field a block of rows or images at a time, so the whole field
+never exists; its block forward ``_filter_blocks``, and with it
+``local_conv``'s window sum ``_filter_window``, also filters
+``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
 of the structure-aware loss as one op: its window means come from
 ``box_filter``, a numpy box filter that ``gradstats`` also uses, and its
 backward is the closed form through the box's adjoint. Every differentiable
@@ -90,6 +95,7 @@ __all__ = [
     "reduce_sum",
     "conv2d",
     "local_conv",
+    "kpn_filter",
     "box_filter",
     "edge_pad",
     "ssim_from_moments",
@@ -116,8 +122,8 @@ class StepArena:
     closure, gradient or view of it holds a reference to the buffer itself,
     since numpy points every view at the array that owns the memory. A
     request takes the smallest free buffer that holds it, unless that buffer
-    is over eight times its size (so a 64-channel activation may borrow the
-    buffer of a 441-channel filter field, but a loss map may not); failing
+    is over eight times its size (so a 64-channel activation may borrow
+    ``kpn_filter``'s 8 MB block buffer, but a loss map may not); failing
     that it makes a buffer of its own size, which replaces the largest free
     buffer too small for it, so the arena holds about as many buffers as a
     step has live at once. Lent arrays are uninitialised, as from
@@ -333,7 +339,7 @@ def accumulate_grad(t, g):
 # gradient-audit suites can enumerate full coverage.
 _OP_REGISTRY = (
     "add", "sub", "mul", "div", "neg", "abs", "relu",
-    "softmax", "reduce_mean", "reduce_sum", "conv2d", "local_conv", "ssim_map",
+    "softmax", "reduce_mean", "reduce_sum", "conv2d", "local_conv", "kpn_filter", "ssim_map",
 )
 
 
@@ -872,10 +878,10 @@ def _tap(a, c, k, h, w):
     return a[:, :, r - s:r - s + h, r - t:r - t + w]
 
 
-def _filter_window(xp, vd, k):
-    """sum_c tap(xp, c) * vd[:, c] for (N,k^2,h,w) filters over a window xp padded by r."""
-    n, _, h, w = vd.shape
-    out = np.zeros((n, 1, h, w))
+def _filter_window(xp, vd, k, out):
+    """sum_c tap(xp, c) * vd[:, c] into out (N,1,h,w); vd is (N,k^2,h,w), xp padded by r."""
+    h, w = vd.shape[2:]
+    out.fill(0.0)
     for c in range(k * k):
         out += _tap(xp, c, k, h, w) * vd[:, c:c + 1]
     return out
@@ -918,7 +924,175 @@ def local_conv(x, v):
                 _tap(gxp, c, k, h, w)[...] += g * vkept[:, c:c + 1]
             accumulate_grad(xn, _collapse_replication(gxp, r, r))
 
-    return make_op(_filter_window(xp, vd, k), (x, v), bw, "local_conv")
+    return make_op(_filter_window(xp, vd, k, np.empty(xd.shape)), (x, v), bw, "local_conv")
+
+
+# kpn_filter builds the head's filter field over blocks of up to this many
+# field values (8 MB): at k = 21 a 48^2 training patch is one block, and at
+# k = 5 a batch of them.
+_FIELD_BLOCK_VALUES = 1 << 20
+
+
+def _field_blocks(n, k2, h, w, values):
+    """Blocks of up to ``values`` field values over n images, and the first
+    (largest) block's size: as many whole images as fit, else whole rows of
+    one image. Each block is (first image, images, first row, last row + 1)."""
+    per = values // (k2 * h * w)
+    if per >= 1:
+        blocks = [(b, min(per, n - b), 0, h) for b in range(0, n, per)]
+    else:
+        rows = max(1, values // (k2 * w))
+        blocks = [(b, 1, i, min(i + rows, h)) for b in range(n) for i in range(0, h, rows)]
+    _, nb, i, j = blocks[0]
+    return blocks, nb * k2 * (j - i) * w
+
+
+def _head_field(fd, wmat, bias, softmax, out):
+    """The head's filters for features fd (nb, C, L), written into out (nb, k^2, L).
+
+    The bias goes in first and each image's GEMM adds into it, as
+    ``_pointwise_conv`` does; with ``softmax`` the k^2 channels are then
+    normalised in place with ``softmax_vec``'s arithmetic. So each value has
+    those two ops' bits.
+    """
+    out[...] = bias[:, None]
+    for b in range(len(fd)):
+        _gemm(wmat, fd[b], out[b], 1)
+    if softmax:
+        out -= out.max(axis=1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def _filter_blocks(xp, fd, wmat, bias, softmax, out, values):
+    """``kpn_filter``'s forward, a block of ``_field_blocks`` at a time.
+
+    xp is the images edge-padded by r, (N, 1, H + 2r, W + 2r); fd their
+    features (N, C, H*W); out the (N, 1, H, W) output; values the block
+    size in field values. Each block gets its filters from ``_head_field``
+    in one buffer the blocks share and is filtered into out by
+    ``_filter_window``. Yields (first row, last row + 1, the block's
+    (images, k^2, rows*W) filters), which the next block overwrites.
+    """
+    k2 = wmat.shape[0]
+    k = math.isqrt(k2)
+    n, _, h, w = out.shape
+    blocks, size = _field_blocks(n, k2, h, w, values)
+    buf = _empty((size,))
+    for b, nb, i, j in blocks:
+        field = _head_field(fd[b:b + nb, :, i * w:j * w], wmat, bias, softmax,
+                            buf[:nb * k2 * (j - i) * w].reshape(nb, k2, -1))
+        _filter_window(xp[b:b + nb, :, i:j + k - 1], field.reshape(nb, k2, j - i, w), k,
+                       out[b:b + nb, :, i:j])
+        yield i, j, field
+
+
+def kpn_filter(x, feats, weights, bias, softmax=False):
+    """The kpn head and its filtering in one op, never holding the whole filter field.
+
+    x is (N,1,H,W), feats (N,C,H,W), weights (k^2,C,1,1) with k odd and bias
+    (k^2,). The value is ``local_conv(x, v)``, with v the 1x1 head
+    ``conv2d(feats, weights, bias)``, or ``softmax_vec`` of it over its k^2
+    channels when ``softmax`` is set; differentiable w.r.t. all four inputs.
+    The field is built over the blocks of ``_field_blocks``, at most
+    ``_FIELD_BLOCK_VALUES`` values each, in one buffer the blocks share, so
+    where every block is whole images the op has those three ops' bits.
+    The tape keeps feats and the padded x, and the field only when it is one
+    block; otherwise the backward rebuilds each block's field where the
+    softmax or x's gradient reads it. Each block's field gradient then
+    overwrites its field, so the backward holds one block buffer: g * x_c
+    per tap, or through the softmax s * (g_v - sum_c g_v s) with
+    ``softmax_vec``'s arithmetic. The weight gradient sums the images and
+    blocks in order inside BLAS, the bias gradient adds the blocks' sums,
+    and the features' gradient is written block by block.
+    """
+    xd, fd, wd, bd = x.data, feats.data, weights.data, bias.data
+    if xd.ndim != 4 or xd.shape[1] != 1:
+        raise ShapeError(f"kpn_filter: input must be (N,1,H,W), got {xd.shape}")
+    if fd.ndim != 4 or fd.shape[0] != xd.shape[0] or fd.shape[2:] != xd.shape[2:]:
+        raise ShapeError(f"kpn_filter: features {fd.shape} do not match input {xd.shape} "
+                         "on batch/spatial axes")
+    n, c, h, w = fd.shape
+    if wd.ndim != 4 or wd.shape[1:] != (c, 1, 1):
+        raise ShapeError(f"kpn_filter: weights must be (k^2,{c},1,1), got {wd.shape}")
+    k2 = wd.shape[0]
+    k, r = _filter_geometry(k2)
+    if bd.shape != (k2,):
+        raise ShapeError(f"kpn_filter: bias shape {bd.shape} != ({k2},)")
+    wmat, fs = wd.reshape(k2, c), fd.reshape(n, c, h * w)
+    xp = edge_pad(xd, r, r, np.empty((n, 1, h + 2 * r, w + 2 * r)))
+    out_data = _empty(xd.shape)
+    for _, _, field in _filter_blocks(xp, fs, wmat, bd, softmax, out_data, _FIELD_BLOCK_VALUES):
+        pass
+    xn, fn, wn, bn = x._node, feats._node, weights._node, bias._node
+    blocks, size = _field_blocks(n, k2, h, w, _FIELD_BLOCK_VALUES)
+    reads_s = softmax or xn.requires_grad
+    kept = field if reads_s and len(blocks) == 1 else None   # one block: kept, not rebuilt
+    del field
+
+    def bwd(g):
+        need_gv = fn.requires_grad or wn.requires_grad or bn.requires_grad
+        buf = _empty((size,)) if kept is None else None
+        df = _empty((n, c, h * w)) if fn.requires_grad else None
+        dw = np.empty((k2, c)) if wn.requires_grad else None
+        db = None
+        if xn.requires_grad:
+            gxp = _empty(xp.shape)
+            gxp.fill(0.0)
+        for b, nb, i, j in blocks:
+            nr, cols = j - i, slice(i * w, j * w)
+            fb, gb, xb = fs[b:b + nb, :, cols], g[b:b + nb, :, i:j], xp[b:b + nb, :, i:j + 2 * r]
+            # the block's filters s, where read, then their gradient in the same buffer
+            gv = kept if kept is not None else buf[:nb * k2 * nr * w].reshape(nb, k2, -1)
+            if reads_s and kept is None:
+                _head_field(fb, wmat, bd, softmax, gv)
+            if xn.requires_grad:
+                gxb = gxp[b:b + nb, :, i:j + 2 * r]
+                for t in range(k2):
+                    _tap(gxb, t, k, nr, w)[...] += gb * gv[:, t].reshape(nb, 1, nr, w)
+            if not need_gv:
+                continue
+
+            def tap_grad(t, out):                  # g * x_c of tap t, as local_conv's
+                np.multiply(gb[:, 0], _tap(xb, t, k, nr, w)[:, 0], out=out.reshape(nb, nr, w))
+                return out
+
+            if softmax:
+                # softmax_vec's s * (g_v - sum_c g_v s), each g_v formed twice
+                # rather than held in a second buffer
+                gx = np.empty((nb, nr * w))
+                if nr * w == 1:
+                    # numpy sums a k^2 axis of one pixel pairwise, not in
+                    # order, so these nb * k^2 products are summed as a whole
+                    inner = np.stack([tap_grad(t, gx) * gv[:, t] for t in range(k2)],
+                                     axis=1).sum(axis=1)
+                else:
+                    inner = tap_grad(0, gx) * gv[:, 0]
+                    for t in range(1, k2):
+                        inner += tap_grad(t, gx) * gv[:, t]
+                for t in range(k2):
+                    gv[:, t] *= tap_grad(t, gx) - inner
+            else:
+                for t in range(k2):
+                    tap_grad(t, gv[:, t])
+            if bn.requires_grad:
+                db = gv.sum(axis=(0, 2)) if db is None else db + gv.sum(axis=(0, 2))
+            for a in range(nb):
+                if wn.requires_grad:
+                    _gemm(gv[a], fb[a].T, dw, b + a > 0 or i > 0)
+                if fn.requires_grad:
+                    np.matmul(wmat.T, gv[a], out=df[b + a, :, cols])
+        if bn.requires_grad:
+            accumulate_grad(bn, db)
+        if wn.requires_grad:
+            accumulate_grad(wn, dw.reshape(wd.shape))
+        if fn.requires_grad:
+            accumulate_grad(fn, df.reshape(fd.shape))
+        if xn.requires_grad:
+            accumulate_grad(xn, _collapse_replication(gxp, r, r))
+
+    return make_op(out_data, (x, feats, weights, bias), bwd, "kpn_filter")
 
 
 # -- windowed statistics ------------------------------------------------------

@@ -265,7 +265,7 @@ def train(cfg, images, start=None):
         with arena:
             xb, yb, wts = sample_patch_pairs(train_imgs, cfg, rng, with_weights=need_weights)
             tensors = params_to_tensors(params)
-            yhat = kpn_apply(tensors, Tensor(xb), model_cfg)[1]   # unbound, the filter field dies here
+            yhat = kpn_apply(tensors, Tensor(xb), model_cfg)
             loss = LOSSES[cfg.loss_kind](yhat, yb, wts, consts)
             loss_val = float(loss.item())
             if not math.isfinite(loss_val):

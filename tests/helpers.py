@@ -1,10 +1,17 @@
 """Independent slow-path oracles shared by the tests.
 
-These deliberately avoid the library's vectorized code: plain Python loops
-and float arithmetic only, so agreement is meaningful.
+The loop oracles deliberately avoid the library's vectorized code: plain
+Python loops and float arithmetic only, so agreement is meaningful.
+``kpn_field_oracle`` is the model as public ops with the filter field held
+whole, the way ``kpn_apply`` ran before its head and filtering became one op.
+``read_minmax`` reads the sidecar that ``fileio.write_scaled_pgm`` writes.
 """
 
+from pathlib import Path
+
 import numpy as np
+
+from structkpn.tensor import add, conv2d, local_conv, relu, softmax_vec
 
 
 def naive_local_conv(x, v):
@@ -86,3 +93,33 @@ def direct_ssim(p, q, c1=1e-4, c2=9e-4, weights=None):
         sq = (q * q * weights).sum() - mq * mq
         spq = (p * q * weights).sum() - mp * mq
     return ((2 * mp * mq + c1) * (2 * spq + c2)) / ((mp ** 2 + mq ** 2 + c1) * (sp + sq + c2))
+
+
+def kpn_field_oracle(params, x, cfg):
+    """(head output, denoised batch) of a model, the head output held whole.
+
+    params maps layer names to Tensors and x is an (N,1,H,W) Tensor. The
+    layers are spelled out here from public ops (stem, residual blocks with
+    the last one grouped, relu, 1x1 head) rather than read from the model's
+    own layer list; a kpn head's k^2-channel field is softmax-normalised when
+    configured and applied by ``local_conv``, a plain-cnn head added to x.
+    """
+    h = conv2d(x, params["stem.w"], params["stem.b"])
+    for i in range(cfg.num_res_blocks):
+        g = cfg.groups if i == cfg.num_res_blocks - 1 else 1
+        inner = relu(conv2d(h, params[f"res{i}.conv1.w"], params[f"res{i}.conv1.b"], groups=g))
+        h = add(h, conv2d(inner, params[f"res{i}.conv2.w"], params[f"res{i}.conv2.b"], groups=g))
+    v = conv2d(relu(h), params["head.w"], params["head.b"])
+    if cfg.model_kind == "plain-cnn":
+        return v, add(x, v)
+    if cfg.softmax_normalize_kernels:
+        v = softmax_vec(v, axis=1)
+    return v, local_conv(x, v)
+
+
+def read_minmax(sidecar_path):
+    """The (min, max) recorded in a ``write_scaled_pgm`` sidecar."""
+    lines = Path(sidecar_path).read_text(encoding="ascii").split()
+    if len(lines) != 4 or lines[0] != "min" or lines[2] != "max":
+        raise ValueError(f"{sidecar_path}: malformed min/max sidecar")
+    return float(lines[1]), float(lines[3])

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from structkpn.tensor import (Tensor, add, sub, mul, div, neg, abs_val, relu,
-                              softmax_vec, reduce_mean, reduce_sum, conv2d, ssim_map,
+                              softmax_vec, reduce_mean, reduce_sum, conv2d, kpn_filter, ssim_map,
                               registered_ops, grad_check)
 from structkpn.kpn import (KpnConfig, local_conv, build_model, params_to_tensors,
                            kpn_apply)
@@ -81,6 +81,16 @@ def test_criterion_2_every_op_passes_finite_difference_checks():
         u = Tensor(rng.normal(size=(1, 1, 4, 4)))
         return (lambda p: reduce_sum(mul(local_conv(p[0], p[1]), u)), [x, v])
 
+    def kpn_filter_case():
+        # softmax and plain kernels, every input taking a gradient
+        x = Tensor(rng.normal(size=(2, 1, 4, 5)), requires_grad=True, name="x")
+        f = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True, name="feats")
+        w = Tensor(rng.normal(size=(9, 3, 1, 1)), requires_grad=True, name="w")
+        b = Tensor(rng.normal(size=9), requires_grad=True, name="b")
+        u = Tensor(rng.normal(size=(2, 1, 4, 5)))
+        return (lambda p: add(reduce_sum(mul(kpn_filter(*p, softmax=True), u)),
+                              reduce_sum(mul(kpn_filter(*p), u))), [x, f, w, b])
+
     def ssim_map_case():
         # both images take a gradient, and windows reach past every border
         p = Tensor(rng.uniform(size=(2, 1, 4, 5)), requires_grad=True, name="p")
@@ -104,6 +114,7 @@ def test_criterion_2_every_op_passes_finite_difference_checks():
         "reduce_sum": (lambda p: reduce_sum(mul(p[0], proj)), [away_from_zero()]),
         "conv2d": conv_case(),
         "local_conv": local_conv_case(),
+        "kpn_filter": kpn_filter_case(),
         "ssim_map": ssim_map_case(),
     }
     # a new op cannot ship without a matching finite-difference case
@@ -127,7 +138,7 @@ def test_criterion_2_every_op_passes_finite_difference_checks():
     y = clean[None, None]
 
     def full_loss(params):
-        _, den = kpn_apply(dict(zip(names, params)), x, cfg)
+        den = kpn_apply(dict(zip(names, params)), x, cfg)
         return struct_loss(den, y, [weights], consts)
 
     report = grad_check(full_loss, plist, tol=1e-3, coords_per_param=8)

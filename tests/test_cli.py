@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from structkpn.cli import main, parse_config_file, ConfigError
-from structkpn.fileio import read_pgm, read_minmax, write_pgm
+from structkpn.fileio import read_pgm, write_pgm
 from structkpn.training import (load_checkpoint, save_checkpoint, CURVE_HEADER,
                                 TrainConfig)
+from helpers import read_minmax
 
 
 def write_cfg(path, **overrides):

@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from structkpn.fileio import read_pgm, write_pgm, write_scaled_pgm, read_minmax, read_array
+from structkpn.fileio import read_pgm, write_pgm, write_scaled_pgm, read_array
+from helpers import read_minmax
 
 
 def test_pgm_16bit_roundtrip_exact_levels(tmp_path):
@@ -73,6 +74,40 @@ def test_pgm_errors(tmp_path):
             read_pgm(p)
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "f.pgm", np.zeros((2, 2, 2)))
+
+
+def test_pgm_sample_above_maxval_names_the_file(tmp_path):
+    p = tmp_path / "over.pgm"
+    p.write_bytes(b"P5 2 1 100\n" + bytes([50, 200]))
+    with pytest.raises(ValueError, match="over.pgm"):
+        read_pgm(p)
+    p.write_bytes(b"P5 2 1 300\n" + b"\x01\x2c\x01\x2d")   # 300 loads, 301 does not
+    with pytest.raises(ValueError, match="over.pgm"):
+        read_pgm(p)
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_pgm_byte_flips_and_truncations_load_in_range_or_name_the_file(tmp_path, maxval):
+    img = np.random.default_rng(81).random((4, 5))
+    full = write_pgm(tmp_path / "src.pgm", img, maxval=maxval).read_bytes()
+    path = tmp_path / "fuzz.pgm"
+    cases = [full[:n] for n in range(len(full))]
+    for i in range(len(full)):
+        for mask in (0x01, 0x20, 0x80, 0xFF):
+            flipped = bytearray(full)
+            flipped[i] ^= mask
+            cases.append(bytes(flipped))
+    loaded = 0
+    for data in cases:
+        path.write_bytes(data)
+        try:
+            back = read_pgm(path)
+        except ValueError as e:
+            assert "fuzz.pgm" in str(e), (data, e)
+            continue
+        assert back.min() >= 0.0 and back.max() <= 1.0, data
+        loaded += 1
+    assert 0 < loaded < len(cases)
 
 
 def test_scaled_pgm_sidecar_roundtrip(tmp_path):

@@ -12,9 +12,9 @@ from structkpn.gradstats import stats_map
 from structkpn.kpn import (KpnConfig, build_model, kpn_apply, denoise_image,
                            params_to_tensors, expected_param_shapes)
 from structkpn.losses import loss_weights, struct_loss
-from structkpn.tensor import (Tensor, ShapeError, backward, grad_check, local_conv, make_op,
-                              reduce_sum)
-from helpers import naive_local_conv
+from structkpn.tensor import (Tensor, ShapeError, backward, conv2d, grad_check, kpn_filter,
+                              local_conv, make_op, mul, reduce_sum, softmax_vec)
+from helpers import kpn_field_oracle, naive_local_conv
 
 TINY = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2)
 
@@ -88,9 +88,88 @@ def test_local_conv_gradients_finite_difference():
         assert report.passed, (k, report.per_param)
 
 
+def _value_and_grads(op, arrays, u):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    backward(reduce_sum(mul(out, Tensor(u))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.sampled_from([3, 5]), st.integers(1, 9),
+       st.integers(1, 9), st.booleans(), st.sampled_from(["batch", "image", "rows"]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@example(2, 3, 5, 3, 2, True, "rows", 1, 0)     # k > H and k > W, one-row blocks
+@example(3, 2, 3, 9, 7, False, "rows", 2, 1)    # 2-row blocks, the last one row
+def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, split, rows, seed):
+    # kpn_filter against the three ops it fuses: value and the gradients of
+    # x, feats, weights and bias are the same bytes while blocks are whole
+    # images (the batch, or one image each), and within 1e-12 once an image
+    # splits into row blocks
+    rng = np.random.default_rng(seed)
+    arrays = (rng.normal(size=(n, 1, h, w)), rng.normal(size=(n, c, h, w)),
+              rng.normal(size=(k * k, c, 1, 1)), rng.normal(size=k * k))
+    u = rng.normal(size=(n, 1, h, w))
+
+    def oracle(x, f, wt, b):
+        v = conv2d(f, wt, b)
+        return local_conv(x, softmax_vec(v, axis=1) if softmax else v)
+
+    budget = {"batch": tensor._FIELD_BLOCK_VALUES, "image": k * k * h * w,
+              "rows": k * k * w * rows}[split]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_FIELD_BLOCK_VALUES", budget)
+        got = _value_and_grads(lambda *p: kpn_filter(*p, softmax=softmax), arrays, u)
+    want = _value_and_grads(oracle, arrays, u)
+    if split == "rows" and rows < h:
+        for a, b in zip(got, want):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+    else:
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_kpn_filter_validation():
+    x, f = Tensor(np.zeros((2, 1, 4, 5))), Tensor(np.zeros((2, 3, 4, 5)))
+    w, b = Tensor(np.zeros((9, 3, 1, 1))), Tensor(np.zeros(9))
+    kpn_filter(x, f, w, b)
+    with pytest.raises(ShapeError):   # multi-channel input
+        kpn_filter(f, f, w, b)
+    with pytest.raises(ShapeError):   # features on another grid
+        kpn_filter(x, Tensor(np.zeros((2, 3, 4, 4))), w, b)
+    with pytest.raises(ShapeError):   # a 3x3 head
+        kpn_filter(x, f, Tensor(np.zeros((9, 3, 3, 3))), b)
+    with pytest.raises(ShapeError):   # 8 filter channels is not an odd square
+        kpn_filter(x, f, Tensor(np.zeros((8, 3, 1, 1))), Tensor(np.zeros(8)))
+    with pytest.raises(ShapeError):   # bias of another length
+        kpn_filter(x, f, w, Tensor(np.zeros(8)))
+
+
+@pytest.mark.parametrize("softmax", [False, True])
+def test_kpn_apply_and_its_backward_never_hold_the_whole_field(softmax):
+    # at k = 21 the field of one 128^2 image is 58 MB whole and 8 MB a block;
+    # the traced peak of the forward and backward is 0.22x the whole field
+    # with or without softmax (1.08x and 4.06x when the tape held the field)
+    cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=1, groups=2,
+                    softmax_normalize_kernels=softmax)
+    tensors = params_to_tensors(build_model(cfg, 3))
+    rng = np.random.default_rng(55)
+    x, u = Tensor(rng.random((1, 1, 128, 128))), Tensor(rng.normal(size=(1, 1, 128, 128)))
+    field_bytes = cfg.kernel_size ** 2 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reduce_sum(mul(kpn_apply(tensors, x, cfg), u)).backward()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in tensors.values())
+    assert peak < 0.3 * field_bytes, peak
+
+
 def test_kpn_apply_frees_the_filter_field_once_dropped():
-    # local_conv reads the field only for the input's gradient, and the noisy
-    # input needs none, so at a no-softmax config the field dies with v
+    # kpn_apply never holds the field; the whole-field oracle's field, which
+    # local_conv reads only for the input's gradient, dies with v at a
+    # no-softmax config, and both give kpn_apply's gradient bytes
     cfg = KpnConfig(kernel_size=5, stem_channels=8, num_res_blocks=1, groups=2)
     params = build_model(cfg, 3)
     rng = np.random.default_rng(45)
@@ -98,16 +177,18 @@ def test_kpn_apply_frees_the_filter_field_once_dropped():
 
     def grads(keep):
         tensors = params_to_tensors(params)
-        v, yhat = kpn_apply(tensors, Tensor(xb), cfg)
-        ref = weakref.ref(v.data)
-        if not keep:
-            del v
-            assert ref() is None
+        if keep is None:
+            yhat = kpn_apply(tensors, Tensor(xb), cfg)
+        else:
+            v, yhat = kpn_field_oracle(tensors, Tensor(xb), cfg)
+            ref = weakref.ref(v.data)
+            if not keep:
+                del v
+                assert ref() is None
         by_tensor = backward(reduce_sum(yhat * Tensor(u)), list(tensors.values()))
-        return [by_tensor[t] for t in tensors.values()]
+        return [by_tensor[t].tobytes() for t in tensors.values()]
 
-    for kept, freed in zip(grads(True), grads(False)):
-        assert kept.tobytes() == freed.tobytes()
+    assert grads(None) == grads(True) == grads(False)
 
 
 def test_sweep_keeps_interior_grads_only_for_held_tensors():
@@ -130,21 +211,22 @@ def test_sweep_keeps_interior_grads_only_for_held_tensors():
                     return held[-1]
                 mp.setattr(tensor, "make_op", keeping)
             tensors = params_to_tensors(params)
-            loss = struct_loss(kpn_apply(tensors, Tensor(noisy), cfg)[1], clean, wts)
+            loss = struct_loss(kpn_apply(tensors, Tensor(noisy), cfg), clean, wts)
         # counted before the sweep, which drops every edge it has passed
         interior = [n for n in tensor._toposort(loss._node)[:-1] if n.backward_fn is not None]
         loss.backward()
         return tensors, interior
 
     tensors, interior = sweep(None)
-    # 9 model nodes (stem, conv1, relu, conv2, add, relu, head, softmax,
-    # local_conv) and 11 loss nodes below the final scaling, ssim_map one of them
-    assert len(interior) == 20
+    # 7 model nodes (stem, conv1, relu, conv2, add, relu, and kpn_filter for
+    # the head, softmax and filtering) and 11 loss nodes below the final
+    # scaling, ssim_map one of them
+    assert len(interior) == 18
     assert all(node.grad is None for node in interior)
 
     held = []
     held_tensors, _ = sweep(held)
-    assert len(held) > 20
+    assert len(held) > 18
     assert all(t.grad is not None for t in held if t.requires_grad)
     for name, t in tensors.items():
         assert t.grad.tobytes() == held_tensors[name].grad.tobytes()
@@ -215,9 +297,11 @@ def test_kpn_apply_shapes_and_softmax_field():
                     softmax_normalize_kernels=True)
     params = params_to_tensors(build_model(cfg, seed=1), requires_grad=False)
     x = Tensor(np.random.default_rng(45).random((2, 1, 10, 11)))
-    v, yhat = kpn_apply(params, x, cfg)
+    yhat = kpn_apply(params, x, cfg)
+    v, want = kpn_field_oracle(params, x, cfg)
     assert v.data.shape == (2, 9, 10, 11)
     assert yhat.data.shape == (2, 1, 10, 11)
+    assert yhat.data.tobytes() == want.data.tobytes()
     assert np.allclose(v.data.sum(axis=1), 1.0)
     assert np.all(v.data > 0)
 
@@ -242,7 +326,8 @@ def test_plain_cnn_zero_head_is_identity():
     assert raw["head.w"].shape == (1, 8, 1, 1) and not raw["head.w"].any()
     params = params_to_tensors(raw, requires_grad=False)
     x = np.random.default_rng(46).random((1, 1, 9, 9))
-    res, out = kpn_apply(params, Tensor(x), cfg)
+    out = kpn_apply(params, Tensor(x), cfg)
+    res, _ = kpn_field_oracle(params, Tensor(x), cfg)
     assert res.data.shape == (1, 1, 9, 9) and not res.data.any()
     assert np.array_equal(out.data, x)
 
@@ -259,8 +344,8 @@ def test_denoise_image_bands_match_whole_image(monkeypatch, kind, softmax, band_
     img = np.random.default_rng(47).random((8, 9))
     pixels = [(0, 0), (7, 8), (2, 3), (2, 3)] if kind == "kpn" else []
     den, kernels = denoise_image(params, cfg, img, pixels)
-    v, yhat = kpn_apply(params_to_tensors(params, requires_grad=False),
-                        Tensor(img[None, None]), cfg)
+    v, yhat = kpn_field_oracle(params_to_tensors(params, requires_grad=False),
+                               Tensor(img[None, None]), cfg)
     assert den.shape == (8, 9) and kernels.shape == (len(pixels), 5, 5)
     assert np.allclose(den, yhat.data[0, 0], rtol=0, atol=1e-12)
     for kern, (m, n) in zip(kernels, pixels):
@@ -288,8 +373,8 @@ def test_denoise_image_stream_matches_kpn_apply(monkeypatch, kind, softmax, stem
     w = 7
     for h in (1, 5, 13):
         img = rng.random((h, w))
-        v, yhat = kpn_apply(params_to_tensors(params, requires_grad=False),
-                            Tensor(img[None, None]), cfg)
+        v, yhat = kpn_field_oracle(params_to_tensors(params, requires_grad=False),
+                                   Tensor(img[None, None]), cfg)
         pixels = [(0, 0), (0, w - 1), (h // 2, 3), (h - 1, 0), (h - 1, w - 1)] \
             if kind == "kpn" else []
         for rows in (1, 2, 3, 4, 20):
@@ -341,7 +426,8 @@ def test_denoise_image_validation():
 
 
 def test_denoise_image_holds_one_band_of_the_filter_field():
-    # the whole k = 21 field of a 192^2 image is 130 MB; a band is 14 MB
+    # the whole k = 21 field of a 192^2 image is 130 MB; a band of it, one
+    # block of kpn_filter's forward, is 14 MB
     cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=1, groups=2)
     params = build_model(cfg, seed=3)
     img = np.random.default_rng(52).random((192, 192))
@@ -375,7 +461,7 @@ def test_gradients_reach_every_parameter():
     tensors = params_to_tensors(build_model(cfg, seed=9))
     x = Tensor(np.random.default_rng(49).random((1, 1, 8, 8)))
     y = np.random.default_rng(50).random((1, 1, 8, 8))
-    _, yhat = kpn_apply(tensors, x, cfg)
+    yhat = kpn_apply(tensors, x, cfg)
     diff = yhat - Tensor(y)
     grads = backward(reduce_sum(diff * diff), list(tensors.values()))
     for name, t in tensors.items():

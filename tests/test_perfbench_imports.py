@@ -107,7 +107,7 @@ def test_conv_output_and_yhat_grads_are_kept_after_the_sweep():
     stem = conv2d(x, tensors["stem.w"], tensors["stem.b"])
     v = conv2d(relu(stem), tensors["head.w"], tensors["head.b"])
     yhat = local_conv(x, v)
-    assert yhat.data.tobytes() == kpn_apply(tensors, x, cfg)[1].data.tobytes()
+    assert yhat.data.tobytes() == kpn_apply(tensors, x, cfg).data.tobytes()
     wts = [loss_weights(stats_map(c[0], 5)) for c in clean]
     backward(struct_loss(yhat, clean, wts), list(tensors.values()))
     for t in (stem, v, yhat):

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from structkpn import tensor
 from structkpn.tensor import (Tensor, ShapeError, add, sub, mul, div, neg, abs_val,
                               relu, softmax_vec, reduce_mean, reduce_sum, conv2d,
-                              box_filter, edge_pad, local_conv, ssim_map, backward, make_op,
-                              accumulate_grad, grad_check, registered_ops, StepArena)
+                              box_filter, edge_pad, local_conv, kpn_filter, ssim_map, backward,
+                              make_op, accumulate_grad, grad_check, registered_ops, StepArena)
 from structkpn.losses import SsimConstants
 from helpers import direct_ssim, naive_box_mean, naive_conv2d
 
@@ -111,7 +111,9 @@ def test_backward_requires_scalar():
 def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
     # every op that borrows from the arena, each input needing a gradient,
     # swept twice in one arena whose buffers go out full of NaN: the second
-    # graph runs on buffers the first one freed, and no byte may move
+    # graph runs on buffers the first one freed, and no byte may move;
+    # kpn_filter's blocks are 2 rows, so its buffers serve 3 blocks an image
+    monkeypatch.setattr(tensor, "_FIELD_BLOCK_VALUES", 9 * 7 * 2)
     rng = np.random.default_rng(47)
     xv, w3, b3 = rng.normal(size=(2, 4, 6, 7)), rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
     w1, b1 = rng.normal(size=(9, 4, 1, 1)), rng.normal(size=9)
@@ -122,7 +124,8 @@ def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
         x, wa, ba, wb, bb, img = leaves
         h = add(x, relu(conv2d(x, wa, ba, groups=2)))            # x's grad is a sum
         v = softmax_vec(conv2d(add(h, 0.5), wb, bb), axis=1)
-        out = local_conv(img, v)
+        out = add(local_conv(img, v), kpn_filter(img, h, wb, bb, softmax=True))
+        out = add(out, kpn_filter(img, h, wb, bb))
         loss = reduce_sum(mul(out, out))
         loss.backward()
         return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
@@ -584,9 +587,10 @@ def test_package_import_loads_no_module_and_op_list_is_constant():
                            capture_output=True, text=True, check=True).stdout.splitlines()
     assert lines[:2] == ["[]", "['structkpn.tensor']"]
     ops = ast.literal_eval(lines[2])
-    assert type(ops) is tuple and len(ops) == len(set(ops)) == 13
+    assert type(ops) is tuple and len(ops) == len(set(ops)) == 14
     assert set(ops) == {"add", "sub", "mul", "div", "neg", "abs", "relu", "softmax",
-                        "reduce_mean", "reduce_sum", "conv2d", "local_conv", "ssim_map"}
+                        "reduce_mean", "reduce_sum", "conv2d", "local_conv", "kpn_filter",
+                        "ssim_map"}
 
 
 def test_package_imports_sit_at_module_top_and_form_a_dag():
