@@ -741,11 +741,11 @@ def conv2d(x, weights, bias, groups=1):
     forward drops xf once the output is written. The backward runs over the
     whole batch and rebuilds xf from x, with the same pad, only for the weight
     gradient, one GEMM per forward chunk, so the tape keeps x's data only when
-    the weights need a gradient. The input gradient needs only the output
-    gradient and the weights: it scatters, each tap's GEMM adding straight
-    into the columns that tap reads. Columns between images get zero
-    gradient. A 1x1 kernel takes ``_pointwise_conv`` instead, with no padded
-    or channel-major copy.
+    the weights need a gradient, and lets it go once it is re-folded. The
+    input gradient needs only the output gradient and the weights: it
+    scatters, each tap's GEMM adding straight into the columns that tap
+    reads. Columns between images get zero gradient. A 1x1 kernel takes
+    ``_pointwise_conv`` instead, with no padded or channel-major copy.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be (N,C,H,W), got rank {x.data.ndim}")
@@ -788,6 +788,7 @@ def conv2d(x, weights, bias, groups=1):
     shifts = [s for _, ss in chunks for s in ss]
 
     def bwd(g):
+        nonlocal xd
         if bn.requires_grad:
             accumulate_grad(bn, g.sum(axis=(0, 2, 3)))
         gf = _empty((cout, n, hp, wp))
@@ -797,6 +798,7 @@ def conv2d(x, weights, bias, groups=1):
         gf = gf.reshape(groups, cout_g, m)[..., :span]
         if wn.requires_grad:
             xf = fold(xd)
+            xd = None                            # x's data is no longer held for this op
             dw = np.empty_like(wmat)
             for ks, ss in chunks:
                 np.matmul(gf, _tap_rows(xf, ss, 0, span).swapaxes(-1, -2), out=dw[..., ks])
@@ -811,6 +813,7 @@ def conv2d(x, weights, bias, groups=1):
                 for t, s in enumerate(shifts):
                     _gemm(wmat[j, :, t * cin_g:(t + 1) * cin_g].T, gf[j],
                           gxf[j, :, s:s + span], 1)
+            del gf                               # free before accumulate_grad may allocate
             gxf = gxf.reshape(cin, n, hp, wp).transpose(1, 0, 2, 3)
             accumulate_grad(xn, _collapse_replication(gxf, ph, pw))
 

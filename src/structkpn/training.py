@@ -2,9 +2,12 @@
 
 Each step samples random clean patches, corrupts them with the configured
 noise model from ``corpus``, runs the model, and applies one Adam update.
-Per-pixel loss weights come from the clean patch only. All randomness flows
-through one generator seeded from the config, whose state rides along in
-checkpoints. A fresh run is a resume from its step-0 state, and a resumed
+Per-pixel loss weights come from the clean patch only. Every loss is a mean
+of per-pixel terms of one image each, so a step runs the model, the loss
+and the backward sweep over micro-batches of whole images and sums their
+scaled losses and gradients: it holds one micro-batch's tape, not the
+batch's. All randomness flows through one generator seeded from the
+config, whose state rides along in checkpoints. A fresh run is a resume from its step-0 state, and a resumed
 run matches the uninterrupted one bit for bit. Validation noise uses
 stateless per-image seeds, making curve entries comparable across steps.
 ``TrainConfig`` holds the settings a run varies; its fixed constants (Adam's,
@@ -26,7 +29,7 @@ from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn
                   params_to_tensors)
 from .losses import SsimConstants, l1_pixel, l2_pixel, loss_weights, struct_loss
 from .metrics import _check_ssim_size, psnr, ssim_image
-from .tensor import StepArena, Tensor, backward, reduce_mean
+from .tensor import _BLOCK_VALUES, StepArena, Tensor, backward, mul, reduce_mean
 
 __all__ = [
     "TrainConfig",
@@ -137,25 +140,45 @@ def adam_step(params, grads, state, lr, beta1, beta2, eps):
     """One bias-corrected Adam update; returns fresh (params, state).
 
     Parameters update in sorted-name order so numerics never depend on dict
-    construction history.
+    construction history. The inputs are never mutated.
+    """
+    new_p, new_state = _copies(params), AdamState(_copies(state.m), _copies(state.v), state.t)
+    _adam_update(new_p, grads, new_state, lr, beta1, beta2, eps)
+    return new_p, new_state
+
+
+def _copies(arrays):
+    return {name: a.copy() for name, a in arrays.items()}
+
+
+def _adam_update(params, grads, state, lr, beta1, beta2, eps):
+    """``adam_step``'s update, written into ``params``, ``state.m`` and ``state.v``.
+
+    Each array is updated in place with the operations, and so the bits, of
+    m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g and
+    p = p - lr*(m/c1) / (sqrt(v/c2) + eps).
     """
     if set(grads) != set(params):
         raise KeyError(
             f"adam_step: gradient keys differ from parameter keys: "
             f"missing {sorted(set(params) - set(grads))}, "
             f"extra {sorted(set(grads) - set(params))}")
-    t = state.t + 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    new_p, new_m, new_v = {}, {}, {}
+    state.t += 1
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
     for name in sorted(params):
-        g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        new_p[name] = params[name] - lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_p, AdamState(m=new_m, v=new_v, t=t)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        step = np.divide(m, c1)
+        step *= lr
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        params[name] -= step
 
 
 def split_train_val(items):
@@ -192,8 +215,9 @@ def sample_patch_pairs(images, cfg, rng, with_weights=True):
 class TrainingDiverged(RuntimeError):
     """Loss or a gradient became non-finite; carries the 1-based step where it happened.
 
-    ``value`` is the step's loss; ``param`` names the parameter whose gradient
-    went non-finite, or is None when the loss itself did.
+    ``value`` is the step's loss, summed over the micro-batches run so far
+    when the loss itself went non-finite; ``param`` names the parameter
+    whose gradient went non-finite, or is None when the loss did.
     """
 
     def __init__(self, step, value, param=None):
@@ -216,6 +240,16 @@ def _validate(params, model_cfg, cfg, val_imgs):
     return float(np.mean(ps)), float(np.mean(ss))
 
 
+def _micro_batch_images(cfg):
+    """Images per micro-batch: as many as keep one stem-width activation
+    within a conv block's ``_BLOCK_VALUES`` values, and at least one.
+
+    One image at the default config (64 ch, 48^2 patches); the whole batch
+    at narrower or smaller ones, which then run exactly as one batch.
+    """
+    return max(1, _BLOCK_VALUES // (cfg.stem_channels * cfg.patch_size ** 2))
+
+
 def train(cfg, images, start=None):
     """Run (or resume) training; returns (final Checkpoint, loss curve rows).
 
@@ -226,10 +260,19 @@ def train(cfg, images, start=None):
     (by default cfg's step-0 state) keeps that run's config (only the step
     target is taken from cfg) and is bit-identical to never having stopped.
 
+    Each step samples its whole batch first, so the random draws do not
+    depend on how it is split. It then runs forward, loss and sweep over
+    micro-batches of ``_micro_batch_images(cfg)`` images, each part's loss
+    scaled by its share of the batch, and sums the loss values and the
+    gradients in batch order; the loss and the summed gradients are checked
+    and Adam runs once per step. A batch that fits one micro-batch runs as
+    one, with no scaling, so its bytes are those of a whole-batch step.
+
     Each step, from sampling to the Adam update, runs inside one
     ``StepArena``, which lends the ops their large arrays; the sweep frees
-    the step's tape as it goes, so the buffers it hands back serve the next
-    step's forward. Validation runs outside the arena, and the arena goes
+    each micro-batch's tape as it goes, so the buffers it hands back serve
+    the next micro-batch's forward. Adam updates copies of ``start``'s
+    arrays in place. Validation runs outside the arena, and the arena goes
     with this call.
     """
     if start is None:
@@ -252,31 +295,42 @@ def train(cfg, images, start=None):
         for i, im in enumerate(val_imgs, len(train_imgs)):
             _check_ssim_size(im, f"train: validation image {i}")   # ssim_image's window, not k_r
 
-    params, state = start.params, AdamState(m=start.adam_m, v=start.adam_v, t=start.step)
+    # Adam updates these copies in place, so the caller's checkpoint never changes
+    params = _copies(start.params)
+    state = AdamState(_copies(start.adam_m), _copies(start.adam_v), start.step)
     rng = np.random.default_rng()
     rng.bit_generator.state = start.rng_state
-    del start   # the step-0 parameters die once step 1's update replaces them
+    del start   # a fresh run's step-0 arrays die here
 
     consts = cfg.loss_constants()
     need_weights = cfg.loss_kind == "struct"
+    n = cfg.batch_size
+    per = _micro_batch_images(cfg)
     curve = []
     arena = StepArena()
     for step in range(state.t + 1, cfg.steps + 1):
         with arena:
             xb, yb, wts = sample_patch_pairs(train_imgs, cfg, rng, with_weights=need_weights)
-            tensors = params_to_tensors(params)
-            yhat = kpn_apply(tensors, Tensor(xb), model_cfg)
-            loss = LOSSES[cfg.loss_kind](yhat, yb, wts, consts)
-            loss_val = float(loss.item())
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(step, loss_val)
-            grad_by_tensor = backward(loss, list(tensors.values()))   # frees the tape
-            grads = {name: grad_by_tensor[t] for name, t in tensors.items()}
+            grads = None
+            for b in range(0, n, per):
+                e = min(b + per, n)
+                tensors = params_to_tensors(params)
+                yhat = kpn_apply(tensors, Tensor(xb[b:e]), model_cfg)
+                loss = LOSSES[cfg.loss_kind](yhat, yb[b:e], wts[b:e], consts)
+                if per < n:            # the batch mean: each part's mean weighted by its share
+                    loss = mul(loss, (e - b) / n)
+                value = float(loss.item())
+                loss_val = value if b == 0 else loss_val + value
+                if not math.isfinite(loss_val):
+                    raise TrainingDiverged(step, loss_val)
+                grad_by_tensor = backward(loss, list(tensors.values()))   # frees the tape
+                part = {name: grad_by_tensor[t] for name, t in tensors.items()}
+                grads = part if grads is None else {k: grads[k] + part[k] for k in grads}
+                del grad_by_tensor, part   # the next part's fresh leaves let these go
             for name in sorted(grads):
                 if not np.isfinite(grads[name]).all():
                     raise TrainingDiverged(step, loss_val, name)
-            params, state = adam_step(params, grads, state,
-                                      cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            _adam_update(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
         val_psnr = val_ssim = None
         if val_imgs and cfg.val_interval > 0 and (
                 step % cfg.val_interval == 0 or step == cfg.steps):

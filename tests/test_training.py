@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import struct
@@ -267,12 +268,14 @@ def test_train_divergence_names_first_nonfinite_gradient(monkeypatch):
                     grads[t] = np.full_like(grads[t], np.inf if t.name == "head.b" else np.nan)
         return grads
 
+    update = training._adam_update
+
     def counting(*args):
         updates.append(1)
-        return adam_step(*args)
+        return update(*args)
 
     monkeypatch.setattr(training, "backward", injecting)
-    monkeypatch.setattr(training, "adam_step", counting)
+    monkeypatch.setattr(training, "_adam_update", counting)
     with pytest.raises(TrainingDiverged) as exc:
         train(cfg, small_corpus())
     assert (exc.value.step, exc.value.param) == (2, "head.b")
@@ -280,6 +283,125 @@ def test_train_divergence_names_first_nonfinite_gradient(monkeypatch):
     assert math.isfinite(exc.value.value)
     assert len(updates) == 1
     assert tensor._arena is None
+
+
+def _max_rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("per", [1, 2])
+def test_micro_batches_match_the_whole_batch(tmp_path, monkeypatch, per):
+    # a batch of 3 split into parts of `per` images: the loss is a mean of
+    # per-image terms, so the scaled parts sum to the whole-batch loss and
+    # gradients up to rounding; the split run is itself bit-reproducible,
+    # with every lent buffer full of NaN (so no part reads what another left
+    # in the arena) and across a resume
+    imgs = small_corpus()
+    cfg = TrainConfig(steps=3, val_interval=0, **{**TINY_KW, "batch_size": 3})
+    whole, curve_whole = train(cfg, imgs)
+    monkeypatch.setattr(training, "_micro_batch_images", lambda c: per)
+
+    def files(tag, ckpt, curve):
+        return (save_checkpoint(tmp_path / f"{tag}.ckpt", ckpt).read_bytes(),
+                write_curve_csv(tmp_path / f"{tag}.csv", curve).read_bytes())
+
+    lend = tensor.StepArena.lend
+
+    def poisoned(self, shape):
+        out = lend(self, shape)
+        out.fill(np.nan)
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor.StepArena, "lend", poisoned)
+        split, curve_split = train(cfg, imgs)
+    assert len(curve_split) == len(curve_whole) == 3
+    for (s, loss, *_), (s_w, loss_w, *_) in zip(curve_split, curve_whole):
+        assert s == s_w and abs(loss - loss_w) <= 1e-12 * abs(loss_w)
+    for name in whole.params:
+        assert _max_rel(split.params[name], whole.params[name]) <= 1e-12, name
+    assert files("a", split, curve_split) == files("b", *train(cfg, imgs))
+    leg, curve_leg = train(dataclasses.replace(cfg, steps=1), imgs)
+    resumed, curve_resumed = train(cfg, imgs, start=leg)
+    assert files("r", resumed, curve_leg + curve_resumed) == files("a", split, curve_split)
+
+
+def test_nonfinite_loss_in_a_later_micro_batch_stops_the_step(monkeypatch):
+    # step 2's third one-image part goes NaN: the step raises before that
+    # part's sweep, with the loss summed so far, and Adam never runs on it
+    cfg = TrainConfig(steps=4, val_interval=0, **{**TINY_KW, "batch_size": 3})
+    monkeypatch.setattr(training, "_micro_batch_images", lambda c: 1)
+    loss_fn, sweep, update = training.LOSSES["struct"], training.backward, training._adam_update
+    parts, sweeps, updates = [], [], []
+
+    def poisoned(*args):
+        parts.append(1)
+        loss = loss_fn(*args)
+        return tensor.mul(loss, math.nan) if len(parts) == 6 else loss
+
+    def counting_sweep(loss, params):
+        sweeps.append(1)
+        return sweep(loss, params)
+
+    def counting_update(*args):
+        updates.append(1)
+        return update(*args)
+
+    monkeypatch.setitem(training.LOSSES, "struct", poisoned)
+    monkeypatch.setattr(training, "backward", counting_sweep)
+    monkeypatch.setattr(training, "_adam_update", counting_update)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(cfg, small_corpus())
+    assert (exc.value.step, exc.value.param) == (2, None)
+    assert math.isnan(exc.value.value)
+    assert (len(parts), len(sweeps), len(updates)) == (6, 5, 1)
+    assert tensor._arena is None
+
+
+def test_train_step_holds_one_micro_batch_tape():
+    # 64 channels over 64^2 patches is a whole conv block per image, so the
+    # step runs one image at a time: a batch of 4 peaks about 1.12x as high
+    # as a batch of 1 (traced); 3.54x when the step held the whole batch's tape
+    imgs = small_corpus()
+    peaks = []
+    for batch in (1, 4):
+        cfg = TrainConfig(steps=1, val_interval=0, kernel_size=3, stem_channels=64,
+                          num_res_blocks=1, patch_size=64, batch_size=batch, seed=3)
+        tracemalloc.start()
+        try:
+            train(cfg, imgs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert training._micro_batch_images(cfg) == 1
+    assert peaks[1] < 1.6 * peaks[0], peaks
+
+
+def test_acceptance_and_test_configs_train_as_one_batch():
+    # every train in the test suite, acceptance SMOKE and perfbench's
+    # train-smoke were recorded with whole-batch steps: a budget that split
+    # any of them would move their bytes and digests silently. A new test
+    # train with wider or larger patches belongs on this list
+    from test_acceptance import SMOKE
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spec", Path(__file__).resolve().parents[1] / "perfbench" / "spec.py")
+    perfbench_spec = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench_spec)
+    configs = [
+        TrainConfig(**SMOKE),                                              # acceptance 6, 7
+        TrainConfig(**{**SMOKE, "patch_size": 32, "stem_channels": 8,     # acceptance 9
+                       "num_res_blocks": 1}),
+        TrainConfig(**perfbench_spec.SMOKE),
+        TrainConfig(**TINY_KW),
+        TrainConfig(stem_channels=16, patch_size=24, batch_size=2, kernel_size=9),
+        TrainConfig(stem_channels=8, patch_size=48, batch_size=2, kernel_size=21),
+        TrainConfig(stem_channels=2, patch_size=16, batch_size=1, kernel_size=3),
+        TrainConfig(stem_channels=16, patch_size=48, batch_size=4, kernel_size=5),
+        # the CLI, metrics and acceptance-9 CLI trains
+        TrainConfig(stem_channels=8, patch_size=32, batch_size=2, kernel_size=5, k_r=7),
+    ]
+    for cfg in configs:
+        assert training._micro_batch_images(cfg) >= cfg.batch_size, cfg
 
 
 def test_checkpoint_roundtrip_is_byte_identical(tmp_path):
@@ -413,7 +535,11 @@ def test_resume_keeps_original_config(tmp_path):
     cfg = TrainConfig(steps=2, val_interval=0, **TINY_KW)
     ckpt, _ = train(cfg, imgs)
     other = dataclasses.replace(cfg, steps=4, lr=123.0)   # lr must be ignored
+    before = [a.copy() for group in (ckpt.params, ckpt.adam_m, ckpt.adam_v)
+              for a in group.values()]
     out, _ = train(other, imgs, start=ckpt)
+    after = [a for group in (ckpt.params, ckpt.adam_m, ckpt.adam_v) for a in group.values()]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))   # Adam ran on copies
     assert out.config.lr == cfg.lr
     assert out.config.steps == 4
     assert out.step == 4
