@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 for usage/config/file problems, 2 when training
 aborts on a non-finite loss (the message names the failing step). All file
 outputs are byte-deterministic for a fixed command line and inputs. ``stats``
 draws its maps with the loss-weight constants training uses, ``gradstats``'
-defaults.
+defaults. ``denoise`` and ``eval`` read a checkpoint's parameters only, never
+its Adam moments.
 """
 
 import argparse
@@ -129,7 +130,7 @@ def cmd_train(args):
 
 
 def cmd_denoise(args):
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, optimizer=False)
     img = read_pgm(args.input)
     pixels = [] if args.dump_kernels is None else _parse_pixel_list(args.dump_kernels)
     den, kernels = denoise_image(ckpt.params, ckpt.config.kpn_config(), img, pixels)
@@ -143,7 +144,7 @@ def cmd_denoise(args):
 
 
 def cmd_eval(args):
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, optimizer=False)
     paths, images = _load_dir(args.data)
     report = evaluate(ckpt, [(p.name, im) for p, im in zip(paths, images)], seed=args.seed)
     report.to_csv(args.out)

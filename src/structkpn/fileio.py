@@ -4,7 +4,8 @@ Images are stored as P5 PGM, 8-bit or 16-bit (16-bit samples big-endian per
 the format), and map linearly to [0,1] floats on read. Maps whose natural
 range is not [0,1] are rescaled on write, with the true min/max recorded in a
 small text sidecar next to the image. Array records (rank, dims, little-endian
-payload) round-trip byte for byte; checkpoints are built from them.
+payload) round-trip byte for byte, and a reader can seek past one with the
+same checks; checkpoints are built from them.
 """
 
 import math
@@ -22,7 +23,15 @@ __all__ = [
     "read_u32",
     "write_array",
     "read_array",
+    "skip_array",
 ]
+
+
+def _check_left(f, size, path):
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if size > left:
+        raise ValueError(f"{path}: truncated at byte {offset}: need {size} bytes, {max(left, 0)} left")
 
 
 def read_exact(f, size, path):
@@ -31,10 +40,7 @@ def read_exact(f, size, path):
     The size is checked against the file before reading, so a corrupt length
     field cannot allocate more than the file holds.
     """
-    offset = f.tell()
-    left = os.fstat(f.fileno()).st_size - offset
-    if size > left:
-        raise ValueError(f"{path}: truncated at byte {offset}: need {size} bytes, {max(left, 0)} left")
+    _check_left(f, size, path)
     return f.read(size)
 
 
@@ -50,14 +56,31 @@ def write_array(f, arr):
     f.write(arr.astype("<f8").tobytes())
 
 
-def read_array(f, path):
-    """Read one record written by :func:`write_array`."""
+def _read_dims(f, path):
+    """A record's dims and its payload's byte count, leaving ``f`` at the payload."""
     rank, = read_u32(f, path)
     if rank > 32:
         raise ValueError(f"{path}: implausible tensor rank {rank} at byte {f.tell() - 4}")
     dims = read_u32(f, path, rank)
-    n = math.prod(dims)                          # exact: corrupt dims must not wrap around
-    return np.frombuffer(read_exact(f, 8 * n, path), dtype="<f8").reshape(dims).astype(np.float64)
+    return dims, 8 * math.prod(dims)             # exact: corrupt dims must not wrap around
+
+
+def read_array(f, path):
+    """Read one record written by :func:`write_array`."""
+    dims, size = _read_dims(f, path)
+    return np.frombuffer(read_exact(f, size, path), dtype="<f8").reshape(dims).astype(np.float64)
+
+
+def skip_array(f, path):
+    """Seek past one record written by :func:`write_array`; returns its dims.
+
+    The record is checked as :func:`read_array` checks it, so a file fails
+    the one where it fails the other, but its payload is never read.
+    """
+    dims, size = _read_dims(f, path)
+    _check_left(f, size, path)
+    f.seek(size, os.SEEK_CUR)
+    return dims
 
 
 def _read_header_numbers(f, count, path):

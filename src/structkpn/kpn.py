@@ -169,9 +169,12 @@ def kpn_apply(params, x, cfg):
 
 
 # denoise_image streams the image through the network in bands of whole rows
-# of about this many pixels: at k = 21 a band of the filter field takes 14 MB
-# and a band of a 64-channel activation 2 MB, whatever the image size.
-_BAND_PIXELS = 4096
+# of about this many pixels: at k = 21 a band of the filter field takes 7 MB
+# and a band of a 64-channel activation 1 MB, whatever the image size. At 64
+# channels a band's 3x3 conv is one tensor._conv_forward block (64 x rows x
+# (W + 2) values within _BLOCK_VALUES) at every width from 2 to 4,094, so a
+# wider band would buy no GEMM shape, only memory.
+_BAND_PIXELS = 2048
 
 
 class _ConvRows:
@@ -257,7 +260,7 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
 
     The image streams through the network in bands of whole rows of about
     ``_BAND_PIXELS`` pixels, so no activation and no filter field is ever held
-    whole: a 256^2 image at the default config peaks at about 23 MB of
+    whole: a 256^2 image at the default config peaks at about 17.5 MiB of
     allocations (tracemalloc) where the whole-image backbone took 139 MB. Each
     3x3 conv keeps the last 2 rows of its input from the band before and emits
     its output one row behind its input, each residual add holds back its skip

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import NoiseModel, add_noise
-from .fileio import read_array, read_exact, read_u32, write_array
+from .fileio import read_array, read_exact, read_u32, skip_array, write_array
 from .gradstats import SIGMA_L1, SIGMA_L2, STRENGTH_NORMALIZATION, stats_map
 from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn_apply,
                   params_to_tensors)
@@ -258,7 +258,8 @@ def train(cfg, images, start=None):
     the loss goes non-finite, or a gradient does, which is checked before Adam
     so no parameter ever takes a non-finite update. Resuming from a checkpoint
     (by default cfg's step-0 state) keeps that run's config (only the step
-    target is taken from cfg) and is bit-identical to never having stopped.
+    target is taken from cfg) and is bit-identical to never having stopped; a
+    checkpoint read without its Adam moments cannot be resumed (ValueError).
 
     Each step samples its whole batch first, so the random draws do not
     depend on how it is split. It then runs forward, loss and sweep over
@@ -280,6 +281,7 @@ def train(cfg, images, start=None):
         state = init_adam(params)
         start = Checkpoint(config=cfg, step=0, params=params, adam_m=state.m, adam_v=state.v,
                            rng_state=np.random.default_rng(cfg.seed).bit_generator.state)
+    _check_moments(start, "train")
     cfg = replace(start.config, steps=cfg.steps)
     model_cfg = cfg.kpn_config()
     imgs = [np.asarray(im, dtype=np.float64) for im in images]
@@ -343,6 +345,8 @@ def train(cfg, images, start=None):
 
 @dataclass
 class Checkpoint:
+    """A run's state; ``adam_m`` and ``adam_v`` are None when read without the moments."""
+
     config: TrainConfig
     step: int
     params: dict
@@ -354,8 +358,11 @@ class Checkpoint:
 def save_checkpoint(path, ckpt):
     """Write magic, version, JSON metadata, then named tensors (sorted).
 
-    Saving the result of load_checkpoint reproduces the file byte for byte.
+    Saving the result of load_checkpoint reproduces the file byte for byte;
+    a checkpoint read without its Adam moments is a ValueError, as its file
+    could not be resumed.
     """
+    _check_moments(ckpt, "save_checkpoint")
     meta = {"config": asdict(ckpt.config), "step": int(ckpt.step),
             "rng_state": ckpt.rng_state}
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -375,9 +382,25 @@ def save_checkpoint(path, ckpt):
     return path
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; any malformed or corrupt content raises ValueError naming ``path``."""
+def _check_moments(ckpt, caller):
+    if ckpt.adam_m is None or ckpt.adam_v is None:
+        raise ValueError(f"{caller}: the checkpoint has no Adam moments (adam.m.*, adam.v.*); "
+                         "it was loaded with optimizer=False")
+
+
+def load_checkpoint(path, optimizer=True):
+    """Read a checkpoint; any malformed or corrupt content raises ValueError naming ``path``.
+
+    With ``optimizer=False`` the Adam moments, two thirds of the payload,
+    are seeked past rather than read, and ``adam_m`` and ``adam_v`` are
+    None: enough to run the model, not to save or resume it. Both reads
+    walk every record with the same checks (each record's rank and dims, its
+    payload fitting in the file, every group's shapes against the config),
+    so a file loads under both or fails under both with the same error.
+    """
     path = Path(path)
+    groups = {"param.": {}, "adam.m.": {}, "adam.v.": {}}
+    shapes = {prefix: {} for prefix in groups}
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
@@ -386,30 +409,32 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         blob_len, = read_u32(f, path)
         blob = read_exact(f, blob_len, path)
-        groups = {"param.": {}, "adam.m.": {}, "adam.v.": {}}
         while f.peek(1):
             nlen, = read_u32(f, path)
             name = read_exact(f, nlen, path).decode("utf-8", "replace")
-            arr = read_array(f, path)
-            for prefix in groups:
-                if name.startswith(prefix):
-                    groups[prefix][name[len(prefix):]] = arr
-                    break
-            else:
+            prefix = next((p for p in groups if name.startswith(p)), None)
+            if prefix is None:
                 raise ValueError(f"{path}: unknown tensor section {name!r}")
+            key = name[len(prefix):]
+            if optimizer or prefix == "param.":
+                groups[prefix][key] = read_array(f, path)
+                shapes[prefix][key] = groups[prefix][key].shape
+            else:
+                shapes[prefix][key] = skip_array(f, path)
 
     try:
         cfg, step, rng_state = _parse_meta(blob)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: corrupt checkpoint metadata ({type(e).__name__}: {e})") from e
     model_cfg = cfg.kpn_config()
-    for prefix, group in groups.items():
+    for prefix, group in shapes.items():
         try:
-            check_param_shapes({name: a.shape for name, a in group.items()}, model_cfg)
+            check_param_shapes(group, model_cfg)
         except ValueError as e:
             raise ValueError(f"{path}: {prefix}* tensors do not match the config ({e})") from None
     return Checkpoint(config=cfg, step=step, params=groups["param."],
-                      adam_m=groups["adam.m."], adam_v=groups["adam.v."],
+                      adam_m=groups["adam.m."] if optimizer else None,
+                      adam_v=groups["adam.v."] if optimizer else None,
                       rng_state=rng_state)
 
 

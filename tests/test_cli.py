@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 
 from structkpn.cli import main, parse_config_file, ConfigError
+from structkpn.corpus import synth_corpus
 from structkpn.fileio import read_pgm, write_pgm
-from structkpn.training import (load_checkpoint, save_checkpoint, CURVE_HEADER,
+from structkpn.kpn import build_model
+from structkpn.training import (Checkpoint, init_adam, load_checkpoint, save_checkpoint,
+                                CURVE_HEADER,
                                 TrainConfig)
 from helpers import read_minmax
 
@@ -318,6 +322,35 @@ def test_truncated_checkpoint_exits_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "cut.ckpt" in err and "Traceback" not in err
+
+
+def test_eval_of_a_default_model_on_256_squared_stays_under_25_mib(tmp_path):
+    # the stream holds bands of about 2,048 pixels, and eval never reads the
+    # Adam moments, two thirds of the checkpoint's payload
+    cfg = TrainConfig(steps=0, val_interval=0)
+    model_cfg = cfg.kpn_config()
+    params = build_model(model_cfg, seed=0)             # a He-init backbone
+    x = np.arange(model_cfg.kernel_size) - model_cfg.kernel_size // 2
+    blur = np.outer(np.exp(-x * x / 0.5), np.exp(-x * x / 0.5)).ravel()
+    params["head.b"] = blur / blur.sum()                # a normalised Gaussian, sigma 0.5
+    params["head.w"] *= 1e-3                            # so the filters stay near that blur
+    state = init_adam(params)
+    ckpt = save_checkpoint(tmp_path / "m.ckpt", Checkpoint(
+        config=cfg, step=0, params=params, adam_m=state.m, adam_v=state.v,
+        rng_state=np.random.default_rng(0).bit_generator.state))
+    del params, state
+    synth_corpus(tmp_path / "data", 1, 256, seed=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "e.csv")])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    row = (tmp_path / "e.csv").read_text().splitlines()[1].split(",")
+    assert rc == 0 and float(row[3]) > float(row[1])    # denoised PSNR beats noisy
+    assert peak < 25 * 2 ** 20, peak / 2 ** 20
 
 
 def test_synth_determinism(tmp_path):

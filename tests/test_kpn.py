@@ -390,7 +390,8 @@ def test_denoise_image_stream_matches_kpn_apply(monkeypatch, kind, softmax, stem
 
 def test_denoise_image_memory_does_not_grow_with_height():
     # the stream holds a few bands of rows whatever the height; what still grows
-    # is the denoised output itself (0.5 MB at 512 x 128)
+    # is the denoised output itself, 8 bytes a pixel, so the peak may grow by the
+    # taller output's extra bytes and 16 KiB of slack, no more
     cfg = KpnConfig(kernel_size=5, stem_channels=8)
     params = build_model(cfg, seed=3)
 
@@ -404,7 +405,7 @@ def test_denoise_image_memory_does_not_grow_with_height():
         finally:
             tracemalloc.stop()
 
-    assert peak(512) <= 1.25 * peak(64)
+    assert peak(512) - peak(64) <= (512 - 64) * 128 * 8 + 16 * 1024
 
 
 def test_denoise_image_validation():
@@ -427,7 +428,7 @@ def test_denoise_image_validation():
 
 def test_denoise_image_holds_one_band_of_the_filter_field():
     # the whole k = 21 field of a 192^2 image is 130 MB; a band of it, one
-    # block of kpn_filter's forward, is 14 MB
+    # block of kpn_filter's forward, is 7 MB
     cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=1, groups=2)
     params = build_model(cfg, seed=3)
     img = np.random.default_rng(52).random((192, 192))
@@ -440,7 +441,7 @@ def test_denoise_image_holds_one_band_of_the_filter_field():
     finally:
         tracemalloc.stop()
     assert den.shape == img.shape
-    assert peak < field_bytes / 4
+    assert peak < field_bytes / 12
 
 
 def test_denoise_image_kinds():

@@ -439,6 +439,31 @@ def tiny_checkpoint_bytes(tmp_path):
     return save_checkpoint(tmp_path / "full.ckpt", ckpt).read_bytes()
 
 
+def load_both_ways(path):
+    """(full read, moments-free read) of a checkpoint: each a Checkpoint or the
+    ValueError it raised. Both must fail together with one message naming the
+    file, and where both load they must agree on config, step and params to
+    the byte."""
+    reads = []
+    for optimizer in (True, False):
+        try:
+            reads.append(load_checkpoint(path, optimizer=optimizer))
+        except ValueError as e:
+            assert path.name in str(e), (optimizer, e)
+            reads.append(e)
+    full, lean = reads
+    assert isinstance(full, ValueError) == isinstance(lean, ValueError), (full, lean)
+    if isinstance(full, ValueError):
+        assert str(full) == str(lean)
+    else:
+        assert lean.adam_m is None and lean.adam_v is None
+        assert (lean.config, lean.step, lean.rng_state) == (full.config, full.step,
+                                                             full.rng_state)
+        assert lean.params.keys() == full.params.keys()
+        assert all(lean.params[k].tobytes() == full.params[k].tobytes() for k in full.params)
+    return full, lean
+
+
 def test_checkpoint_every_truncation_raises_value_error(tmp_path):
     full = tiny_checkpoint_bytes(tmp_path)
     cut_path = tmp_path / "cut.ckpt"
@@ -446,8 +471,10 @@ def test_checkpoint_every_truncation_raises_value_error(tmp_path):
         cut_path.write_bytes(full[:cut])
         with pytest.raises(ValueError, match="cut.ckpt"):
             load_checkpoint(cut_path)
+        assert all(isinstance(r, ValueError) for r in load_both_ways(cut_path)), cut
     cut_path.write_bytes(full)
     assert save_checkpoint(tmp_path / "again.ckpt", load_checkpoint(cut_path)).read_bytes() == full
+    load_both_ways(cut_path)
 
 
 def test_checkpoint_byte_flips_load_or_name_the_file(tmp_path):
@@ -458,10 +485,29 @@ def test_checkpoint_byte_flips_load_or_name_the_file(tmp_path):
             flipped = bytearray(full)
             flipped[i] ^= mask
             flip_path.write_bytes(flipped)
-            try:
-                load_checkpoint(flip_path)
-            except ValueError as e:
-                assert "flip.ckpt" in str(e), (i, mask, e)
+            load_both_ways(flip_path)
+
+
+def test_checkpoint_without_moments_cannot_be_saved(tmp_path):
+    path = tmp_path / "full.ckpt"
+    path.write_bytes(tiny_checkpoint_bytes(tmp_path))
+    lean = load_checkpoint(path, optimizer=False)
+    out = tmp_path / "lean.ckpt"
+    with pytest.raises(ValueError, match=r"no Adam moments \(adam\.m\.\*, adam\.v\.\*\)"):
+        save_checkpoint(out, lean)
+    assert not out.exists()
+    half = dataclasses.replace(load_checkpoint(path), adam_v=None)
+    with pytest.raises(ValueError, match="no Adam moments"):
+        save_checkpoint(out, half)
+    assert not out.exists()
+
+
+def test_checkpoint_without_moments_cannot_be_resumed(tmp_path):
+    path = tmp_path / "full.ckpt"
+    path.write_bytes(tiny_checkpoint_bytes(tmp_path))
+    lean = load_checkpoint(path, optimizer=False)
+    with pytest.raises(ValueError, match=r"train: .*no Adam moments"):
+        train(dataclasses.replace(lean.config, steps=2), small_corpus(n=2, size=32), start=lean)
 
 
 def test_checkpoint_arrays_must_match_config_shapes(tmp_path):
