@@ -7,17 +7,17 @@ output channels, and each pixel's k^2 channel slice is a filter applied to
 the input frame with edges replicated, so output size equals input size;
 kernels can optionally be softmax-normalized per pixel so they are positive
 and sum to one. ``tensor.kpn_filter`` runs the head, the softmax and the
-filtering as one op over blocks, so the whole (N, k^2, H, W) field is never
-built. A "plain-cnn" head has one channel, starts at zero, and adds a
-residual to the input through a global skip.
+filtering as one op that holds its input's (N, k^2, H, W) field once. A
+"plain-cnn" head has one channel, starts at zero, and adds a residual to
+the input through a global skip.
 
-Training runs the whole batch on the tape (``kpn_apply``). ``denoise_image``
+Training runs a micro-batch on the tape (``kpn_apply``). ``denoise_image``
 streams one image through the same layers in bands of whole rows, each 3x3
 conv carrying the 2 input rows it still needs from the band before, so its
 memory follows the band, not the image. Both read the one layer list of
 ``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
-each band goes through ``tensor._filter_blocks``, the forward of
-``kpn_filter``, one band a block.
+each band's rows go through ``kpn_filter``'s two halves, ``tensor._head_field``
+and ``tensor._filter_window``, one band of the field at a time.
 """
 
 import math
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_blocks, _head_field,
+from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_window, _head_field,
                      add, conv2d, edge_pad, kpn_filter, relu)
 from .tensor import local_conv  # noqa: F401  perfbench/tracing.py imports it from here
 
@@ -155,8 +155,8 @@ def kpn_apply(params, x, cfg):
 
     params maps layer names to Tensors; x is an (N,1,H,W) Tensor. A kpn head
     and its per-pixel filtering of x are one ``kpn_filter`` op (k^2 channels,
-    softmax-normalized per pixel when configured), which never holds the
-    whole filter field; a plain-cnn head is one residual channel added to x.
+    softmax-normalized per pixel when configured), which holds x's filter
+    field once; a plain-cnn head is one residual channel added to x.
     """
     check_param_shapes({name: t.data.shape for name, t in params.items()}, cfg)
     if x.data.ndim != 4 or x.data.shape[1] != 1:
@@ -265,15 +265,14 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     3x3 conv keeps the last 2 rows of its input from the band before and emits
     its output one row behind its input, each residual add holds back its skip
     input 2 rows to meet its second conv, and only the image's top and bottom
-    rows replicate as conv2d's padding does. Each band of features leaves the
-    backbone into ``kpn_filter``'s forward (the 1x1 head, the optional
-    softmax and the per-pixel filtering), one band a block; the head is
-    pointwise, so it needs no halo. The result is within 1e-12 of
-    ``kpn_apply`` on the whole image (the GEMMs see other shapes, so the
-    last bits can differ) and byte-identical across reruns at a fixed BLAS
-    thread count. kernels is a (P,k,k) array holding the filter of each
-    (m, n) in kernel_pixels (kpn only); tap (s,t) of a filter sits at
-    [s+r, t+r]. Pixels are checked before the forward pass.
+    rows replicate as conv2d's padding does. ``kpn_filter``'s two halves, the
+    pointwise head (no halo) and the per-pixel filter, then run a band of rows
+    at a time, also in the last, taller band the backbone's lag yields. The
+    result is within 1e-12 of ``kpn_apply`` on the whole image (the GEMMs see
+    other shapes, so the last bits can differ) and byte-identical across
+    reruns at a fixed BLAS thread count. kernels is a (P,k,k) array holding
+    the filter of each (m, n) in kernel_pixels (kpn only); tap (s,t) of a
+    filter sits at [s+r, t+r]. Pixels are checked before the forward pass.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
@@ -303,13 +302,16 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
         # the band's rows of the input, edge-padded by r as kpn_filter pads it
         xp = edge_pad(img[np.clip(np.arange(row - r, j + r), 0, h - 1)], 0, r,
                       np.empty((j - row + 2 * r, w + 2 * r)))
-        # a block is a band's rows, as splitting a band further costs time
-        blocks = _filter_blocks(xp[None, None], fd[None], wmat, bias,
-                                cfg.softmax_normalize_kernels, den[None, None, row:j],
-                                k * k * band * w)
-        for i, i_end, field in blocks:
+        buf = np.empty(k * k * min(band, j - row) * w)
+        for i in range(row, j, band):
+            e = min(i + band, j)
+            field = _head_field(fd[None, :, (i - row) * w:(e - row) * w], wmat, bias,
+                                cfg.softmax_normalize_kernels,
+                                buf[:k * k * (e - i) * w].reshape(1, k * k, -1))
+            _filter_window(xp[None, None, i - row:e - row + 2 * r],
+                           field.reshape(1, k * k, e - i, w), k, den[None, None, i:e])
             for p, (m, n) in enumerate(pixels):
-                if row + i <= m < row + i_end:
-                    kernels[p] = field[0, :, (m - row - i) * w + n].reshape(k, k)
-        del field                                # not held while the next band runs
+                if i <= m < e:
+                    kernels[p] = field[0, :, (m - i) * w + n].reshape(k, k)
+        del buf, field                           # not held while the next band runs
     return den, kernels

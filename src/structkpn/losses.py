@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradstats import SIGMA_L1, SIGMA_L2, GradStatsMap
-from .tensor import (Tensor, ShapeError, abs_val, add, mul, reduce_mean, ssim_from_moments,
-                     ssim_map, sub)
+from .tensor import (Tensor, ShapeError, _softmax, abs_val, add, mul, reduce_mean,
+                     ssim_from_moments, ssim_map, sub)
 
 __all__ = [
     "SsimConstants",
@@ -84,9 +84,7 @@ def loss_weights(stats: GradStatsMap, sigma_l2=SIGMA_L2, sigma_l1=SIGMA_L1):
     z = np.stack([stats.coherence * sigma_l2,
                   np.full_like(stats.strength, sigma_l1),
                   stats.strength], axis=-1)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    g = e / e.sum(axis=-1, keepdims=True)
+    g = _softmax(z, -1, z)
     return LossWeights(gamma1=g[..., 0], gamma2=g[..., 1], gamma3=g[..., 2])
 
 

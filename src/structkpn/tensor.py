@@ -27,8 +27,8 @@ grad unless asked.
 
 A ``StepArena`` lends the large per-step arrays of the ops (conv outputs,
 padded inputs and gradients, relu/add/softmax outputs, relu's and
-``local_conv``'s gradients, ``kpn_filter``'s block buffer, output and
-feature gradient, ``accumulate_grad``'s sums) while it is entered,
+``local_conv``'s gradients, ``kpn_filter``'s field, output and feature
+gradient, ``accumulate_grad``'s sums) while it is entered,
 and takes a buffer back once ``sys.getrefcount`` shows that no Tensor,
 closure or view refers to it. ``training.train`` enters one around each
 step, so the next step reuses the pages the last one freed instead of
@@ -59,9 +59,9 @@ batched ``np.matmul`` over the groups, which costs less per call.
 ``local_conv`` applies a per-pixel filter field, the one op the kernel
 prediction network adds to a plain CNN. ``kpn_filter`` is the network's
 1x1 head, the optional per-pixel softmax and ``local_conv`` as one op that
-builds the field a block of rows or images at a time, so the whole field
-never exists; its block forward ``_filter_blocks``, and with it
-``local_conv``'s window sum ``_filter_window``, also filters
+holds one field, its input's, in one buffer that its gradient overwrites;
+its callers bound that input. Its two halves, the head ``_head_field`` and
+``local_conv``'s window sum ``_filter_window``, also filter
 ``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
 of the structure-aware loss as one op: its window means come from
 ``box_filter``, a numpy box filter that ``gradstats`` also uses, and its
@@ -123,11 +123,11 @@ class StepArena:
     since numpy points every view at the array that owns the memory. A
     request takes the smallest free buffer that holds it, unless that buffer
     is over eight times its size (so a 64-channel activation may borrow
-    ``kpn_filter``'s 8 MB block buffer, but a loss map may not); failing
-    that it makes a buffer of its own size, which replaces the largest free
-    buffer too small for it, so the arena holds about as many buffers as a
-    step has live at once. Lent arrays are uninitialised, as from
-    ``np.empty``.
+    ``kpn_filter``'s 8 MB field of a 48^2 patch at k = 21, but a loss map
+    may not); failing that it makes a buffer of its own size, which replaces
+    the largest free buffer too small for it, so the arena holds about as
+    many buffers as a step has live at once. Lent arrays are uninitialised,
+    as from ``np.empty``.
     """
 
     def __init__(self):
@@ -471,11 +471,17 @@ def relu(a):
     return make_op(out_data, (a,), bwd, "relu")
 
 
+def _softmax(a, axis, out):
+    """Max-shifted softmax of a along axis into out (may be a): the one softmax of the package."""
+    np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax_vec(v, axis=-1):
     """Max-shifted softmax along ``axis``; output sums to 1 there."""
-    shifted = v.data - v.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = np.divide(e, e.sum(axis=axis, keepdims=True), out=_empty(e.shape))
+    out_data = _softmax(v.data, axis, _empty(v.data.shape))
     vn = v._node
 
     def bwd(g):
@@ -890,6 +896,21 @@ def _filter_window(xp, vd, k, out):
     return out
 
 
+def _scatter_window(g, vd, k, gxp):
+    """_filter_window's adjoint in x: g * vd[:, c] summed onto tap c's window, into gxp."""
+    h, w = vd.shape[2:]
+    gxp.fill(0.0)
+    for c in range(k * k):
+        _tap(gxp, c, k, h, w)[...] += g * vd[:, c:c + 1]
+    return gxp
+
+
+def _tap_grad(g, xp, c, k, out):
+    """g * x_c, tap c's filter gradient for output gradient g (N,1,h,w), into out (N,h,w)."""
+    h, w = g.shape[2:]
+    return np.multiply(g[:, 0], _tap(xp, c, k, h, w)[:, 0], out=out)
+
+
 def local_conv(x, v):
     """Apply per-pixel filters: out[m,n] = sum_{s,t} x[m-s, n-t] * v[(s+r)k+(t+r)].
 
@@ -918,36 +939,13 @@ def local_conv(x, v):
         if vn.requires_grad:
             gv = _empty(vshape)
             for c in range(k * k):
-                gv[:, c] = g[:, 0] * _tap(xp, c, k, h, w)[:, 0]
+                _tap_grad(g, xp, c, k, gv[:, c])
             accumulate_grad(vn, gv)
         if xn.requires_grad:
-            gxp = _empty(xp.shape)
-            gxp.fill(0.0)
-            for c in range(k * k):
-                _tap(gxp, c, k, h, w)[...] += g * vkept[:, c:c + 1]
+            gxp = _scatter_window(g, vkept, k, _empty(xp.shape))
             accumulate_grad(xn, _collapse_replication(gxp, r, r))
 
     return make_op(_filter_window(xp, vd, k, np.empty(xd.shape)), (x, v), bw, "local_conv")
-
-
-# kpn_filter builds the head's filter field over blocks of up to this many
-# field values (8 MB): at k = 21 a 48^2 training patch is one block, and at
-# k = 5 a batch of them.
-_FIELD_BLOCK_VALUES = 1 << 20
-
-
-def _field_blocks(n, k2, h, w, values):
-    """Blocks of up to ``values`` field values over n images, and the first
-    (largest) block's size: as many whole images as fit, else whole rows of
-    one image. Each block is (first image, images, first row, last row + 1)."""
-    per = values // (k2 * h * w)
-    if per >= 1:
-        blocks = [(b, min(per, n - b), 0, h) for b in range(0, n, per)]
-    else:
-        rows = max(1, values // (k2 * w))
-        blocks = [(b, 1, i, min(i + rows, h)) for b in range(n) for i in range(0, h, rows)]
-    _, nb, i, j = blocks[0]
-    return blocks, nb * k2 * (j - i) * w
 
 
 def _head_field(fd, wmat, bias, softmax, out):
@@ -955,60 +953,25 @@ def _head_field(fd, wmat, bias, softmax, out):
 
     The bias goes in first and each image's GEMM adds into it, as
     ``_pointwise_conv`` does; with ``softmax`` the k^2 channels are then
-    normalised in place with ``softmax_vec``'s arithmetic. So each value has
-    those two ops' bits.
+    normalised in place by ``_softmax``, as ``softmax_vec`` normalises. So
+    each value has those two ops' bits.
     """
     out[...] = bias[:, None]
     for b in range(len(fd)):
         _gemm(wmat, fd[b], out[b], 1)
-    if softmax:
-        out -= out.max(axis=1, keepdims=True)
-        np.exp(out, out=out)
-        out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _filter_blocks(xp, fd, wmat, bias, softmax, out, values):
-    """``kpn_filter``'s forward, a block of ``_field_blocks`` at a time.
-
-    xp is the images edge-padded by r, (N, 1, H + 2r, W + 2r); fd their
-    features (N, C, H*W); out the (N, 1, H, W) output; values the block
-    size in field values. Each block gets its filters from ``_head_field``
-    in one buffer the blocks share and is filtered into out by
-    ``_filter_window``. Yields (first row, last row + 1, the block's
-    (images, k^2, rows*W) filters), which the next block overwrites.
-    """
-    k2 = wmat.shape[0]
-    k = math.isqrt(k2)
-    n, _, h, w = out.shape
-    blocks, size = _field_blocks(n, k2, h, w, values)
-    buf = _empty((size,))
-    for b, nb, i, j in blocks:
-        field = _head_field(fd[b:b + nb, :, i * w:j * w], wmat, bias, softmax,
-                            buf[:nb * k2 * (j - i) * w].reshape(nb, k2, -1))
-        _filter_window(xp[b:b + nb, :, i:j + k - 1], field.reshape(nb, k2, j - i, w), k,
-                       out[b:b + nb, :, i:j])
-        yield i, j, field
+    return _softmax(out, 1, out) if softmax else out
 
 
 def kpn_filter(x, feats, weights, bias, softmax=False):
-    """The kpn head and its filtering in one op, never holding the whole filter field.
+    """The kpn head and its filtering in one op, holding x's filter field once.
 
     x is (N,1,H,W), feats (N,C,H,W), weights (k^2,C,1,1) with k odd and bias
-    (k^2,). The value is ``local_conv(x, v)``, with v the 1x1 head
-    ``conv2d(feats, weights, bias)``, or ``softmax_vec`` of it over its k^2
-    channels when ``softmax`` is set; differentiable w.r.t. all four inputs.
-    The field is built over the blocks of ``_field_blocks``, at most
-    ``_FIELD_BLOCK_VALUES`` values each, in one buffer the blocks share, so
-    where every block is whole images the op has those three ops' bits.
-    The tape keeps feats and the padded x, and the field only when it is one
-    block; otherwise the backward rebuilds each block's field where the
-    softmax or x's gradient reads it. Each block's field gradient then
-    overwrites its field, so the backward holds one block buffer: g * x_c
-    per tap, or through the softmax s * (g_v - sum_c g_v s) with
-    ``softmax_vec``'s arithmetic. The weight gradient sums the images and
-    blocks in order inside BLAS, the bias gradient adds the blocks' sums,
-    and the features' gradient is written block by block.
+    (k^2,). The value and gradients are the bits of ``local_conv(x, v)``, v
+    the 1x1 head ``conv2d(feats, weights, bias)`` or, with ``softmax``, its
+    ``softmax_vec`` over the k^2 channels. The field is one lent buffer, its
+    size bounded by the caller's x. The tape keeps feats, the padded x, and
+    the field where the softmax or x's gradient reads it; the field's
+    gradient then overwrites it.
     """
     xd, fd, wd, bd = x.data, feats.data, weights.data, bias.data
     if xd.ndim != 4 or xd.shape[1] != 1:
@@ -1026,72 +989,49 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     wmat, fs = wd.reshape(k2, c), fd.reshape(n, c, h * w)
     xp = edge_pad(xd, r, r, np.empty((n, 1, h + 2 * r, w + 2 * r)))
     out_data = _empty(xd.shape)
-    for _, _, field in _filter_blocks(xp, fs, wmat, bd, softmax, out_data, _FIELD_BLOCK_VALUES):
-        pass
+    field = _head_field(fs, wmat, bd, softmax, _empty((n, k2, h * w)))
+    _filter_window(xp, field.reshape(n, k2, h, w), k, out_data)
     xn, fn, wn, bn = x._node, feats._node, weights._node, bias._node
-    blocks, size = _field_blocks(n, k2, h, w, _FIELD_BLOCK_VALUES)
-    reads_s = softmax or xn.requires_grad
-    kept = field if reads_s and len(blocks) == 1 else None   # one block: kept, not rebuilt
+    kept = field if softmax or xn.requires_grad else None
     del field
 
     def bwd(g):
-        need_gv = fn.requires_grad or wn.requires_grad or bn.requires_grad
-        buf = _empty((size,)) if kept is None else None
-        df = _empty((n, c, h * w)) if fn.requires_grad else None
-        dw = np.empty((k2, c)) if wn.requires_grad else None
-        db = None
         if xn.requires_grad:
-            gxp = _empty(xp.shape)
-            gxp.fill(0.0)
-        for b, nb, i, j in blocks:
-            nr, cols = j - i, slice(i * w, j * w)
-            fb, gb, xb = fs[b:b + nb, :, cols], g[b:b + nb, :, i:j], xp[b:b + nb, :, i:j + 2 * r]
-            # the block's filters s, where read, then their gradient in the same buffer
-            gv = kept if kept is not None else buf[:nb * k2 * nr * w].reshape(nb, k2, -1)
-            if reads_s and kept is None:
-                _head_field(fb, wmat, bd, softmax, gv)
-            if xn.requires_grad:
-                gxb = gxp[b:b + nb, :, i:j + 2 * r]
-                for t in range(k2):
-                    _tap(gxb, t, k, nr, w)[...] += gb * gv[:, t].reshape(nb, 1, nr, w)
-            if not need_gv:
-                continue
-
-            def tap_grad(t, out):                  # g * x_c of tap t, as local_conv's
-                np.multiply(gb[:, 0], _tap(xb, t, k, nr, w)[:, 0], out=out.reshape(nb, nr, w))
-                return out
-
+            gxp = _scatter_window(g, kept.reshape(n, k2, h, w), k, _empty(xp.shape))
+        if fn.requires_grad or wn.requires_grad or bn.requires_grad:
+            # the field's gradient, in the field's buffer once nothing else reads s
+            gv = kept if kept is not None else _empty((n, k2, h * w))
+            g4 = gv.reshape(n, k2, h, w)
             if softmax:
                 # softmax_vec's s * (g_v - sum_c g_v s), each g_v formed twice
                 # rather than held in a second buffer
-                gx = np.empty((nb, nr * w))
-                if nr * w == 1:
+                gx = np.empty((n, h, w))
+                if h * w == 1:
                     # numpy sums a k^2 axis of one pixel pairwise, not in
-                    # order, so these nb * k^2 products are summed as a whole
-                    inner = np.stack([tap_grad(t, gx) * gv[:, t] for t in range(k2)],
-                                     axis=1).sum(axis=1)
+                    # order, so these n * k^2 products are summed as a whole
+                    inner = np.stack([_tap_grad(g, xp, t, k, gx) * g4[:, t]
+                                      for t in range(k2)], axis=1).sum(axis=1)
                 else:
-                    inner = tap_grad(0, gx) * gv[:, 0]
+                    inner = _tap_grad(g, xp, 0, k, gx) * g4[:, 0]
                     for t in range(1, k2):
-                        inner += tap_grad(t, gx) * gv[:, t]
+                        inner += _tap_grad(g, xp, t, k, gx) * g4[:, t]
                 for t in range(k2):
-                    gv[:, t] *= tap_grad(t, gx) - inner
+                    g4[:, t] *= _tap_grad(g, xp, t, k, gx) - inner
             else:
                 for t in range(k2):
-                    tap_grad(t, gv[:, t])
+                    _tap_grad(g, xp, t, k, g4[:, t])
             if bn.requires_grad:
-                db = gv.sum(axis=(0, 2)) if db is None else db + gv.sum(axis=(0, 2))
-            for a in range(nb):
-                if wn.requires_grad:
-                    _gemm(gv[a], fb[a].T, dw, b + a > 0 or i > 0)
-                if fn.requires_grad:
-                    np.matmul(wmat.T, gv[a], out=df[b + a, :, cols])
-        if bn.requires_grad:
-            accumulate_grad(bn, db)
-        if wn.requires_grad:
-            accumulate_grad(wn, dw.reshape(wd.shape))
-        if fn.requires_grad:
-            accumulate_grad(fn, df.reshape(fd.shape))
+                accumulate_grad(bn, gv.sum(axis=(0, 2)))
+            if wn.requires_grad:
+                dw = np.empty((k2, c))
+                for a in range(n):
+                    _gemm(gv[a], fs[a].T, dw, a > 0)
+                accumulate_grad(wn, dw.reshape(wd.shape))
+            if fn.requires_grad:
+                df = _empty((n, c, h * w))
+                for a in range(n):
+                    np.matmul(wmat.T, gv[a], out=df[a])
+                accumulate_grad(fn, df.reshape(fd.shape))
         if xn.requires_grad:
             accumulate_grad(xn, _collapse_replication(gxp, r, r))
 

@@ -240,14 +240,21 @@ def _validate(params, model_cfg, cfg, val_imgs):
     return float(np.mean(ps)), float(np.mean(ss))
 
 
-def _micro_batch_images(cfg):
-    """Images per micro-batch: as many as keep one stem-width activation
-    within a conv block's ``_BLOCK_VALUES`` values, and at least one.
+_FIELD_VALUES = 1 << 20      # a micro-batch's filter field, 8 MB: one 48^2 patch at k = 21
 
-    One image at the default config (64 ch, 48^2 patches); the whole batch
-    at narrower or smaller ones, which then run exactly as one batch.
+
+def _micro_batch_images(cfg):
+    """Images per micro-batch, at least one: as many as keep one stem-width
+    activation within a conv block's ``_BLOCK_VALUES`` values and the head's
+    output (a kpn's k^2-a-pixel filter field) within ``_FIELD_VALUES``.
+
+    One image at the default config; the whole batch at narrower or smaller
+    ones, which then run exactly as one batch.
     """
-    return max(1, _BLOCK_VALUES // (cfg.stem_channels * cfg.patch_size ** 2))
+    pixels = cfg.patch_size ** 2
+    head = cfg.kernel_size ** 2 if cfg.model_kind == "kpn" else 1
+    return max(1, min(_BLOCK_VALUES // (cfg.stem_channels * pixels),
+                      _FIELD_VALUES // (head * pixels)))
 
 
 def train(cfg, images, start=None):

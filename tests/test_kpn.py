@@ -97,15 +97,13 @@ def _value_and_grads(op, arrays, u):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.sampled_from([3, 5]), st.integers(1, 9),
-       st.integers(1, 9), st.booleans(), st.sampled_from(["batch", "image", "rows"]),
-       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-@example(2, 3, 5, 3, 2, True, "rows", 1, 0)     # k > H and k > W, one-row blocks
-@example(3, 2, 3, 9, 7, False, "rows", 2, 1)    # 2-row blocks, the last one row
-def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, split, rows, seed):
+       st.integers(1, 9), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(2, 3, 5, 3, 2, True, 0)     # k > H and k > W
+@example(3, 2, 3, 9, 7, False, 1)
+@example(2, 2, 5, 1, 1, True, 2)     # one pixel: the softmax's k^2 sum is numpy's pairwise one
+def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, seed):
     # kpn_filter against the three ops it fuses: value and the gradients of
-    # x, feats, weights and bias are the same bytes while blocks are whole
-    # images (the batch, or one image each), and within 1e-12 once an image
-    # splits into row blocks
+    # x, feats, weights and bias are the same bytes
     rng = np.random.default_rng(seed)
     arrays = (rng.normal(size=(n, 1, h, w)), rng.normal(size=(n, c, h, w)),
               rng.normal(size=(k * k, c, 1, 1)), rng.normal(size=k * k))
@@ -115,17 +113,9 @@ def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, spli
         v = conv2d(f, wt, b)
         return local_conv(x, softmax_vec(v, axis=1) if softmax else v)
 
-    budget = {"batch": tensor._FIELD_BLOCK_VALUES, "image": k * k * h * w,
-              "rows": k * k * w * rows}[split]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "_FIELD_BLOCK_VALUES", budget)
-        got = _value_and_grads(lambda *p: kpn_filter(*p, softmax=softmax), arrays, u)
+    got = _value_and_grads(lambda *p: kpn_filter(*p, softmax=softmax), arrays, u)
     want = _value_and_grads(oracle, arrays, u)
-    if split == "rows" and rows < h:
-        for a, b in zip(got, want):
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
-    else:
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 def test_kpn_filter_validation():
@@ -145,10 +135,11 @@ def test_kpn_filter_validation():
 
 
 @pytest.mark.parametrize("softmax", [False, True])
-def test_kpn_apply_and_its_backward_never_hold_the_whole_field(softmax):
-    # at k = 21 the field of one 128^2 image is 58 MB whole and 8 MB a block;
-    # the traced peak of the forward and backward is 0.22x the whole field
-    # with or without softmax (1.08x and 4.06x when the tape held the field)
+def test_kpn_apply_and_its_backward_hold_the_field_once(softmax):
+    # at k = 21 the field of one 128^2 image is 58 MB; the forward and
+    # backward hold it once, its gradient overwriting it: the traced peak is
+    # 1.08x the field with or without softmax, and would be about 2x with a
+    # second field-sized buffer
     cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=1, groups=2,
                     softmax_normalize_kernels=softmax)
     tensors = params_to_tensors(build_model(cfg, 3))
@@ -163,7 +154,7 @@ def test_kpn_apply_and_its_backward_never_hold_the_whole_field(softmax):
     finally:
         tracemalloc.stop()
     assert all(t.grad is not None for t in tensors.values())
-    assert peak < 0.3 * field_bytes, peak
+    assert peak < 1.3 * field_bytes, peak
 
 
 def test_kpn_apply_frees_the_filter_field_once_dropped():
@@ -427,21 +418,30 @@ def test_denoise_image_validation():
 
 
 def test_denoise_image_holds_one_band_of_the_filter_field():
-    # the whole k = 21 field of a 192^2 image is 130 MB; a band of it, one
-    # block of kpn_filter's forward, is 7 MB
-    cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=1, groups=2)
-    params = build_model(cfg, seed=3)
-    img = np.random.default_rng(52).random((192, 192))
-    field_bytes = cfg.kernel_size ** 2 * img.size * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        den, _ = denoise_image(params, cfg, img)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert den.shape == img.shape
-    assert peak < field_bytes / 12
+    k2 = 21 ** 2
+    band_bytes = k2 * max(1, kpn._BAND_PIXELS // 1024) * 1024 * 8
+    cases = [
+        # the whole k = 21 field of a 192^2 image is 130 MB; a band of it is 7 MB
+        (192, 192, 1, k2 * 192 * 192 * 8 / 12),
+        # 2-row bands of a 1024-wide image: in the last band the 5 blocks'
+        # 11-row lag leaves the backbone at once, and is still filtered a band
+        # at a time (1.38x one band's field; 6.94x when that feature band was
+        # filtered whole)
+        (24, 1024, 5, 2 * band_bytes),
+    ]
+    for h, w, blocks, bound in cases:
+        cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=blocks, groups=2)
+        params = build_model(cfg, seed=3)
+        img = np.random.default_rng(52).random((h, w))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            den, _ = denoise_image(params, cfg, img)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert den.shape == img.shape
+        assert peak < bound, (h, w, peak, bound)
 
 
 def test_denoise_image_kinds():

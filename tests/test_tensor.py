@@ -111,9 +111,7 @@ def test_backward_requires_scalar():
 def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
     # every op that borrows from the arena, each input needing a gradient,
     # swept twice in one arena whose buffers go out full of NaN: the second
-    # graph runs on buffers the first one freed, and no byte may move;
-    # kpn_filter's blocks are 2 rows, so its buffers serve 3 blocks an image
-    monkeypatch.setattr(tensor, "_FIELD_BLOCK_VALUES", 9 * 7 * 2)
+    # graph runs on buffers the first one freed, and no byte may move
     rng = np.random.default_rng(47)
     xv, w3, b3 = rng.normal(size=(2, 4, 6, 7)), rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
     w1, b1 = rng.normal(size=(9, 4, 1, 1)), rng.normal(size=9)
@@ -607,6 +605,32 @@ def test_package_imports_sit_at_module_top_and_form_a_dag():
             deps.update([node.module] if node.module else [a.name for a in node.names])
     assert set().union(*graph.values()) <= set(graph)
     graphlib.TopologicalSorter(graph).prepare()   # raises CycleError on a cycle
+
+
+def test_package_modules_use_every_name_they_import():
+    # a top-level import the module never reads is dead code; names in the
+    # module's __all__ and imports marked "# noqa: F401" (a re-export) are exempt
+    pkg = Path(tensor.__file__).resolve().parent
+    unused = []
+    for path in sorted(pkg.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
 
 
 def test_grad_check_rejects_nondeterministic_function():
