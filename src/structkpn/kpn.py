@@ -7,7 +7,8 @@ output channels, and each pixel's k^2 channel slice is a filter applied to
 the input frame with edges replicated, so output size equals input size;
 kernels can optionally be softmax-normalized per pixel so they are positive
 and sum to one. ``tensor.kpn_filter`` runs the head, the softmax and the
-filtering as one op that holds its input's (N, k^2, H, W) field once. A
+filtering as one op that never holds its input's (N, k^2, H, W) field
+whole, only a block of ``tensor._BLOCK_VALUES`` values (2 MB) at a time. A
 "plain-cnn" head has one channel, starts at zero, and adds a residual to
 the input through a global skip.
 
@@ -16,8 +17,8 @@ streams one image through the same layers in bands of whole rows, each 3x3
 conv carrying the 2 input rows it still needs from the band before, so its
 memory follows the band, not the image. Both read the one layer list of
 ``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
-each band's rows go through ``kpn_filter``'s two halves, ``tensor._head_field``
-and ``tensor._filter_window``, one band of the field at a time.
+each band's rows go through ``kpn_filter``'s own forward over a band of
+pixels, ``tensor._filter_band``, a block of the field at a time.
 """
 
 import math
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_window, _head_field,
-                     add, conv2d, edge_pad, kpn_filter, relu)
+from .tensor import (Tensor, ShapeError, _bands, _conv_forward, _conv_taps, _filter_band,
+                     _head_field, add, conv2d, edge_pad, kpn_filter, relu)
 from .tensor import local_conv  # noqa: F401  perfbench/tracing.py imports it from here
 
 __all__ = [
@@ -156,7 +157,8 @@ def kpn_apply(params, x, cfg):
     params maps layer names to Tensors; x is an (N,1,H,W) Tensor. A kpn head
     and its per-pixel filtering of x are one ``kpn_filter`` op (k^2 channels,
     softmax-normalized per pixel when configured), which holds x's filter
-    field once; a plain-cnn head is one residual channel added to x.
+    field a block at a time; a plain-cnn head is one residual channel added
+    to x.
     """
     check_param_shapes({name: t.data.shape for name, t in params.items()}, cfg)
     if x.data.ndim != 4 or x.data.shape[1] != 1:
@@ -169,8 +171,9 @@ def kpn_apply(params, x, cfg):
 
 
 # denoise_image streams the image through the network in bands of whole rows
-# of about this many pixels: at k = 21 a band of the filter field takes 7 MB
-# and a band of a 64-channel activation 1 MB, whatever the image size. At 64
+# of about this many pixels: a band of a 64-channel activation takes 1 MB,
+# whatever the image size, and its filter field is filtered a block of
+# tensor._BLOCK_VALUES values (2 MB) at a time. At 64
 # channels a band's 3x3 conv is one tensor._conv_forward block (64 x rows x
 # (W + 2) values within _BLOCK_VALUES) at every width from 2 to 4,094, so a
 # wider band would buy no GEMM shape, only memory.
@@ -265,9 +268,11 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     3x3 conv keeps the last 2 rows of its input from the band before and emits
     its output one row behind its input, each residual add holds back its skip
     input 2 rows to meet its second conv, and only the image's top and bottom
-    rows replicate as conv2d's padding does. ``kpn_filter``'s two halves, the
-    pointwise head (no halo) and the per-pixel filter, then run a band of rows
-    at a time, also in the last, taller band the backbone's lag yields. The
+    rows replicate as conv2d's padding does. ``kpn_filter``'s forward over a
+    band, ``tensor._filter_band`` (the pointwise head, which needs no halo,
+    and the per-pixel filter), then runs on bands of rows of at most about
+    ``tensor._BLOCK_VALUES`` filter values, the same bands ``kpn_filter``
+    takes, also in the last, taller band the backbone's lag yields. The
     result is within 1e-12 of ``kpn_apply`` on the whole image (the GEMMs see
     other shapes, so the last bits can differ) and byte-identical across
     reruns at a fixed BLAS thread count. kernels is a (P,k,k) array holding
@@ -296,22 +301,20 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
         j = row + feats.shape[1]
         fd = feats.reshape(feats.shape[0], -1)
         if cfg.model_kind == "plain-cnn":
-            den[row:j] = img[row:j] + _head_field(fd[None], wmat, bias, False,
+            den[row:j] = img[row:j] + _head_field(fd[None], wmat, bias,
                                                   np.empty((1, 1, fd.shape[1]))).reshape(-1, w)
             continue
         # the band's rows of the input, edge-padded by r as kpn_filter pads it
         xp = edge_pad(img[np.clip(np.arange(row - r, j + r), 0, h - 1)], 0, r,
                       np.empty((j - row + 2 * r, w + 2 * r)))
-        buf = np.empty(k * k * min(band, j - row) * w)
-        for i in range(row, j, band):
-            e = min(i + band, j)
-            field = _head_field(fd[None, :, (i - row) * w:(e - row) * w], wmat, bias,
-                                cfg.softmax_normalize_kernels,
-                                buf[:k * k * (e - i) * w].reshape(1, k * k, -1))
-            _filter_window(xp[None, None, i - row:e - row + 2 * r],
-                           field.reshape(1, k * k, e - i, w), k, den[None, None, i:e])
+        bands = _bands(j - row, w, k * k)
+        buf = np.empty(k * k * max(e - i for i, e in bands) * w)
+        for i, e in bands:
+            field = buf[:k * k * (e - i) * w].reshape(1, k * k, -1)
+            _filter_band(xp[None, i:e + 2 * r], fd[None, :, i * w:e * w], wmat, bias,
+                         cfg.softmax_normalize_kernels, field, den[None, row + i:row + e])
             for p, (m, n) in enumerate(pixels):
-                if i <= m < e:
-                    kernels[p] = field[0, :, (m - i) * w + n].reshape(k, k)
+                if row + i <= m < row + e:
+                    kernels[p] = field[0, :, (m - row - i) * w + n].reshape(k, k)
         del buf, field                           # not held while the next band runs
     return den, kernels

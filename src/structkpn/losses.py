@@ -84,7 +84,7 @@ def loss_weights(stats: GradStatsMap, sigma_l2=SIGMA_L2, sigma_l1=SIGMA_L1):
     z = np.stack([stats.coherence * sigma_l2,
                   np.full_like(stats.strength, sigma_l1),
                   stats.strength], axis=-1)
-    g = _softmax(z, -1, z)
+    g = _softmax(z, -1, z)[0]
     return LossWeights(gamma1=g[..., 0], gamma2=g[..., 1], gamma3=g[..., 2])
 
 

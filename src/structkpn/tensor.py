@@ -26,9 +26,9 @@ interior gradients of dropped Tensors are gone, as PyTorch keeps no non-leaf
 grad unless asked.
 
 A ``StepArena`` lends the large per-step arrays of the ops (conv outputs,
-padded inputs and gradients, relu/add/softmax outputs, relu's and
-``local_conv``'s gradients, ``kpn_filter``'s field, output and feature
-gradient, ``accumulate_grad``'s sums) while it is entered,
+padded inputs, gradients and block scratch, relu/add/softmax outputs,
+relu's and ``local_conv``'s gradients, ``kpn_filter``'s field blocks, output
+and feature gradient, ``accumulate_grad``'s sums) while it is entered,
 and takes a buffer back once ``sys.getrefcount`` shows that no Tensor,
 closure or view refers to it. ``training.train`` enters one around each
 step, so the next step reuses the pages the last one freed instead of
@@ -57,12 +57,14 @@ k x k conv's weight gradient and a 1x1 conv's input gradient, stay one
 batched ``np.matmul`` over the groups, which costs less per call.
 
 ``local_conv`` applies a per-pixel filter field, the one op the kernel
-prediction network adds to a plain CNN. ``kpn_filter`` is the network's
-1x1 head, the optional per-pixel softmax and ``local_conv`` as one op that
-holds one field, its input's, in one buffer that its gradient overwrites;
-its callers bound that input. Its two halves, the head ``_head_field`` and
-``local_conv``'s window sum ``_filter_window``, also filter
-``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
+prediction network adds to a plain CNN; each kernel row's k taps read one
+strided view of the padded input. ``kpn_filter`` is the network's 1x1 head,
+the optional per-pixel softmax and ``local_conv`` as one op that never holds
+more of its field than a block of ``_BLOCK_VALUES`` values: bands of whole
+rows where a pixel needs all its filters, blocks of taps where a tap needs
+all its pixels, with the filters rebuilt from the head where a softmax
+gradient reads them. Its forward over one band, ``_filter_band``, also
+filters ``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
 of the structure-aware loss as one op: its window means come from
 ``box_filter``, a numpy box filter that ``gradstats`` also uses, and its
 backward is the closed form through the box's adjoint. Every differentiable
@@ -122,8 +124,8 @@ class StepArena:
     closure, gradient or view of it holds a reference to the buffer itself,
     since numpy points every view at the array that owns the memory. A
     request takes the smallest free buffer that holds it, unless that buffer
-    is over eight times its size (so a 64-channel activation may borrow
-    ``kpn_filter``'s 8 MB field of a 48^2 patch at k = 21, but a loss map
+    is over eight times its size (so a 64-channel activation of a 48^2
+    patch may borrow a 2 MB block of ``kpn_filter``'s field, but a loss map
     may not); failing that it makes a buffer of its own size, which replaces
     the largest free buffer too small for it, so the arena holds about as
     many buffers as a step has live at once. Lent arrays are uninitialised,
@@ -471,17 +473,25 @@ def relu(a):
     return make_op(out_data, (a,), bwd, "relu")
 
 
-def _softmax(a, axis, out):
-    """Max-shifted softmax of a along axis into out (may be a): the one softmax of the package."""
-    np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
+def _softmax(a, axis, out, top=None, total=None):
+    """Max-shifted softmax of a along axis into out (may be a): the one softmax of the package.
+
+    Returns out and the max and exp-sum it used (keepdims). Given those of a
+    larger array, a slice of whose axis a is, it rebuilds that slice's bits.
+    """
+    if top is None:
+        top = a.max(axis=axis, keepdims=True)
+    np.subtract(a, top, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
+    if total is None:
+        total = out.sum(axis=axis, keepdims=True)
+    out /= total
+    return out, top, total
 
 
 def softmax_vec(v, axis=-1):
     """Max-shifted softmax along ``axis``; output sums to 1 there."""
-    out_data = _softmax(v.data, axis, _empty(v.data.shape))
+    out_data = _softmax(v.data, axis, _empty(v.data.shape))[0]
     vn = v._node
 
     def bwd(g):
@@ -639,7 +649,8 @@ def _collapse_replication(gpad, ph, pw):
 _MIN_GEMM_K = 8
 
 # The forward pass accumulates its tap GEMMs over blocks of about this many
-# output values (Cout x padded-pitch columns), 2 MB a block. Every tap's GEMM
+# output values (Cout x padded-pitch columns), 2 MB a block; kpn_filter holds
+# its filter field in blocks of the same size. Every tap's GEMM
 # adds into the block, so it must stay in cache rather than stream through
 # memory. Sizing by values, not columns, lets a small conv put a whole batch
 # in one block instead of making many tiny GEMM calls. A block
@@ -694,8 +705,9 @@ def _conv_forward(xf, wmat, chunks, bias, out):
     group's rows stay in cache across its taps: the first chunk's GEMM writes
     them and each later one adds into them inside BLAS. Each block then
     gets the bias and its cropped rows are copied into out. A chunk of
-    several taps is copied into one buffer, allocated once per call. Columns
-    between images are computed and cropped away.
+    several taps is copied into one buffer. Both buffers are allocated once
+    per call with ``_empty``, so a step's convs reuse them through the arena.
+    Columns between images are computed and cropped away.
     """
     groups, cin_g, n, hp, wp = xf.shape
     _, cout, h, w = out.shape
@@ -712,8 +724,8 @@ def _conv_forward(xf, wmat, chunks, bias, out):
         per = 1
         band = pitch = -(-h // -(-rows * h * wp // _BLOCK_VALUES))   # split evenly
     widest = min(per, n) * pitch * wp
-    acc_buf = np.empty(cout * widest)
-    tap_buf = np.empty(stacked * widest) if stacked else None
+    acc_buf = _empty((cout * widest,))
+    tap_buf = _empty((stacked * widest,)) if stacked else None
     for b in range(0, n, per):
         nb = min(per, n - b)
         for i in range(0, h, band):
@@ -748,7 +760,9 @@ def conv2d(x, weights, bias, groups=1):
     whole batch and rebuilds xf from x, with the same pad, only for the weight
     gradient, one GEMM per forward chunk, so the tape keeps x's data only when
     the weights need a gradient, and lets it go once it is re-folded. The
-    input gradient needs only the output gradient and the weights: it
+    input gradient needs only the output gradient and the weights, whose
+    tap-major matrix it re-derives from the weights' own array rather than
+    keep a copy on the tape: it
     scatters, each tap's GEMM adding straight into the columns that tap
     reads. Columns between images get zero gradient. A 1x1 kernel takes
     ``_pointwise_conv`` instead, with no padded or channel-major copy.
@@ -788,8 +802,8 @@ def conv2d(x, weights, bias, groups=1):
     wmat, chunks = _conv_taps(weights.data, groups, wp)
     out_data = _empty((n, cout, h, w))
     _conv_forward(xf.reshape(groups, cin_g, n, hp, wp), wmat, chunks, bias.data, out_data)
-    del xf                                       # the backward re-pads x
-    xn, wn, bn, wshape = x._node, weights._node, bias._node, weights.data.shape
+    del xf, wmat                                 # the backward re-pads x and re-derives wmat
+    xn, wn, bn, wd = x._node, weights._node, bias._node, weights.data
     xd = x.data if wn.requires_grad else None    # read only by the weight gradient
     shifts = [s for _, ss in chunks for s in ss]
 
@@ -805,14 +819,15 @@ def conv2d(x, weights, bias, groups=1):
         if wn.requires_grad:
             xf = fold(xd)
             xd = None                            # x's data is no longer held for this op
-            dw = np.empty_like(wmat)
+            dw = np.empty((groups, cout_g, kh * kw * cin_g))
             for ks, ss in chunks:
                 np.matmul(gf, _tap_rows(xf, ss, 0, span).swapaxes(-1, -2), out=dw[..., ks])
             del xf
             accumulate_grad(wn, dw.reshape(groups, cout_g, kh * kw, cin_g).swapaxes(2, 3)
-                            .reshape(wshape))
+                            .reshape(wd.shape))
         if xn.requires_grad:
             # each tap's GEMM adds into the columns the tap reads
+            wmat = _conv_taps(wd, groups, wp)[0]
             gxf = _empty((groups, cin_g, m))
             gxf.fill(0.0)
             for j in range(groups):
@@ -887,28 +902,71 @@ def _tap(a, c, k, h, w):
     return a[:, :, r - s:r - s + h, r - t:r - t + w]
 
 
-def _filter_window(xp, vd, k, out):
-    """sum_c tap(xp, c) * vd[:, c] into out (N,1,h,w); vd is (N,k^2,h,w), xp padded by r."""
-    h, w = vd.shape[2:]
+def _windows(xp, k, h, w):
+    """Every tap's window of xp (nb, h+2r, w+2r), padded by r, as one (nb, k, k, h, w) view.
+
+    [:, a, j] is the window that tap a*k + j reads, the one ``_tap`` slices,
+    so the k taps of a kernel row are one strided operand of one numpy call.
+    """
+    r = k // 2
+    sn, sy, sx = xp.strides
+    return np.lib.stride_tricks.as_strided(xp[:, 2 * r:, 2 * r:], (len(xp), k, k, h, w),
+                                           (sn, -sy, -sx, sy, sx), writeable=False)
+
+
+def _kernel_rows(t0, t1, k):
+    """Taps t0..t1-1 by kernel row: (row a, its taps' slice j0:j1, their slice from t0 on)."""
+    for a in range(t0 // k, -(-t1 // k)):
+        j0, j1 = max(t0 - a * k, 0), min(t1 - a * k, k)
+        yield a, slice(j0, j1), slice(a * k + j0 - t0, a * k + j1 - t0)
+
+
+def _add_in_order(acc, buf, first=False):
+    """acc + buf[:, 1] + ... + buf[:, -1], added in order into acc, or from buf[:, 1] on if first.
+
+    buf is (nb, 1 + terms, ...) and its slot 0 is scratch. Over more than one
+    pixel this is one ``np.add.reduce``, whose inner loop runs along the
+    pixels, so it adds the terms one after another as repeated ``+=`` does.
+    Over one pixel numpy would sum them pairwise, so they are added one by one.
+    """
+    if first:
+        buf = buf[:, 1:]
+    else:
+        buf[:, 0] = acc
+    if buf[0, 0].size > 1:
+        return np.add.reduce(buf, axis=1, out=acc)
+    acc[...] = buf[:, 0]
+    for j in range(1, buf.shape[1]):
+        acc += buf[:, j]
+    return acc
+
+
+def _filter_window(xp, v, out):
+    """sum_t tap t's window of xp times v[:, t], added in tap order into out (nb, h, w).
+
+    xp is (nb, h+2r, w+2r), padded by r, and v (nb, k^2, h*w). A kernel
+    row's k products are one numpy call, and so is adding them to out.
+    """
+    nb, h, w = out.shape
+    k = math.isqrt(v.shape[1])
+    win, v = _windows(xp, k, h, w), v.reshape(nb, k, k, h, w)
+    prods = np.empty((nb, 1 + k, h, w))
     out.fill(0.0)
-    for c in range(k * k):
-        out += _tap(xp, c, k, h, w) * vd[:, c:c + 1]
+    for a in range(k):
+        np.multiply(win[:, a], v[:, a], out=prods[:, 1:])
+        _add_in_order(out, prods)
     return out
 
 
-def _scatter_window(g, vd, k, gxp):
-    """_filter_window's adjoint in x: g * vd[:, c] summed onto tap c's window, into gxp."""
-    h, w = vd.shape[2:]
-    gxp.fill(0.0)
-    for c in range(k * k):
-        _tap(gxp, c, k, h, w)[...] += g * vd[:, c:c + 1]
-    return gxp
+def _scatter_window(g, v, k, gxp, t0=0):
+    """_filter_window's adjoint in x: g * v[:, t] added onto tap t0+t's window of gxp, in order.
 
-
-def _tap_grad(g, xp, c, k, out):
-    """g * x_c, tap c's filter gradient for output gradient g (N,1,h,w), into out (N,h,w)."""
+    g is (nb,1,h,w), v (nb,T,h,w) and gxp (nb,1,h+2r,w+2r), zeroed by the caller.
+    """
     h, w = g.shape[2:]
-    return np.multiply(g[:, 0], _tap(xp, c, k, h, w)[:, 0], out=out)
+    for t in range(v.shape[1]):
+        _tap(gxp, t0 + t, k, h, w)[...] += g * v[:, t:t + 1]
+    return gxp
 
 
 def local_conv(x, v):
@@ -930,48 +988,106 @@ def local_conv(x, v):
             f"local_conv: filter field {vd.shape} does not match input {xd.shape} "
             "on batch/spatial axes")
     k, r = _filter_geometry(vd.shape[1])
-    h, w = xd.shape[2:]
-    xp = edge_pad(xd, r, r, np.empty(xd.shape[:2] + (h + 2 * r, w + 2 * r)))
+    n, _, h, w = xd.shape
+    xp = edge_pad(xd[:, 0], r, r, np.empty((n, h + 2 * r, w + 2 * r)))
     xn, vn, vshape = x._node, v._node, vd.shape
     vkept = vd if xn.requires_grad else None     # read only by the input gradient
 
     def bw(g):
         if vn.requires_grad:
             gv = _empty(vshape)
-            for c in range(k * k):
-                _tap_grad(g, xp, c, k, gv[:, c])
+            win, gv5 = _windows(xp, k, h, w), gv.reshape(n, k, k, h, w)
+            for a in range(k):
+                np.multiply(g, win[:, a], out=gv5[:, a])
             accumulate_grad(vn, gv)
         if xn.requires_grad:
-            gxp = _scatter_window(g, vkept, k, _empty(xp.shape))
-            accumulate_grad(xn, _collapse_replication(gxp, r, r))
+            gxp = _empty((n, 1) + xp.shape[1:])
+            gxp.fill(0.0)
+            accumulate_grad(xn, _collapse_replication(_scatter_window(g, vkept, k, gxp), r, r))
 
-    return make_op(_filter_window(xp, vd, k, np.empty(xd.shape)), (x, v), bw, "local_conv")
+    out = np.empty(xd.shape)
+    _filter_window(xp, vd.reshape(n, k * k, h * w), out[:, 0])
+    return make_op(out, (x, v), bw, "local_conv")
 
 
-def _head_field(fd, wmat, bias, softmax, out):
-    """The head's filters for features fd (nb, C, L), written into out (nb, k^2, L).
+# kpn_filter splits its field into blocks of at most about _BLOCK_VALUES
+# values, and each split is of a GEMM's M or N, never of its K. A block of
+# taps spans at least 2, as ``_gemm`` runs a one-row product as a gemv. A
+# band of pixels spans at least this many of them: over fewer columns a GEMM
+# runs as a gemv or on OpenBLAS's narrow kernels, which round otherwise than
+# the whole image's, and numpy sums the k^2 axis of one pixel pairwise.
+_MIN_BAND_PIXELS = 5
+
+
+def _parts(total, size, least):
+    """range(total) as even [start, stop) parts of at most about size, none shorter than least."""
+    parts = max(1, min(-(-total // size), total // least))
+    cuts = [p * total // parts for p in range(parts + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _bands(h, w, k2):
+    """An (h, w) image's bands of whole rows for a field of k2 filters a pixel, as [start, stop)."""
+    return _parts(h, max(1, _BLOCK_VALUES // (k2 * w)), -(-_MIN_BAND_PIXELS // w))
+
+
+def _head_field(fd, wmat, bias, out):
+    """Rows wmat (T, C) of the 1x1 head with bias (T,) on features fd (nb, C, P), into out (nb, T, P).
 
     The bias goes in first and each image's GEMM adds into it, as
-    ``_pointwise_conv`` does; with ``softmax`` the k^2 channels are then
-    normalised in place by ``_softmax``, as ``softmax_vec`` normalises. So
-    each value has those two ops' bits.
+    ``_pointwise_conv`` does, so a block of rows or of pixel columns has the
+    bits of the same values of the whole field.
     """
     out[...] = bias[:, None]
     for b in range(len(fd)):
         _gemm(wmat, fd[b], out[b], 1)
-    return _softmax(out, 1, out) if softmax else out
+    return out
+
+
+def _filter_band(xp, fd, wmat, bias, softmax, field, out):
+    """kpn_filter's forward over a band of pixels, all k^2 filters of each.
+
+    The head's filters of features fd (nb, C, P) go into field (nb, k^2, P),
+    softmax-normalised when asked, and filter xp (nb, h+2r, w+2r), the band's
+    rows of the padded input, into out (nb, h, w). Returns the softmax's
+    per-pixel max and exp-sum, (nb, 1, P) each, or None.
+    """
+    _head_field(fd, wmat, bias, field)
+    stats = _softmax(field, 1, field)[1:] if softmax else None
+    _filter_window(xp, field, out)
+    return stats
 
 
 def kpn_filter(x, feats, weights, bias, softmax=False):
-    """The kpn head and its filtering in one op, holding x's filter field once.
+    """The kpn head and its filtering in one op, never holding more than a block of its field.
 
     x is (N,1,H,W), feats (N,C,H,W), weights (k^2,C,1,1) with k odd and bias
     (k^2,). The value and gradients are the bits of ``local_conv(x, v)``, v
     the 1x1 head ``conv2d(feats, weights, bias)`` or, with ``softmax``, its
-    ``softmax_vec`` over the k^2 channels. The field is one lent buffer, its
-    size bounded by the caller's x. The tape keeps feats, the padded x, and
-    the field where the softmax or x's gradient reads it; the field's
-    gradient then overwrites it.
+    ``softmax_vec`` over the k^2 channels.
+
+    A field of at most ``_BLOCK_VALUES`` values is one block, as at the SMOKE
+    config: the forward computes it whole and the tape keeps it where the
+    softmax or x's gradient reads it, its gradient then overwriting it. A
+    larger field is never held whole; it runs an image at a time:
+
+    - the forward over bands of whole rows, each holding all k^2 filters of
+      its pixels; the tape keeps only each pixel's softmax max and exp-sum;
+    - the backward over the same bands for what needs every tap of a pixel:
+      the features' gradient and the softmax's per-pixel sum_t g x_t s_t;
+    - then over blocks of taps, rows of the head's weights, for what needs
+      every pixel of a tap: the weights' and bias's gradients and the
+      scatter of x's, in tap order. Without softmax their field gradient
+      g x_t needs no field; with it, a block rebuilds its filters from the
+      head with the kept max and exp-sum.
+
+    Each block is at most about ``_BLOCK_VALUES`` values and splits a GEMM's
+    M or N only, never its K. So the bits stay the unfused ops' wherever
+    OpenBLAS runs each split GEMM on the kernel it runs the whole one on, as
+    at the training sizes the tests check (48- to 96-wide images at 8 to 64
+    feature channels); a block of a few taps, which only a forced small
+    ``_BLOCK_VALUES`` makes, takes its small-matrix kernels, which can round
+    the weights' and features' gradients otherwise in the last bit.
     """
     xd, fd, wd, bd = x.data, feats.data, weights.data, bias.data
     if xd.ndim != 4 or xd.shape[1] != 1:
@@ -986,53 +1102,107 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     k, r = _filter_geometry(k2)
     if bd.shape != (k2,):
         raise ShapeError(f"kpn_filter: bias shape {bd.shape} != ({k2},)")
-    wmat, fs = wd.reshape(k2, c), fd.reshape(n, c, h * w)
-    xp = edge_pad(xd, r, r, np.empty((n, 1, h + 2 * r, w + 2 * r)))
-    out_data = _empty(xd.shape)
-    field = _head_field(fs, wmat, bd, softmax, _empty((n, k2, h * w)))
-    _filter_window(xp, field.reshape(n, k2, h, w), k, out_data)
     xn, fn, wn, bn = x._node, feats._node, weights._node, bias._node
-    kept = field if softmax or xn.requires_grad else None
-    del field
+    wmat, fs, px = wd.reshape(k2, c), fd.reshape(n, c, h * w), h * w
+    xp = edge_pad(xd[:, 0], r, r, np.empty((n, h + 2 * r, w + 2 * r)))
+    out_data = _empty(xd.shape)
+    stats = kept = None
+    if n * k2 * px <= _BLOCK_VALUES:
+        field = _empty((n, k2, px))
+        _filter_band(xp, fs, wmat, bd, softmax, field, out_data[:, 0])
+        kept = field if softmax or xn.requires_grad else None
+        del field
+        blocks = None
+    else:
+        bands = _bands(h, w, k2)
+        taps = _parts(k2, max(2, _BLOCK_VALUES // px), 2)
+        # per image: (taps, rows, whether it does the band work, the tap work)
+        blocks = [(0, k2, 0, h, True, True)] if len(bands) == len(taps) == 1 else \
+            [(0, k2, i, e, True, False) for i, e in bands] + \
+            [(t0, t1, 0, h, False, True) for t0, t1 in taps]
+        stats = np.empty((2, n, 1, px)) if softmax else None
+        for a in range(n):
+            for i, e in bands:
+                st = _filter_band(xp[a:a + 1, i:e + 2 * r], fs[a:a + 1, :, i * w:e * w], wmat, bd,
+                                  softmax, _empty((1, k2, (e - i) * w)), out_data[a:a + 1, 0, i:e])
+                if softmax:
+                    stats[:, a, :, i * w:e * w] = np.concatenate(st)
 
     def bwd(g):
+        gxp = dw = db = df = None
         if xn.requires_grad:
-            gxp = _scatter_window(g, kept.reshape(n, k2, h, w), k, _empty(xp.shape))
-        if fn.requires_grad or wn.requires_grad or bn.requires_grad:
-            # the field's gradient, in the field's buffer once nothing else reads s
-            gv = kept if kept is not None else _empty((n, k2, h * w))
-            g4 = gv.reshape(n, k2, h, w)
-            if softmax:
-                # softmax_vec's s * (g_v - sum_c g_v s), each g_v formed twice
-                # rather than held in a second buffer
-                gx = np.empty((n, h, w))
-                if h * w == 1:
-                    # numpy sums a k^2 axis of one pixel pairwise, not in
-                    # order, so these n * k^2 products are summed as a whole
-                    inner = np.stack([_tap_grad(g, xp, t, k, gx) * g4[:, t]
-                                      for t in range(k2)], axis=1).sum(axis=1)
+            gxp = _empty((n, 1) + xp.shape[1:])
+            gxp.fill(0.0)
+        if wn.requires_grad:
+            dw = np.empty((k2, c))
+        if bn.requires_grad:
+            db = np.empty(k2)
+        if fn.requires_grad:
+            df = _empty((n, c, px))
+        inner = np.empty((n, 1, px)) if softmax else None
+
+        def block(b0, b1, t0, t1, i, e, band_work, tap_work, v=None):
+            """One block's share of the gradients: band work needs all its
+            pixels' taps (inner, df), tap work all its taps' pixels (x, db, dW)."""
+            nb, nt, p0, p1 = b1 - b0, t1 - t0, i * w, e * w
+            if v is None and (softmax or tap_work and gxp is not None):
+                v = _head_field(fs[b0:b1, :, p0:p1], wmat[t0:t1], bd[t0:t1],
+                                _empty((nb, nt, p1 - p0)))
+                if softmax:
+                    _softmax(v, 1, v, *stats[:, b0:b1, :, p0:p1])
+            if tap_work and gxp is not None:
+                _scatter_window(g[b0:b1], v.reshape(nb, nt, h, w), k, gxp[b0:b1], t0)
+            if not (tap_work and (dw is not None or db is not None) or band_work and df is not None):
+                return
+            win, gb = _windows(xp[b0:b1, i:e + 2 * r], k, e - i, w), g[b0:b1, :, i:e]
+            gx = np.empty((nb, 1 + k, e - i, w)) if softmax else None   # a kernel row's g x_t
+            if softmax and band_work:
+                # softmax_vec's sum_t g_t s_t with g_t = g x_t, in tap order; numpy
+                # sums the k^2 axis of one pixel pairwise, so that is summed whole
+                s = v.reshape(nb, k, k, e - i, w)
+                acc = inner[b0:b1, 0, p0:p1].reshape(nb, e - i, w)
+                if p1 - p0 == 1:
+                    acc[...] = (gb[:, None] * win * s).reshape(nb, k2).sum(axis=1)[:, None, None]
                 else:
-                    inner = _tap_grad(g, xp, 0, k, gx) * g4[:, 0]
-                    for t in range(1, k2):
-                        inner += _tap_grad(g, xp, t, k, gx) * g4[:, t]
-                for t in range(k2):
-                    g4[:, t] *= _tap_grad(g, xp, t, k, gx) - inner
-            else:
-                for t in range(k2):
-                    _tap_grad(g, xp, t, k, g4[:, t])
-            if bn.requires_grad:
-                accumulate_grad(bn, gv.sum(axis=(0, 2)))
-            if wn.requires_grad:
-                dw = np.empty((k2, c))
-                for a in range(n):
-                    _gemm(gv[a], fs[a].T, dw, a > 0)
-                accumulate_grad(wn, dw.reshape(wd.shape))
-            if fn.requires_grad:
-                df = _empty((n, c, h * w))
-                for a in range(n):
-                    np.matmul(wmat.T, gv[a], out=df[a])
-                accumulate_grad(fn, df.reshape(fd.shape))
-        if xn.requires_grad:
+                    for a in range(k):
+                        np.multiply(gb, win[:, a], out=gx[:, 1:])
+                        gx[:, 1:] *= s[:, a]
+                        _add_in_order(acc, gx, first=a == 0)
+            # the field's gradient, in v's buffer: g x_t, or s_t (g x_t - inner)
+            gv = v if v is not None else _empty((nb, nt, p1 - p0))
+            gv4 = gv.reshape(nb, nt, e - i, w)
+            for a, js, cs in _kernel_rows(t0, t1, k):
+                if softmax:
+                    gxr = np.multiply(gb, win[:, a, js], out=gx[:, :cs.stop - cs.start])
+                    gxr -= inner[b0:b1, :, p0:p1].reshape(nb, 1, e - i, w)
+                    gv4[:, cs] *= gxr
+                else:
+                    np.multiply(gb, win[:, a, js], out=gv4[:, cs])
+            for b in range(b0, b1):
+                if tap_work and db is not None:
+                    part = gv[b - b0].sum(axis=1)
+                    if b == 0:
+                        db[t0:t1] = part
+                    else:
+                        db[t0:t1] += part
+                if tap_work and dw is not None:
+                    _gemm(gv[b - b0], fs[b].T, dw[t0:t1], b > 0)
+                if band_work and df is not None:
+                    np.matmul(wmat.T, gv[b - b0], out=df[b, :, p0:p1])
+
+        if blocks is None:
+            block(0, n, 0, k2, 0, h, True, True, kept)
+        else:
+            for a in range(n):
+                for spec in blocks:
+                    block(a, a + 1, *spec)
+        if db is not None:
+            accumulate_grad(bn, db)
+        if dw is not None:
+            accumulate_grad(wn, dw.reshape(wd.shape))
+        if df is not None:
+            accumulate_grad(fn, df.reshape(fd.shape))
+        if gxp is not None:
             accumulate_grad(xn, _collapse_replication(gxp, r, r))
 
     return make_op(out_data, (x, feats, weights, bias), bwd, "kpn_filter")

@@ -272,9 +272,11 @@ def train(cfg, images, start=None):
     depend on how it is split. It then runs forward, loss and sweep over
     micro-batches of ``_micro_batch_images(cfg)`` images, each part's loss
     scaled by its share of the batch, and sums the loss values and the
-    gradients in batch order; the loss and the summed gradients are checked
-    and Adam runs once per step. A batch that fits one micro-batch runs as
-    one, with no scaling, so its bytes are those of a whole-batch step.
+    gradients in batch order, each part's added in place into the first's;
+    the loss and the summed gradients are checked and Adam runs once per
+    step, with no part's leaves or gradients left but the sum. A batch that
+    fits one micro-batch runs as one, with no scaling, so its bytes are
+    those of a whole-batch step.
 
     Each step, from sampling to the Adam update, runs inside one
     ``StepArena``, which lends the ops their large arrays; the sweep frees
@@ -333,9 +335,12 @@ def train(cfg, images, start=None):
                 if not math.isfinite(loss_val):
                     raise TrainingDiverged(step, loss_val)
                 grad_by_tensor = backward(loss, list(tensors.values()))   # frees the tape
-                part = {name: grad_by_tensor[t] for name, t in tensors.items()}
-                grads = part if grads is None else {k: grads[k] + part[k] for k in grads}
-                del grad_by_tensor, part   # the next part's fresh leaves let these go
+                if grads is None:
+                    grads = {name: grad_by_tensor[t] for name, t in tensors.items()}
+                else:
+                    for name, t in tensors.items():
+                        grads[name] += grad_by_tensor[t]
+                del tensors, yhat, loss, grad_by_tensor   # the part's leaves and their grads
             for name in sorted(grads):
                 if not np.isfinite(grads[name]).all():
                     raise TrainingDiverged(step, loss_val, name)

@@ -4,9 +4,12 @@ The loop oracles deliberately avoid the library's vectorized code: plain
 Python loops and float arithmetic only, so agreement is meaningful.
 ``kpn_field_oracle`` is the model as public ops with the filter field held
 whole, the way ``kpn_apply`` ran before its head and filtering became one op.
-``read_minmax`` reads the sidecar that ``fileio.write_scaled_pgm`` writes.
+``read_minmax`` reads the sidecar that ``fileio.write_scaled_pgm`` writes,
+and ``traced`` measures what a call allocates.
 """
 
+import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -123,3 +126,19 @@ def read_minmax(sidecar_path):
     if len(lines) != 4 or lines[0] != "min" or lines[2] != "max":
         raise ValueError(f"{sidecar_path}: malformed min/max sidecar")
     return float(lines[1]), float(lines[3])
+
+
+Traced = namedtuple("Traced", "value peak held")
+
+
+def traced(fn, *args, **kwargs):
+    """Call fn under tracemalloc: its value, and the peak and the still-held
+    bytes of the allocations traced during the call, past those at its start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = fn(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Traced(value, peak - before, held - before)

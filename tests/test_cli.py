@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from structkpn.kpn import build_model
 from structkpn.training import (Checkpoint, init_adam, load_checkpoint, save_checkpoint,
                                 CURVE_HEADER,
                                 TrainConfig)
-from helpers import read_minmax
+from helpers import read_minmax, traced
 
 
 def write_cfg(path, **overrides):
@@ -340,14 +339,8 @@ def test_eval_of_a_default_model_on_256_squared_stays_under_25_mib(tmp_path):
         rng_state=np.random.default_rng(0).bit_generator.state))
     del params, state
     synth_corpus(tmp_path / "data", 1, 256, seed=4)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
-                   "--out", str(tmp_path / "e.csv")])
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    rc, peak, _ = traced(main, ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
+                                "--out", str(tmp_path / "e.csv")])
     row = (tmp_path / "e.csv").read_text().splitlines()[1].split(",")
     assert rc == 0 and float(row[3]) > float(row[1])    # denoised PSNR beats noisy
     assert peak < 25 * 2 ** 20, peak / 2 ** 20

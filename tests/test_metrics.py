@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from structkpn.losses import SsimConstants, window_weights
 from structkpn.metrics import psnr, ssim_image, evaluate, EVAL_HEADER
 from structkpn.tensor import ssim_from_moments
 from structkpn.training import TrainConfig, train
-from helpers import direct_ssim
+from helpers import direct_ssim, traced
 
 
 def test_psnr_known_values():
@@ -127,12 +126,7 @@ def test_ssim_image_bands_keep_whole_image_bits_at_one_blas_thread():
 
 def test_ssim_image_footprint_is_bounded():
     a, b = noisy_pair((256, 256))
-    tracemalloc.start()
-    try:
-        ssim_image(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced(ssim_image, a, b).peak
     # one (246^2, 121) window copy alone is 58 MB
     assert peak < 16e6, peak / 1e6
 

@@ -3,7 +3,6 @@ import graphlib
 import os
 import subprocess
 import sys
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from structkpn.tensor import (Tensor, ShapeError, add, sub, mul, div, neg, abs_v
                               box_filter, edge_pad, local_conv, kpn_filter, ssim_map, backward,
                               make_op, accumulate_grad, grad_check, registered_ops, StepArena)
 from structkpn.losses import SsimConstants
-from helpers import direct_ssim, naive_box_mean, naive_conv2d
+from helpers import direct_ssim, naive_box_mean, naive_conv2d, traced
 
 
 def test_add_mul_backward_hand_values():
@@ -111,7 +110,10 @@ def test_backward_requires_scalar():
 def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
     # every op that borrows from the arena, each input needing a gradient,
     # swept twice in one arena whose buffers go out full of NaN: the second
-    # graph runs on buffers the first one freed, and no byte may move
+    # graph runs on buffers the first one freed, and no byte may move. Then
+    # again with blocks of 64 values, so each kpn_filter field (756 values)
+    # runs in tap blocks and bands, with and without softmax, and each conv
+    # forward in many blocks of its lent scratch
     rng = np.random.default_rng(47)
     xv, w3, b3 = rng.normal(size=(2, 4, 6, 7)), rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
     w1, b1 = rng.normal(size=(9, 4, 1, 1)), rng.normal(size=9)
@@ -128,8 +130,7 @@ def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
         loss.backward()
         return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
-    plain = sweep()
-    lend, lends = StepArena.lend, []
+    lend = StepArena.lend
 
     def poisoned(self, shape):
         out = lend(self, shape)
@@ -137,12 +138,16 @@ def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
         lends.append(len(self._bufs))
         return out
 
-    monkeypatch.setattr(StepArena, "lend", poisoned)
-    arena = StepArena()
-    with arena:
-        assert sweep() == plain
-        assert sweep() == plain
-    assert len(lends) > max(lends) and tensor._arena is None
+    for block in (tensor._BLOCK_VALUES, 64):
+        monkeypatch.setattr(tensor, "_BLOCK_VALUES", block)
+        monkeypatch.setattr(StepArena, "lend", lend)
+        plain, lends = sweep(), []
+        monkeypatch.setattr(StepArena, "lend", poisoned)
+        arena = StepArena()
+        with arena:
+            assert sweep() == plain
+            assert sweep() == plain
+        assert len(lends) > max(lends) and tensor._arena is None
 
 
 def test_edge_pad_matches_np_pad():
@@ -391,13 +396,7 @@ def test_conv2d_tape_holds_no_padded_copy_of_its_input():
         x = Tensor(rng.normal(size=(n, c, hw, hw)), requires_grad=True)
         wt = Tensor(rng.normal(size=(c, c, 3, 3)), requires_grad=True)
         b = Tensor(np.zeros(c), requires_grad=True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = conv2d(x, wt, b)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        out, _, held = traced(conv2d, x, wt, b)
         assert held - out.data.nbytes < 0.25 * x.data.nbytes, (n, c, hw)
 
 
@@ -456,13 +455,7 @@ def test_conv2d_forward_holds_no_full_size_temporary():
     x = Tensor(rng.normal(size=(1, 64, 128, 128)))
     wt = Tensor(rng.normal(size=(64, 64, 3, 3)))
     b = Tensor(np.zeros(64))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = conv2d(x, wt, b)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    out, peak, _ = traced(conv2d, x, wt, b)
     assert out.data.flags["C_CONTIGUOUS"]
     padded = 64 * 130 * 130 * 8
     assert peak - out.data.nbytes <= 1.05 * (padded + 2 * tensor._BLOCK_VALUES * 8)

@@ -5,7 +5,6 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from structkpn.training import (TrainConfig, init_adam, adam_step,
                                 TrainingDiverged, train,
                                 save_checkpoint, load_checkpoint,
                                 write_curve_csv, CURVE_HEADER)
+from helpers import traced
 
 TINY_KW = dict(kernel_size=5, stem_channels=8, num_res_blocks=1, groups=2,
                patch_size=32, batch_size=2, lr=1e-3, softmax_kernels=True, seed=3)
@@ -161,12 +161,7 @@ def test_train_sweep_keeps_no_interior_grads(softmax, k):
                       num_res_blocks=2, patch_size=24, batch_size=2,
                       softmax_kernels=softmax, seed=3)
     imgs = small_corpus()
-    tracemalloc.start()
-    try:
-        train(cfg, imgs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced(train, cfg, imgs).peak
     assert peak < 4.2 * 2**20
 
 
@@ -182,12 +177,7 @@ def test_train_keeps_one_tape(softmax, k):
         cfg = TrainConfig(steps=steps, val_interval=0, kernel_size=k, stem_channels=16,
                           num_res_blocks=2, patch_size=24, batch_size=2,
                           softmax_kernels=softmax, seed=3)
-        tracemalloc.start()
-        try:
-            train(cfg, imgs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced(train, cfg, imgs).peak)
     assert peaks[1] < 1.25 * peaks[0]
 
 
@@ -202,12 +192,7 @@ def test_softmax_train_peaks_as_low_as_plain():
         cfg = TrainConfig(steps=3, val_interval=0, kernel_size=21, stem_channels=8,
                           num_res_blocks=1, patch_size=48, batch_size=2,
                           softmax_kernels=softmax, seed=3)
-        tracemalloc.start()
-        try:
-            train(cfg, imgs)
-            peaks[softmax] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[softmax] = traced(train, cfg, imgs).peak
     assert peaks[True] < 1.15 * peaks[False], peaks
 
 
@@ -376,12 +361,7 @@ def test_train_step_holds_one_micro_batch_tape():
             cfg = TrainConfig(steps=1, val_interval=0, kernel_size=kernel,
                               stem_channels=channels, num_res_blocks=1, patch_size=patch,
                               batch_size=batch, seed=3)
-            tracemalloc.start()
-            try:
-                train(cfg, imgs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(train, cfg, imgs).peak)
         assert training._micro_batch_images(cfg) == 1, cfg
         assert peaks[1] < 1.6 * peaks[0], (cfg, peaks)
 
