@@ -307,7 +307,7 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
         # the band's rows of the input, edge-padded by r as kpn_filter pads it
         xp = edge_pad(img[np.clip(np.arange(row - r, j + r), 0, h - 1)], 0, r,
                       np.empty((j - row + 2 * r, w + 2 * r)))
-        bands = _bands(j - row, w, k * k)
+        bands = _bands(j - row, w, k * k, fd.shape[0])
         buf = np.empty(k * k * max(e - i for i, e in bands) * w)
         for i, e in bands:
             field = buf[:k * k * (e - i) * w].reshape(1, k * k, -1)

@@ -63,7 +63,8 @@ the optional per-pixel softmax and ``local_conv`` as one op that never holds
 more of its field than a block of ``_BLOCK_VALUES`` values: bands of whole
 rows where a pixel needs all its filters, blocks of taps where a tap needs
 all its pixels, with the filters rebuilt from the head where a softmax
-gradient reads them. Its forward over one band, ``_filter_band``, also
+gradient reads them, cut where OpenBLAS keeps the whole GEMMs' bits at one
+thread (``_SMALL_GEMM``). Its forward over one band, ``_filter_band``, also
 filters ``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
 of the structure-aware loss as one op: its window means come from
 ``box_filter``, a numpy box filter that ``gradstats`` also uses, and its
@@ -1010,33 +1011,50 @@ def local_conv(x, v):
     return make_op(out, (x, v), bw, "local_conv")
 
 
-# kpn_filter splits its field into blocks of at most about _BLOCK_VALUES
-# values, and each split is of a GEMM's M or N, never of its K. A block of
-# taps spans at least 2, as ``_gemm`` runs a one-row product as a gemv. A
-# band of pixels spans at least this many of them: over fewer columns a GEMM
-# runs as a gemv or on OpenBLAS's narrow kernels, which round otherwise than
-# the whole image's, and numpy sums the k^2 axis of one pixel pairwise.
-_MIN_BAND_PIXELS = 5
+# kpn_filter splits its field into blocks of about _BLOCK_VALUES values.
+# Each split is of a GEMM's M or N, never of its K, and keeps the whole
+# GEMM's bits only where OpenBLAS runs it on the same kernels. At one thread
+# (its SkylakeX kernels, 0.3.31) that takes three rules:
+# - every split product does more than _SMALL_GEMM multiply-adds, as smaller
+#   ones run on small-matrix kernels;
+# - a band of pixels, the GEMMs' M, starts at a multiple of _GEMM_ROWS
+#   pixels and spans more than _GEMM_PANEL of them, so that its 16-row
+#   panels and its last, narrower one fall where the whole image's do;
+# - a block of taps, the head GEMM's N, rounds the image's last
+#   H*W % _GEMM_ROWS pixels otherwise, so the forward keeps their filters.
+_SMALL_GEMM = 10 ** 6
+_GEMM_ROWS = 16
+_GEMM_PANEL = 192
 
 
-def _parts(total, size, least):
-    """range(total) as even [start, stop) parts of at most about size, none shorter than least."""
-    parts = max(1, min(-(-total // size), total // least))
-    cuts = [p * total // parts for p in range(parts + 1)]
+def _parts(total, size, least, step=1):
+    """range(total) as even [start, stop) parts of about size, each starting at a
+    multiple of step and longer than least; one part where that leaves no split."""
+    parts = max(1, min(-(-total // size), total // (least + step)))
+    units = -(-total // step)
+    cuts = [step * (p * units // parts) for p in range(parts)] + [total]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _bands(h, w, k2):
-    """An (h, w) image's bands of whole rows for a field of k2 filters a pixel, as [start, stop)."""
-    return _parts(h, max(1, _BLOCK_VALUES // (k2 * w)), -(-_MIN_BAND_PIXELS // w))
+def _bands(h, w, k2, c):
+    """An (h, w) image's bands of whole rows for a head of c features and k2 filters, as [start, stop)."""
+    step = _GEMM_ROWS // math.gcd(w, _GEMM_ROWS)
+    least = max(_SMALL_GEMM // (k2 * c), _GEMM_PANEL) // w
+    return _parts(h, max(1, _BLOCK_VALUES // (k2 * w)), least, step)
+
+
+def _tap_blocks(px, k2, c):
+    """Blocks of the k2 taps of a head of c features over px pixels, as [start, stop)."""
+    return _parts(k2, max(1, _BLOCK_VALUES // px), max(1, _SMALL_GEMM // (px * c)))
 
 
 def _head_field(fd, wmat, bias, out):
     """Rows wmat (T, C) of the 1x1 head with bias (T,) on features fd (nb, C, P), into out (nb, T, P).
 
     The bias goes in first and each image's GEMM adds into it, as
-    ``_pointwise_conv`` does, so a block of rows or of pixel columns has the
-    bits of the same values of the whole field.
+    ``_pointwise_conv`` does. A band cut by ``_bands`` has the bits of the
+    same values of the whole field, and so does a block of rows cut by
+    ``_tap_blocks`` but at the image's last H*W % 16 pixels.
     """
     out[...] = bias[:, None]
     for b in range(len(fd)):
@@ -1072,22 +1090,23 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     larger field is never held whole; it runs an image at a time:
 
     - the forward over bands of whole rows, each holding all k^2 filters of
-      its pixels; the tape keeps only each pixel's softmax max and exp-sum;
-    - the backward over the same bands for what needs every tap of a pixel:
-      the features' gradient and the softmax's per-pixel sum_t g x_t s_t;
-    - then over blocks of taps, rows of the head's weights, for what needs
-      every pixel of a tap: the weights' and bias's gradients and the
-      scatter of x's, in tap order. Without softmax their field gradient
-      g x_t needs no field; with it, a block rebuilds its filters from the
-      head with the kept max and exp-sum.
+      its pixels; the tape keeps each pixel's softmax max and exp-sum, and
+      the filters of the image's last H*W % 16 pixels;
+    - the backward's band pass over the same bands, for what needs every tap
+      of a pixel: the softmax's per-pixel sum_t g x_t s_t and the features'
+      gradient;
+    - its tap pass over blocks of taps, rows of the head's weights, for what
+      needs every pixel of a tap: the scatter of x's gradient, in tap order,
+      and the weights' and bias's gradients.
 
-    Each block is at most about ``_BLOCK_VALUES`` values and splits a GEMM's
-    M or N only, never its K. So the bits stay the unfused ops' wherever
-    OpenBLAS runs each split GEMM on the kernel it runs the whole one on, as
-    at the training sizes the tests check (48- to 96-wide images at 8 to 64
-    feature channels); a block of a few taps, which only a forced small
-    ``_BLOCK_VALUES`` makes, takes its small-matrix kernels, which can round
-    the weights' and features' gradients otherwise in the last bit.
+    Without softmax the field's gradient g x_t needs no field. A softmax
+    band, and a block of taps for the softmax or for x's gradient, rebuild
+    their filters from the head and the kept max and exp-sum.
+
+    A block is at most about ``_BLOCK_VALUES`` values, more where the
+    smallest one whose GEMMs keep the bits (see ``_SMALL_GEMM``) is larger:
+    up to 16 rows of a band at odd widths, and larger blocks for a head of
+    under 4 features.
     """
     xd, fd, wd, bd = x.data, feats.data, weights.data, bias.data
     if xd.ndim != 4 or xd.shape[1] != 1:
@@ -1106,27 +1125,27 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     wmat, fs, px = wd.reshape(k2, c), fd.reshape(n, c, h * w), h * w
     xp = edge_pad(xd[:, 0], r, r, np.empty((n, h + 2 * r, w + 2 * r)))
     out_data = _empty(xd.shape)
-    stats = kept = None
+    kept = bands = stats = tail = None
     if n * k2 * px <= _BLOCK_VALUES:
         field = _empty((n, k2, px))
         _filter_band(xp, fs, wmat, bd, softmax, field, out_data[:, 0])
         kept = field if softmax or xn.requires_grad else None
         del field
-        blocks = None
     else:
-        bands = _bands(h, w, k2)
-        taps = _parts(k2, max(2, _BLOCK_VALUES // px), 2)
-        # per image: (taps, rows, whether it does the band work, the tap work)
-        blocks = [(0, k2, 0, h, True, True)] if len(bands) == len(taps) == 1 else \
-            [(0, k2, i, e, True, False) for i, e in bands] + \
-            [(t0, t1, 0, h, False, True) for t0, t1 in taps]
+        bands, taps = _bands(h, w, k2, c), _tap_blocks(px, k2, c)
         stats = np.empty((2, n, 1, px)) if softmax else None
+        # the filters a block of taps reads at the last pixels, from the forward
+        tail = np.empty((n, k2, px % _GEMM_ROWS)) if softmax or xn.requires_grad else None
         for a in range(n):
             for i, e in bands:
+                field = _empty((1, k2, (e - i) * w))
                 st = _filter_band(xp[a:a + 1, i:e + 2 * r], fs[a:a + 1, :, i * w:e * w], wmat, bd,
-                                  softmax, _empty((1, k2, (e - i) * w)), out_data[a:a + 1, 0, i:e])
+                                  softmax, field, out_data[a:a + 1, 0, i:e])
                 if softmax:
                     stats[:, a, :, i * w:e * w] = np.concatenate(st)
+                if tail is not None and e == h:
+                    tail[a] = field[0, :, field.shape[2] - tail.shape[2]:]
+                del field                   # free before the next band borrows one
 
     def bwd(g):
         gxp = dw = db = df = None
@@ -1140,37 +1159,45 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
         if fn.requires_grad:
             df = _empty((n, c, px))
         inner = np.empty((n, 1, px)) if softmax else None
+        head_grads = dw is not None or db is not None
 
-        def block(b0, b1, t0, t1, i, e, band_work, tap_work, v=None):
-            """One block's share of the gradients: band work needs all its
-            pixels' taps (inner, df), tap work all its taps' pixels (x, db, dW)."""
-            nb, nt, p0, p1 = b1 - b0, t1 - t0, i * w, e * w
-            if v is None and (softmax or tap_work and gxp is not None):
-                v = _head_field(fs[b0:b1, :, p0:p1], wmat[t0:t1], bd[t0:t1],
-                                _empty((nb, nt, p1 - p0)))
-                if softmax:
-                    _softmax(v, 1, v, *stats[:, b0:b1, :, p0:p1])
-            if tap_work and gxp is not None:
-                _scatter_window(g[b0:b1], v.reshape(nb, nt, h, w), k, gxp[b0:b1], t0)
-            if not (tap_work and (dw is not None or db is not None) or band_work and df is not None):
+        def rebuild(b, t0, t1, i, e):
+            """Image b's filters t0..t1 at rows i..e, from the head and the kept softmax sums."""
+            p0, p1 = i * w, e * w
+            v = _head_field(fs[b:b + 1, :, p0:p1], wmat[t0:t1], bd[t0:t1],
+                            _empty((1, t1 - t0, p1 - p0)))
+            if softmax:
+                _softmax(v, 1, v, *stats[:, b:b + 1, :, p0:p1])
+            return v
+
+        def add_inner(b0, b1, i, e, v):
+            """softmax_vec's sum_t g_t s_t, g_t = g x_t, at rows i..e, from all k^2 filters v.
+
+            It adds in tap order; numpy sums the k^2 axis of one pixel pairwise,
+            so that is summed whole.
+            """
+            nb, win, gb = b1 - b0, _windows(xp[b0:b1, i:e + 2 * r], k, e - i, w), g[b0:b1, :, i:e]
+            s = v.reshape(nb, k, k, e - i, w)
+            acc = inner[b0:b1, 0, i * w:e * w].reshape(nb, e - i, w)
+            if (e - i) * w == 1:
+                acc[...] = (gb[:, None] * win * s).reshape(nb, k2).sum(axis=1)[:, None, None]
                 return
+            gx = np.empty((nb, 1 + k, e - i, w))
+            for a in range(k):
+                np.multiply(gb, win[:, a], out=gx[:, 1:])
+                gx[:, 1:] *= s[:, a]
+                _add_in_order(acc, gx, first=a == 0)
+
+        def field_grad(b0, b1, t0, t1, i, e, v):
+            """The field's gradient at taps t0..t1 and rows i..e: g x_t, or s_t (g x_t - inner).
+
+            It overwrites the filters v, when given, and is (nb, t1 - t0, pixels).
+            """
+            nb, p0, p1 = b1 - b0, i * w, e * w
             win, gb = _windows(xp[b0:b1, i:e + 2 * r], k, e - i, w), g[b0:b1, :, i:e]
-            gx = np.empty((nb, 1 + k, e - i, w)) if softmax else None   # a kernel row's g x_t
-            if softmax and band_work:
-                # softmax_vec's sum_t g_t s_t with g_t = g x_t, in tap order; numpy
-                # sums the k^2 axis of one pixel pairwise, so that is summed whole
-                s = v.reshape(nb, k, k, e - i, w)
-                acc = inner[b0:b1, 0, p0:p1].reshape(nb, e - i, w)
-                if p1 - p0 == 1:
-                    acc[...] = (gb[:, None] * win * s).reshape(nb, k2).sum(axis=1)[:, None, None]
-                else:
-                    for a in range(k):
-                        np.multiply(gb, win[:, a], out=gx[:, 1:])
-                        gx[:, 1:] *= s[:, a]
-                        _add_in_order(acc, gx, first=a == 0)
-            # the field's gradient, in v's buffer: g x_t, or s_t (g x_t - inner)
-            gv = v if v is not None else _empty((nb, nt, p1 - p0))
-            gv4 = gv.reshape(nb, nt, e - i, w)
+            gv = v if v is not None else _empty((nb, t1 - t0, p1 - p0))
+            gv4 = gv.reshape(nb, t1 - t0, e - i, w)
+            gx = np.empty((nb, k, e - i, w)) if softmax else None
             for a, js, cs in _kernel_rows(t0, t1, k):
                 if softmax:
                     gxr = np.multiply(gb, win[:, a, js], out=gx[:, :cs.stop - cs.start])
@@ -1178,24 +1205,63 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
                     gv4[:, cs] *= gxr
                 else:
                     np.multiply(gb, win[:, a, js], out=gv4[:, cs])
-            for b in range(b0, b1):
-                if tap_work and db is not None:
-                    part = gv[b - b0].sum(axis=1)
+            return gv
+
+        def tap_grads(b0, t0, t1, gv):
+            """The bias's and weights' gradients at taps t0..t1 from images b0.. of gv."""
+            for j, gvb in enumerate(gv):
+                b = b0 + j
+                if db is not None:
+                    part = gvb.sum(axis=1)
                     if b == 0:
                         db[t0:t1] = part
                     else:
                         db[t0:t1] += part
-                if tap_work and dw is not None:
-                    _gemm(gv[b - b0], fs[b].T, dw[t0:t1], b > 0)
-                if band_work and df is not None:
-                    np.matmul(wmat.T, gv[b - b0], out=df[b, :, p0:p1])
+                if dw is not None:
+                    _gemm(gvb, fs[b].T, dw[t0:t1], b > 0)
 
-        if blocks is None:
-            block(0, n, 0, k2, 0, h, True, True, kept)
+        def feat_grad(b0, i, e, gv):
+            """The features' gradient at rows i..e from all k^2 taps of images b0.. of gv."""
+            for j, gvb in enumerate(gv):
+                np.matmul(wmat.T, gvb, out=df[b0 + j, :, i * w:e * w])
+
+        def band_pass(b, i, e):
+            """Image b's rows i..e, every tap of a pixel: the softmax's sum, the features' gradient."""
+            v = rebuild(b, 0, k2, i, e) if softmax else None
+            if softmax:
+                add_inner(b, b + 1, i, e, v)
+            if df is not None:
+                feat_grad(b, i, e, field_grad(b, b + 1, 0, k2, i, e, v))
+
+        def tap_pass(b, t0, t1):
+            """Image b's taps t0..t1, every pixel of a tap: x's scatter, the head's gradients."""
+            v = None
+            if softmax or gxp is not None:
+                v = rebuild(b, t0, t1, 0, h)
+                v[0, :, px - tail.shape[2]:] = tail[b, t0:t1]
+            if gxp is not None:
+                _scatter_window(g[b:b + 1], v.reshape(1, t1 - t0, h, w), k, gxp[b:b + 1], t0)
+            if head_grads:
+                tap_grads(b, t0, t1, field_grad(b, b + 1, t0, t1, 0, h, v))
+
+        if bands is None:                       # one block: every gradient from the kept field
+            if gxp is not None:
+                _scatter_window(g, kept.reshape(n, k2, h, w), k, gxp)
+            if softmax:
+                add_inner(0, n, 0, h, kept)
+            if head_grads or df is not None:
+                gv = field_grad(0, n, 0, k2, 0, h, kept)
+                tap_grads(0, 0, k2, gv)
+                if df is not None:
+                    feat_grad(0, 0, h, gv)
         else:
-            for a in range(n):
-                for spec in blocks:
-                    block(a, a + 1, *spec)
+            for b in range(n):
+                if df is not None or softmax and head_grads:
+                    for i, e in bands:
+                        band_pass(b, i, e)
+                if gxp is not None or head_grads:
+                    for t0, t1 in taps:
+                        tap_pass(b, t0, t1)
         if db is not None:
             accumulate_grad(bn, db)
         if dw is not None:

@@ -5,9 +5,12 @@ Python loops and float arithmetic only, so agreement is meaningful.
 ``kpn_field_oracle`` is the model as public ops with the filter field held
 whole, the way ``kpn_apply`` ran before its head and filtering became one op.
 ``read_minmax`` reads the sidecar that ``fileio.write_scaled_pgm`` writes,
-and ``traced`` measures what a call allocates.
+``traced`` measures what a call allocates, and ``one_blas_thread`` runs a
+block at one OpenBLAS thread.
 """
 
+import contextlib
+import ctypes
 import tracemalloc
 from collections import namedtuple
 from pathlib import Path
@@ -142,3 +145,31 @@ def traced(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return Traced(value, peak - before, held - before)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with the OpenBLAS that numpy ships at one thread, then restore its count.
+
+    At more threads OpenBLAS divides each GEMM between them by the GEMM's
+    shape, so a product cut by M or N can round otherwise than the whole
+    one. Where numpy ships no such library the block runs as it is.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    lib = None
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            break
+        except (OSError, AttributeError):
+            lib = None
+    if lib is None:
+        yield
+        return
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)

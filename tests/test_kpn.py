@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from structkpn.kpn import (KpnConfig, build_model, kpn_apply, denoise_image,
 from structkpn.losses import loss_weights, struct_loss
 from structkpn.tensor import (Tensor, ShapeError, backward, conv2d, grad_check, kpn_filter,
                               local_conv, make_op, mul, reduce_sum, softmax_vec)
-from helpers import kpn_field_oracle, naive_local_conv, traced
+from helpers import kpn_field_oracle, naive_local_conv, one_blas_thread, traced
 
 TINY = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2)
 
@@ -87,42 +88,56 @@ def test_local_conv_gradients_finite_difference():
         assert report.passed, (k, report.per_param)
 
 
-def _value_and_grads(op, arrays, u):
-    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+def _value_and_grads(op, arrays, u, fixed=None):
+    # leaf `fixed`, when given, needs no gradient and gives None
+    leaves = [Tensor(a, requires_grad=i != fixed) for i, a in enumerate(arrays)]
     out = op(*leaves)
     backward(reduce_sum(mul(out, Tensor(u))))
     return [out.data] + [t.grad for t in leaves]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 4), st.sampled_from([3, 5]), st.integers(1, 9),
-       st.integers(1, 9), st.booleans(), st.sampled_from([None, 1, 2, "row"]),
-       st.integers(0, 2 ** 32 - 1))
-@example(2, 3, 5, 3, 2, True, None, 0)     # k > H and k > W
-@example(3, 2, 3, 9, 7, False, None, 1)
-@example(2, 2, 5, 1, 1, True, None, 2)     # one pixel: the softmax's k^2 sum is numpy's pairwise one
-@example(3, 2, 5, 7, 6, True, 1, 3)        # several images, tap blocks and bands
-@example(3, 2, 5, 7, 6, False, 2, 4)
-@example(2, 3, 5, 9, 1, True, 1, 5)        # w = 1: a band spans 5 rows, never one pixel
-@example(2, 3, 3, 8, 1, False, "row", 6)
-@example(1, 4, 5, 6, 9, True, "row", 7)
+@given(st.integers(1, 3), st.integers(1, 8), st.sampled_from([3, 5, 21]), st.integers(1, 40),
+       st.integers(1, 40), st.booleans(), st.sampled_from([None, 1]),
+       st.sampled_from([None, 0, 1]), st.integers(0, 2 ** 32 - 1))
+@example(2, 3, 5, 3, 2, True, None, None, 0)     # k > H and k > W
+@example(3, 2, 3, 9, 7, False, None, None, 1)
+@example(2, 2, 5, 1, 1, True, None, None, 2)     # one pixel: the softmax's k^2 sum is numpy's pairwise one
 # at k = 21 these fields take 4-8 tap blocks and bands an image at the
-# default block size, as the default config's 48^2 patches do
-@example(2, 8, 21, 48, 48, True, None, 8)
-@example(2, 8, 21, 48, 48, False, None, 9)
-@example(1, 64, 21, 50, 48, True, None, 10)
-@example(1, 16, 21, 40, 64, False, None, 11)
-def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, block, seed):
+# default block size, as the default config's 48^2 patches do; 30 x 100 and
+# 50 x 37 put a band's first pixel off a 16-pixel panel unless the band
+# keeps to the ones its rows allow, and their last panel is 8 and 2 wide
+@example(2, 8, 21, 48, 48, True, None, None, 8)
+@example(2, 8, 21, 48, 48, False, None, None, 9)
+@example(1, 64, 21, 50, 48, True, None, None, 10)
+@example(1, 16, 21, 40, 64, False, None, None, 11)
+@example(1, 8, 21, 30, 100, True, None, None, 12)
+@example(1, 8, 21, 30, 100, False, None, None, 13)
+@example(1, 8, 21, 50, 37, True, None, None, 14)
+@example(1, 8, 21, 50, 37, False, None, None, 15)
+# blocks forced down to the smallest that keep the bits: several images,
+# each in several bands and tap blocks
+@example(3, 8, 21, 30, 37, True, 1, None, 16)
+@example(2, 4, 21, 33, 35, False, 1, None, 17)
+@example(1, 8, 21, 600, 1, True, 1, None, 18)    # w = 1: a band spans 16 rows
+@example(2, 3, 21, 40, 50, True, 1, None, 19)    # 3 features: blocks above the small-matrix bound
+@example(1, 1, 21, 60, 61, False, 1, None, 20)   # 1 feature: its head's weight gradient is a gemv
+# a frozen backbone: the features need no gradient, but the softmax's
+# per-pixel sums still run over bands for the head's gradients
+@example(2, 8, 21, 30, 37, True, 1, 1, 21)
+@example(1, 8, 21, 48, 48, True, None, 1, 22)
+@example(2, 8, 21, 30, 37, False, 1, 1, 23)
+@example(2, 8, 21, 30, 37, True, 1, 0, 24)     # x needs no gradient
+def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, block, fixed, seed):
     # kpn_filter against the three ops it fuses: the value and the gradients
     # of x, feats, weights and bias are the same bytes, with the field whole
-    # or in blocks of the default size. Forced into blocks of `block` taps (2
-    # at least) or bands of 1 row (5 pixels at least) through _BLOCK_VALUES,
-    # the value and x's and the bias's gradients keep their bytes; the
-    # weights' and features' split GEMMs are then OpenBLAS small-matrix
-    # calls, whose kernels round a product of a few rows (and a one-channel
-    # head's gemv, a few columns) otherwise than the whole one's, so those
-    # two keep the bytes only to the last bits (5.5e-16 relative at worst
-    # over 300 draws)
+    # or in blocks of the default size, or forced through _BLOCK_VALUES = 1
+    # into the smallest blocks ``_bands`` and ``_tap_blocks`` allow; with
+    # every input needing a gradient, or all but x or feats. It runs at one
+    # BLAS thread, as perfbench does: at more, OpenBLAS divides each GEMM
+    # between its threads by the GEMM's shape, so a split one can round
+    # otherwise than the whole one in the last bit. A field of one block
+    # runs the unfused ops' GEMMs, so it is checked at the default count too
     rng = np.random.default_rng(seed)
     arrays = (rng.normal(size=(n, 1, h, w)), rng.normal(size=(n, c, h, w)),
               rng.normal(size=(k * k, c, 1, 1)), rng.normal(size=k * k))
@@ -132,17 +147,49 @@ def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, bloc
         v = conv2d(f, wt, b)
         return local_conv(x, softmax_vec(v, axis=1) if softmax else v)
 
-    want = _value_and_grads(oracle, arrays, u)
-    values = tensor._BLOCK_VALUES if block is None else \
-        k * k * w if block == "row" else block * h * w
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "_BLOCK_VALUES", values)
-        got = _value_and_grads(lambda *p: kpn_filter(*p, softmax=softmax), arrays, u)
-    forced = block is not None and n * k * k * h * w > values
-    exact = [0, 1, 4] if forced else range(5)
-    assert [got[i].tobytes() for i in exact] == [want[i].tobytes() for i in exact]
-    for a, b in zip(got, want):
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    def same_bytes():
+        want = _value_and_grads(oracle, arrays, u, fixed)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(tensor, "_BLOCK_VALUES", block)
+            got = _value_and_grads(lambda *p: kpn_filter(*p, softmax=softmax), arrays, u, fixed)
+        return [None if a is None else a.tobytes() for a in got] == \
+            [None if b is None else b.tobytes() for b in want]
+
+    with one_blas_thread():
+        assert same_bytes()
+    if block is None and n * k * k * h * w <= tensor._BLOCK_VALUES:
+        assert same_bytes()
+
+
+@pytest.mark.parametrize("h, w, k, c, block", [
+    (48, 48, 21, 64, None), (30, 100, 21, 8, None), (50, 37, 21, 8, None), (600, 1, 21, 8, 1),
+    (30, 37, 21, 8, 1), (40, 50, 21, 3, 1), (60, 61, 21, 1, 1), (256, 256, 21, 64, None),
+    (255, 255, 21, 64, None), (40, 40, 5, 4, 1), (9, 9, 5, 4, 1)])
+def test_kpn_filter_blocks_keep_to_whole_gemm_kernels(monkeypatch, h, w, k, c, block):
+    # the cuts that keep kpn_filter's bits: a band starts at a multiple of 16
+    # pixels and spans more than one 192-pixel panel block, and every split
+    # GEMM is above OpenBLAS's small-matrix bound; the rest is as even as the
+    # block size asks
+    if block is not None:
+        monkeypatch.setattr(tensor, "_BLOCK_VALUES", block)
+    k2, px = k * k, h * w
+    bands, taps = tensor._bands(h, w, k2, c), tensor._tap_blocks(px, k2, c)
+    for parts, total in ((bands, h), (taps, k2)):
+        assert parts[0][0] == 0 and parts[-1][1] == total
+        assert all(e == i2 for (_, e), (i2, _) in zip(parts, parts[1:]))
+    assert all(i * w % tensor._GEMM_ROWS == 0 for i, _ in bands)
+    if len(bands) > 1:
+        assert all((e - i) * w * k2 * c > tensor._SMALL_GEMM for i, e in bands)
+        assert all((e - i) * w > tensor._GEMM_PANEL for i, e in bands)
+    if len(taps) > 1:
+        assert all((t1 - t0) * px * c > tensor._SMALL_GEMM for t0, t1 in taps)
+    if px * k2 * c > 4 * tensor._SMALL_GEMM and c >= 8:
+        assert len(bands) > 1 and len(taps) > 1   # split as far as the bound allows
+    if block is None and c >= 4:
+        step = tensor._GEMM_ROWS // math.gcd(w, tensor._GEMM_ROWS)
+        assert max(e - i for i, e in bands) * w * k2 <= max(2 * tensor._BLOCK_VALUES, 2 * step * w * k2)
+        assert max(t1 - t0 for t0, t1 in taps) * px <= 2 * tensor._BLOCK_VALUES
 
 
 def test_kpn_filter_validation():

@@ -110,25 +110,30 @@ def test_backward_requires_scalar():
 def test_ops_under_a_poisoned_arena_keep_their_bytes(monkeypatch):
     # every op that borrows from the arena, each input needing a gradient,
     # swept twice in one arena whose buffers go out full of NaN: the second
-    # graph runs on buffers the first one freed, and no byte may move. Then
-    # again with blocks of 64 values, so each kpn_filter field (756 values)
-    # runs in tap blocks and bands, with and without softmax, and each conv
-    # forward in many blocks of its lent scratch
+    # graph runs on buffers the first one freed, and no byte may move. A
+    # k = 21 kpn_filter over 33 x 50 pixels runs its field in 2 bands and 3
+    # blocks of taps, with and without softmax, and its last 2 pixels off a
+    # 16-pixel panel. Then again with blocks of 64 values, so it runs in 2
+    # bands and 5 blocks of taps, and each conv forward in many blocks of its
+    # lent scratch
     rng = np.random.default_rng(47)
     xv, w3, b3 = rng.normal(size=(2, 4, 6, 7)), rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
     w1, b1 = rng.normal(size=(9, 4, 1, 1)), rng.normal(size=9)
     imgv = rng.normal(size=(2, 1, 6, 7))
+    big = (rng.normal(size=(1, 1, 33, 50)), rng.normal(size=(1, 8, 33, 50)),
+           rng.normal(size=(441, 8, 1, 1)), rng.normal(size=441))
 
     def sweep():
-        leaves = [Tensor(a, requires_grad=True) for a in (xv, w3, b3, w1, b1, imgv)]
-        x, wa, ba, wb, bb, img = leaves
+        leaves = [Tensor(a, requires_grad=True) for a in (xv, w3, b3, w1, b1, imgv) + big]
+        x, wa, ba, wb, bb, img, bx, bf, bw, bbias = leaves
         h = add(x, relu(conv2d(x, wa, ba, groups=2)))            # x's grad is a sum
         v = softmax_vec(conv2d(add(h, 0.5), wb, bb), axis=1)
         out = add(local_conv(img, v), kpn_filter(img, h, wb, bb, softmax=True))
         out = add(out, kpn_filter(img, h, wb, bb))
-        loss = reduce_sum(mul(out, out))
+        fine = add(kpn_filter(bx, bf, bw, bbias, softmax=True), kpn_filter(bx, bf, bw, bbias))
+        loss = add(reduce_sum(mul(out, out)), reduce_sum(mul(fine, fine)))
         loss.backward()
-        return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+        return [out.data.tobytes(), fine.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
     lend = StepArena.lend
 
