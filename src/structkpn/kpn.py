@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, _bands, _conv_forward, _conv_taps, _filter_band,
-                     _head_field, add, conv2d, edge_pad, kpn_filter, relu)
+from . import tensor
+from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_band, _head_field,
+                     _parts, add, conv2d, edge_pad, kpn_filter, relu)
 from .tensor import local_conv  # noqa: F401  perfbench/tracing.py imports it from here
 
 __all__ = [
@@ -270,10 +271,11 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     input 2 rows to meet its second conv, and only the image's top and bottom
     rows replicate as conv2d's padding does. ``kpn_filter``'s forward over a
     band, ``tensor._filter_band`` (the pointwise head, which needs no halo,
-    and the per-pixel filter), then runs on bands of rows of at most about
-    ``tensor._BLOCK_VALUES`` filter values, the same bands ``kpn_filter``
-    takes, also in the last, taller band the backbone's lag yields. The
-    result is within 1e-12 of ``kpn_apply`` on the whole image (the GEMMs see
+    and the per-pixel filter), then runs on even bands of rows of about
+    ``tensor._BLOCK_VALUES`` filter values, one row at least, also in the
+    last, taller band the backbone's lag yields. They need not keep to the
+    GEMM panels ``kpn_filter``'s bands keep to: the result is within 1e-12
+    of ``kpn_apply`` on the whole image (the GEMMs see
     other shapes, so the last bits can differ) and byte-identical across
     reruns at a fixed BLAS thread count. kernels is a (P,k,k) array holding
     the filter of each (m, n) in kernel_pixels (kpn only); tap (s,t) of a
@@ -307,7 +309,7 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
         # the band's rows of the input, edge-padded by r as kpn_filter pads it
         xp = edge_pad(img[np.clip(np.arange(row - r, j + r), 0, h - 1)], 0, r,
                       np.empty((j - row + 2 * r, w + 2 * r)))
-        bands = _bands(j - row, w, k * k, fd.shape[0])
+        bands = _parts(j - row, max(1, tensor._BLOCK_VALUES // (k * k * w)), 0)
         buf = np.empty(k * k * max(e - i for i, e in bands) * w)
         for i, e in bands:
             field = buf[:k * k * (e - i) * w].reshape(1, k * k, -1)
