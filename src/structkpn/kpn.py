@@ -1,16 +1,18 @@
 """Kernel-predicting denoiser: a small CNN emits one k x k filter per pixel.
 
-The backbone is a 3x3 stem, a chain of residual blocks (3x3 conv, relu,
-3x3 conv, skip add; the last block uses 2 convolution groups), a relu, and a
-1x1 head. The config's ``model_kind`` picks the head: a "kpn" head has k^2
+The backbone is a 3x3 stem, a chain of residual blocks (3x3 conv, relu, 3x3
+conv, skip add; the last block uses 2 convolution groups), a relu, and a 1x1
+head. The config's ``model_kind`` picks the head: a "kpn" head has k^2
 output channels, and each pixel's k^2 channel slice is a filter applied to
 the input frame with edges replicated, so output size equals input size;
 kernels can optionally be softmax-normalized per pixel so they are positive
 and sum to one. ``tensor.kpn_filter`` runs the head, the softmax and the
-filtering as one op that never holds its input's (N, k^2, H, W) field
-whole, only a block of ``tensor._BLOCK_VALUES`` values (2 MB) at a time. A
-"plain-cnn" head has one channel, starts at zero, and adds a residual to
-the input through a global skip.
+filtering as one op, an image at a time, that holds its input's
+(N, k^2, H, W) field a block of ``tensor._BLOCK_VALUES`` values (2 MB) at a
+time. It keeps a field of one block on the tape, as at the SMOKE config, and
+a one-band image's backward rebuilds its filters once, for all its
+gradients. A "plain-cnn" head has one channel, starts at zero, and adds a
+residual to the input through a global skip.
 
 Training runs a micro-batch on the tape (``kpn_apply``). ``denoise_image``
 streams one image through the same layers in bands of whole rows, each 3x3

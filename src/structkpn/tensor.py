@@ -60,17 +60,19 @@ batched ``np.matmul`` over the groups, which costs less per call.
 prediction network adds to a plain CNN; each kernel row's k taps read one
 strided view of the padded input. ``kpn_filter`` is the network's 1x1 head,
 the optional per-pixel softmax and ``local_conv`` as one op that never holds
-more of its field than a block of ``_BLOCK_VALUES`` values: bands of whole
-rows where a pixel needs all its filters, blocks of taps where a tap needs
-all its pixels, with the filters rebuilt from the head where a softmax
-gradient reads them, cut where OpenBLAS keeps the whole GEMMs' bits at one
-thread (``_SMALL_GEMM``). Its forward over one band, ``_filter_band``, also
-filters ``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM
-of the structure-aware loss as one op: its window means come from
-``box_filter``, a numpy box filter that ``gradstats`` also uses, and its
-backward is the closed form through the box's adjoint. Every differentiable
-op lives in this module, so ``registered_ops()`` is a constant tuple of their
-names, complete once this module is imported.
+more of its field than a block of ``_BLOCK_VALUES`` values: an image's bands
+of whole rows where a pixel needs all its filters, its blocks of taps where
+a tap needs all its pixels, cut where OpenBLAS keeps the whole GEMMs' bits
+at one thread (``_SMALL_GEMM``). Its backward rebuilds the filters it reads
+from the head, but a field of one block is kept on the tape, and a band of
+all its image's rows does the tap blocks' work from its own filters. Its
+forward over one band, ``_filter_band``, also filters
+``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM of the
+structure-aware loss as one op: its window means come from ``box_filter``, a
+numpy box filter that ``gradstats`` also uses, and its backward is the
+closed form through the box's adjoint. Every differentiable op lives in this
+module, so ``registered_ops()`` is a constant tuple of their names, complete
+once this module is imported.
 """
 
 import bisect
@@ -1054,7 +1056,9 @@ def _head_field(fd, wmat, bias, out):
     The bias goes in first and each image's GEMM adds into it, as
     ``_pointwise_conv`` does. A band cut by ``_bands`` has the bits of the
     same values of the whole field, and so does a block of rows cut by
-    ``_tap_blocks`` but at the image's last H*W % 16 pixels.
+    ``_tap_blocks`` but at the image's last H*W % 16 pixels. ``kpn_filter``
+    calls it once a band, and again in its backward only for filters it read
+    but did not keep: a one-band image's once, a kept field's never.
     """
     out[...] = bias[:, None]
     for b in range(len(fd)):
@@ -1084,24 +1088,27 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     the 1x1 head ``conv2d(feats, weights, bias)`` or, with ``softmax``, its
     ``softmax_vec`` over the k^2 channels.
 
-    A field of at most ``_BLOCK_VALUES`` values is one block, as at the SMOKE
-    config: the forward computes it whole and the tape keeps it where the
-    softmax or x's gradient reads it, its gradient then overwriting it. A
-    larger field is never held whole; it runs an image at a time:
+    It runs an image at a time:
 
     - the forward over bands of whole rows, each holding all k^2 filters of
-      its pixels; the tape keeps each pixel's softmax max and exp-sum, and
-      the filters of the image's last H*W % 16 pixels;
+      its pixels; the tape keeps each pixel's softmax max and exp-sum;
     - the backward's band pass over the same bands, for what needs every tap
       of a pixel: the softmax's per-pixel sum_t g x_t s_t and the features'
       gradient;
     - its tap pass over blocks of taps, rows of the head's weights, for what
       needs every pixel of a tap: the scatter of x's gradient, in tap order,
-      and the weights' and bias's gradients.
+      and the weights' and bias's gradients. The forward keeps for it the
+      filters of the image's last H*W % 16 pixels, which its head GEMM
+      rounds otherwise.
 
-    Without softmax the field's gradient g x_t needs no field. A softmax
-    band, and a block of taps for the softmax or for x's gradient, rebuild
-    their filters from the head and the kept max and exp-sum.
+    Without softmax the field's gradient g x_t needs no field. A pass that
+    reads the filters, for the softmax or x's gradient, rebuilds them from
+    the head and the kept max and exp-sum, but for two rules:
+
+    - keeping: a whole field of at most ``_BLOCK_VALUES`` values, as at the
+      SMOKE config, is kept on the tape, the forward writing its bands into it;
+    - one band: a band of all its image's rows also does the tap pass's
+      work, from its own filters and field gradient, in the same tap blocks.
 
     A block is at most about ``_BLOCK_VALUES`` values, more where the
     smallest one whose GEMMs keep the bits (see ``_SMALL_GEMM``) is larger:
@@ -1125,27 +1132,23 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     wmat, fs, px = wd.reshape(k2, c), fd.reshape(n, c, h * w), h * w
     xp = edge_pad(xd[:, 0], r, r, np.empty((n, h + 2 * r, w + 2 * r)))
     out_data = _empty(xd.shape)
-    kept = bands = stats = tail = None
-    if n * k2 * px <= _BLOCK_VALUES:
-        field = _empty((n, k2, px))
-        _filter_band(xp, fs, wmat, bd, softmax, field, out_data[:, 0])
-        kept = field if softmax or xn.requires_grad else None
-        del field
-    else:
-        bands, taps = _bands(h, w, k2, c), _tap_blocks(px, k2, c)
-        stats = np.empty((2, n, 1, px)) if softmax else None
-        # the filters a block of taps reads at the last pixels, from the forward
-        tail = np.empty((n, k2, px % _GEMM_ROWS)) if softmax or xn.requires_grad else None
-        for a in range(n):
-            for i, e in bands:
-                field = _empty((1, k2, (e - i) * w))
-                st = _filter_band(xp[a:a + 1, i:e + 2 * r], fs[a:a + 1, :, i * w:e * w], wmat, bd,
-                                  softmax, field, out_data[a:a + 1, 0, i:e])
-                if softmax:
-                    stats[:, a, :, i * w:e * w] = np.concatenate(st)
-                if tail is not None and e == h:
-                    tail[a] = field[0, :, field.shape[2] - tail.shape[2]:]
-                del field                   # free before the next band borrows one
+    bands, taps = _bands(h, w, k2, c), _tap_blocks(px, k2, c)
+    reads = softmax or xn.requires_grad         # the backward reads the filters
+    # a field of one block has one band an image, so a band is a kept image
+    kept = _empty((n, k2, px)) if reads and n * k2 * px <= _BLOCK_VALUES else None
+    stats = np.empty((2, n, 1, px)) if softmax and kept is None else None
+    # the filters a block of taps reads at the last pixels, from the forward
+    tail = np.empty((n, k2, px % _GEMM_ROWS)) if reads and len(bands) > 1 else None
+    for a in range(n):
+        for i, e in bands:
+            field = _empty((1, k2, (e - i) * w)) if kept is None else kept[a:a + 1]
+            st = _filter_band(xp[a:a + 1, i:e + 2 * r], fs[a:a + 1, :, i * w:e * w], wmat, bd,
+                              softmax, field, out_data[a:a + 1, 0, i:e])
+            if stats is not None:
+                stats[:, a, :, i * w:e * w] = np.concatenate(st)
+            if tail is not None and e == h:
+                tail[a] = field[0, :, field.shape[2] - tail.shape[2]:]
+            del field                       # free before the next band borrows one
 
     def bwd(g):
         gxp = dw = db = df = None
@@ -1158,11 +1161,14 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
             db = np.empty(k2)
         if fn.requires_grad:
             df = _empty((n, c, px))
-        inner = np.empty((n, 1, px)) if softmax else None
         head_grads = dw is not None or db is not None
+        # the current image's per-pixel softmax sum, read by every field gradient
+        inner = np.empty((1, px)) if softmax and (head_grads or df is not None) else None
 
         def rebuild(b, t0, t1, i, e):
-            """Image b's filters t0..t1 at rows i..e, from the head and the kept softmax sums."""
+            """Image b's filters t0..t1 at rows i..e, kept or from the head and the softmax sums."""
+            if kept is not None:                # then all of image b's filters
+                return kept[b:b + 1]
             p0, p1 = i * w, e * w
             v = _head_field(fs[b:b + 1, :, p0:p1], wmat[t0:t1], bd[t0:t1],
                             _empty((1, t1 - t0, p1 - p0)))
@@ -1170,68 +1176,69 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
                 _softmax(v, 1, v, *stats[:, b:b + 1, :, p0:p1])
             return v
 
-        def add_inner(b0, b1, i, e, v):
-            """softmax_vec's sum_t g_t s_t, g_t = g x_t, at rows i..e, from all k^2 filters v.
+        def add_inner(b, i, e, v):
+            """softmax_vec's sum_t g_t s_t, g_t = g x_t, at image b's rows i..e, from its filters v.
 
             It adds in tap order; numpy sums the k^2 axis of one pixel pairwise,
             so that is summed whole.
             """
-            nb, win, gb = b1 - b0, _windows(xp[b0:b1, i:e + 2 * r], k, e - i, w), g[b0:b1, :, i:e]
-            s = v.reshape(nb, k, k, e - i, w)
-            acc = inner[b0:b1, 0, i * w:e * w].reshape(nb, e - i, w)
+            win, gb = _windows(xp[b:b + 1, i:e + 2 * r], k, e - i, w), g[b:b + 1, :, i:e]
+            s = v.reshape(1, k, k, e - i, w)
+            acc = inner[:, i * w:e * w].reshape(1, e - i, w)
             if (e - i) * w == 1:
-                acc[...] = (gb[:, None] * win * s).reshape(nb, k2).sum(axis=1)[:, None, None]
+                acc[...] = (gb[:, None] * win * s).sum()
                 return
-            gx = np.empty((nb, 1 + k, e - i, w))
+            gx = np.empty((1, 1 + k, e - i, w))
             for a in range(k):
                 np.multiply(gb, win[:, a], out=gx[:, 1:])
                 gx[:, 1:] *= s[:, a]
                 _add_in_order(acc, gx, first=a == 0)
 
-        def field_grad(b0, b1, t0, t1, i, e, v):
-            """The field's gradient at taps t0..t1 and rows i..e: g x_t, or s_t (g x_t - inner).
+        def field_grad(b, t0, t1, i, e, v):
+            """Image b's field gradient at taps t0..t1 and rows i..e: g x_t, or s_t (g x_t - inner).
 
-            It overwrites the filters v, when given, and is (nb, t1 - t0, pixels).
+            It overwrites the filters v, when given, and is (1, t1 - t0, pixels).
             """
-            nb, p0, p1 = b1 - b0, i * w, e * w
-            win, gb = _windows(xp[b0:b1, i:e + 2 * r], k, e - i, w), g[b0:b1, :, i:e]
-            gv = v if v is not None else _empty((nb, t1 - t0, p1 - p0))
-            gv4 = gv.reshape(nb, t1 - t0, e - i, w)
-            gx = np.empty((nb, k, e - i, w)) if softmax else None
+            win, gb = _windows(xp[b:b + 1, i:e + 2 * r], k, e - i, w), g[b:b + 1, :, i:e]
+            gv = v if v is not None else _empty((1, t1 - t0, (e - i) * w))
+            gv4 = gv.reshape(1, t1 - t0, e - i, w)
+            gx = np.empty((1, k, e - i, w)) if softmax else None
             for a, js, cs in _kernel_rows(t0, t1, k):
                 if softmax:
                     gxr = np.multiply(gb, win[:, a, js], out=gx[:, :cs.stop - cs.start])
-                    gxr -= inner[b0:b1, :, p0:p1].reshape(nb, 1, e - i, w)
+                    gxr -= inner[:, i * w:e * w].reshape(1, 1, e - i, w)
                     gv4[:, cs] *= gxr
                 else:
                     np.multiply(gb, win[:, a, js], out=gv4[:, cs])
             return gv
 
-        def tap_grads(b0, t0, t1, gv):
-            """The bias's and weights' gradients at taps t0..t1 from images b0.. of gv."""
-            for j, gvb in enumerate(gv):
-                b = b0 + j
-                if db is not None:
-                    part = gvb.sum(axis=1)
-                    if b == 0:
-                        db[t0:t1] = part
-                    else:
-                        db[t0:t1] += part
-                if dw is not None:
-                    _gemm(gvb, fs[b].T, dw[t0:t1], b > 0)
-
-        def feat_grad(b0, i, e, gv):
-            """The features' gradient at rows i..e from all k^2 taps of images b0.. of gv."""
-            for j, gvb in enumerate(gv):
-                np.matmul(wmat.T, gvb, out=df[b0 + j, :, i * w:e * w])
+        def tap_grads(b, t0, t1, gv):
+            """The bias's and weights' gradients at taps t0..t1 from image b's field gradient gv."""
+            if db is not None:
+                part = gv[0].sum(axis=1)
+                db[t0:t1] = part if b == 0 else db[t0:t1] + part
+            if dw is not None:
+                _gemm(gv[0], fs[b].T, dw[t0:t1], b > 0)
 
         def band_pass(b, i, e):
-            """Image b's rows i..e, every tap of a pixel: the softmax's sum, the features' gradient."""
-            v = rebuild(b, 0, k2, i, e) if softmax else None
-            if softmax:
-                add_inner(b, b + 1, i, e, v)
-            if df is not None:
-                feat_grad(b, i, e, field_grad(b, b + 1, 0, k2, i, e, v))
+            """Image b's rows i..e, every tap of a pixel: the softmax's sum, the features' gradient.
+
+            A band of all the image's rows also does the tap pass's work from its
+            own filters and field gradient: x's scatter and the head's gradients.
+            """
+            one = e - i == h
+            v = rebuild(b, 0, k2, i, e) if inner is not None or one and gxp is not None else None
+            if one and gxp is not None:
+                _scatter_window(g[b:b + 1], v.reshape(1, k2, h, w), k, gxp[b:b + 1])
+            if inner is not None:
+                add_inner(b, i, e, v)
+            if df is not None or one and head_grads:
+                gv = field_grad(b, 0, k2, i, e, v)
+                if one and head_grads:
+                    for t0, t1 in taps:
+                        tap_grads(b, t0, t1, gv[:, t0:t1])
+                if df is not None:
+                    np.matmul(wmat.T, gv[0], out=df[b, :, i * w:e * w])
 
         def tap_pass(b, t0, t1):
             """Image b's taps t0..t1, every pixel of a tap: x's scatter, the head's gradients."""
@@ -1242,26 +1249,14 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
             if gxp is not None:
                 _scatter_window(g[b:b + 1], v.reshape(1, t1 - t0, h, w), k, gxp[b:b + 1], t0)
             if head_grads:
-                tap_grads(b, t0, t1, field_grad(b, b + 1, t0, t1, 0, h, v))
+                tap_grads(b, t0, t1, field_grad(b, t0, t1, 0, h, v))
 
-        if bands is None:                       # one block: every gradient from the kept field
-            if gxp is not None:
-                _scatter_window(g, kept.reshape(n, k2, h, w), k, gxp)
-            if softmax:
-                add_inner(0, n, 0, h, kept)
-            if head_grads or df is not None:
-                gv = field_grad(0, n, 0, k2, 0, h, kept)
-                tap_grads(0, 0, k2, gv)
-                if df is not None:
-                    feat_grad(0, 0, h, gv)
-        else:
-            for b in range(n):
-                if df is not None or softmax and head_grads:
-                    for i, e in bands:
-                        band_pass(b, i, e)
-                if gxp is not None or head_grads:
-                    for t0, t1 in taps:
-                        tap_pass(b, t0, t1)
+        for b in range(n):
+            for i, e in bands:
+                band_pass(b, i, e)
+            if len(bands) > 1 and (gxp is not None or head_grads):
+                for t0, t1 in taps:
+                    tap_pass(b, t0, t1)
         if db is not None:
             accumulate_grad(bn, db)
         if dw is not None:

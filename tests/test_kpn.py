@@ -128,6 +128,11 @@ def _value_and_grads(op, arrays, u, fixed=None):
 @example(1, 8, 21, 48, 48, True, None, 1, 22)
 @example(2, 8, 21, 30, 37, False, 1, 1, 23)
 @example(2, 8, 21, 30, 37, True, 1, 0, 24)     # x needs no gradient
+# train-smoke's shape: a field of one block, kept on the tape but for the
+# plain head with x frozen, whose backward reads no filters
+@example(4, 16, 5, 48, 48, True, None, None, 25)
+@example(4, 16, 5, 48, 48, False, None, None, 26)
+@example(4, 16, 5, 48, 48, False, None, 0, 27)
 def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, block, fixed, seed):
     # kpn_filter against the three ops it fuses: the value and the gradients
     # of x, feats, weights and bias are the same bytes, with the field whole
@@ -160,6 +165,36 @@ def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, bloc
         assert same_bytes()
     if block is None and n * k * k * h * w <= tensor._BLOCK_VALUES:
         assert same_bytes()
+
+
+@pytest.mark.parametrize("shape, block, forward, backward", [
+    ((4, 16, 5, 48, 48), None, 4, 0),     # a field of one block, kept on the tape
+    ((1, 3, 21, 40, 50), 1, 1, 1),        # one band and 2 blocks of taps
+])
+def test_kpn_filter_rebuilds_its_filters_only_where_it_kept_none(monkeypatch, shape, block,
+                                                                 forward, backward):
+    # the head's GEMM runs once a band in the forward; a kept field is read
+    # back whole, and a one-band image rebuilds its filters once, for the
+    # band pass and the tap blocks' work together
+    n, c, k, h, w = shape
+    rng = np.random.default_rng(28)
+    leaves = [Tensor(rng.normal(size=s), requires_grad=True)
+              for s in ((n, 1, h, w), (n, c, h, w), (k * k, c, 1, 1), (k * k,))]
+    if block is not None:
+        monkeypatch.setattr(tensor, "_BLOCK_VALUES", block)
+    calls, head = [], tensor._head_field
+
+    def counted(*args):
+        calls.append(1)
+        return head(*args)
+
+    monkeypatch.setattr(tensor, "_head_field", counted)
+    assert len(tensor._bands(h, w, k * k, c)) == 1
+    out = kpn_filter(*leaves, softmax=True)
+    assert len(calls) == forward
+    reduce_sum(mul(out, Tensor(rng.normal(size=(n, 1, h, w))))).backward()
+    assert len(calls) == forward + backward
+    assert all(t.grad is not None for t in leaves)
 
 
 @pytest.mark.parametrize("h, w, k, c, block", [

@@ -607,13 +607,29 @@ def test_package_imports_sit_at_module_top_and_form_a_dag():
 
 def test_package_modules_use_every_name_they_import():
     # a top-level import the module never reads is dead code; names in the
-    # module's __all__ and imports marked "# noqa: F401" (a re-export) are exempt
+    # module's __all__ and imports marked "# noqa: F401" (a re-export) are exempt.
+    # A private top-level function, class or constant that no module of the
+    # package reads, by name or as an attribute, is dead code too
     pkg = Path(tensor.__file__).resolve().parent
-    unused = []
+    unused, private, read_anywhere = [], [], set()
     for path in sorted(pkg.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree, lines = ast.parse(text), text.splitlines()
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read_anywhere.update(node.id for node in ast.walk(tree)
+                             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        read_anywhere.update(node.attr for node in ast.walk(tree)
+                             if isinstance(node, ast.Attribute))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private += [(f"{path.name}:{node.lineno}: {name}", name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
         exported = set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
@@ -628,6 +644,7 @@ def test_package_modules_use_every_name_they_import():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in read and name not in exported:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
+    unused += [where for where, name in private if name not in read_anywhere]
     assert unused == []
 
 
