@@ -9,10 +9,11 @@ kernels can optionally be softmax-normalized per pixel so they are positive
 and sum to one. ``tensor.kpn_filter`` runs the head, the softmax and the
 filtering as one op, an image at a time, that holds its input's
 (N, k^2, H, W) field a block of ``tensor._BLOCK_VALUES`` values (2 MB) at a
-time. It keeps a field of one block on the tape, as at the SMOKE config, and
-a one-band image's backward rebuilds its filters once, for all its
-gradients. A "plain-cnn" head has one channel, starts at zero, and adds a
-residual to the input through a global skip.
+time. It keeps a field of one block on the tape, as at the SMOKE config;
+otherwise its backward rebuilds the filters it reads once a band, and a
+softmax head's once a block of taps too. A "plain-cnn" head has one
+channel, starts at zero, and adds a residual to the input through a global
+skip.
 
 Training runs a micro-batch on the tape (``kpn_apply``). ``denoise_image``
 streams one image through the same layers in bands of whole rows, each 3x3
@@ -20,7 +21,7 @@ conv carrying the 2 input rows it still needs from the band before, so its
 memory follows the band, not the image. Both read the one layer list of
 ``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
 each band's rows go through ``kpn_filter``'s own forward over a band of
-pixels, ``tensor._filter_band``, a block of the field at a time.
+pixels, ``tensor._filter_band``, on ``kpn_filter``'s own bands.
 """
 
 import math
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
-from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_band, _head_field,
-                     _parts, add, conv2d, edge_pad, kpn_filter, relu)
+from .tensor import (Tensor, ShapeError, _bands, _conv_forward, _conv_taps, _filter_band,
+                     _head_field, add, conv2d, edge_pad, kpn_filter, relu)
 from .tensor import local_conv  # noqa: F401  perfbench/tracing.py imports it from here
 
 __all__ = [
@@ -175,8 +175,8 @@ def kpn_apply(params, x, cfg):
 
 # denoise_image streams the image through the network in bands of whole rows
 # of about this many pixels: a band of a 64-channel activation takes 1 MB,
-# whatever the image size, and its filter field is filtered a block of
-# tensor._BLOCK_VALUES values (2 MB) at a time. At 64
+# whatever the image size, and its filter field is filtered in kpn_filter's
+# bands of about a block of tensor._BLOCK_VALUES values (2 MB). At 64
 # channels a band's 3x3 conv is one tensor._conv_forward block (64 x rows x
 # (W + 2) values within _BLOCK_VALUES) at every width from 2 to 4,094, so a
 # wider band would buy no GEMM shape, only memory.
@@ -273,15 +273,15 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     input 2 rows to meet its second conv, and only the image's top and bottom
     rows replicate as conv2d's padding does. ``kpn_filter``'s forward over a
     band, ``tensor._filter_band`` (the pointwise head, which needs no halo,
-    and the per-pixel filter), then runs on even bands of rows of about
-    ``tensor._BLOCK_VALUES`` filter values, one row at least, also in the
-    last, taller band the backbone's lag yields. They need not keep to the
-    GEMM panels ``kpn_filter``'s bands keep to: the result is within 1e-12
-    of ``kpn_apply`` on the whole image (the GEMMs see
-    other shapes, so the last bits can differ) and byte-identical across
-    reruns at a fixed BLAS thread count. kernels is a (P,k,k) array holding
-    the filter of each (m, n) in kernel_pixels (kpn only); tap (s,t) of a
-    filter sits at [s+r, t+r]. Pixels are checked before the forward pass.
+    and the per-pixel filter), then runs on the bands ``tensor._bands`` cuts
+    from each band of features, as ``kpn_filter`` cuts an image, also in the
+    last, taller band the backbone's lag yields. The result is within 1e-12
+    of ``kpn_apply`` on the whole image (a band of features starts where the
+    backbone's lag puts it, so the GEMMs see other shapes and the last bits
+    can differ) and byte-identical across reruns at a fixed BLAS thread
+    count. kernels is a (P,k,k) array holding the filter of each (m, n) in
+    kernel_pixels (kpn only); tap (s,t) of a filter sits at [s+r, t+r].
+    Pixels are checked before the forward pass.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
@@ -311,7 +311,7 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
         # the band's rows of the input, edge-padded by r as kpn_filter pads it
         xp = edge_pad(img[np.clip(np.arange(row - r, j + r), 0, h - 1)], 0, r,
                       np.empty((j - row + 2 * r, w + 2 * r)))
-        bands = _parts(j - row, max(1, tensor._BLOCK_VALUES // (k * k * w)), 0)
+        bands = _bands(j - row, w, k * k, len(fd))
         buf = np.empty(k * k * max(e - i for i, e in bands) * w)
         for i, e in bands:
             field = buf[:k * k * (e - i) * w].reshape(1, k * k, -1)

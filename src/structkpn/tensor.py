@@ -61,13 +61,13 @@ prediction network adds to a plain CNN; each kernel row's k taps read one
 strided view of the padded input. ``kpn_filter`` is the network's 1x1 head,
 the optional per-pixel softmax and ``local_conv`` as one op that never holds
 more of its field than a block of ``_BLOCK_VALUES`` values: an image's bands
-of whole rows where a pixel needs all its filters, its blocks of taps where
-a tap needs all its pixels, cut where OpenBLAS keeps the whole GEMMs' bits
-at one thread (``_SMALL_GEMM``). Its backward rebuilds the filters it reads
-from the head, but a field of one block is kept on the tape, and a band of
-all its image's rows does the tap blocks' work from its own filters. Its
-forward over one band, ``_filter_band``, also filters
-``kpn.denoise_image``'s bands. ``ssim_map`` is the per-pixel SSIM of the
+of whole rows where a pixel needs all its filters (x's gradient too), its
+blocks of taps where a tap needs all its pixels (the head's gradients), cut
+where every kernel set of OpenBLAS keeps the whole GEMMs' bits at one thread
+(``_SMALL_GEMM``). Its backward rebuilds the filters it reads from the head,
+but a field of one block is kept on the tape. ``kpn.denoise_image`` cuts
+its bands with the same ``_bands`` and filters them with ``_filter_band``,
+the forward over one band. ``ssim_map`` is the per-pixel SSIM of the
 structure-aware loss as one op: its window means come from ``box_filter``, a
 numpy box filter that ``gradstats`` also uses, and its backward is the
 closed form through the box's adjoint. Every differentiable op lives in this
@@ -848,13 +848,9 @@ def _pointwise_conv(x, weights, bias, groups):
     """conv2d with a 1x1 kernel: one GEMM per image and group on the arrays as given.
 
     Image b's channels already form a (Cin, H*W) matrix, so nothing is padded
-    or folded channel-major. The forward's GEMM adds each image's product to
-    the bias already in its output: addition commutes, so every value is the
-    product plus the bias rounded once, the bits of adding the bias after,
-    as long as BLAS sums the Cin/groups terms in one pass (OpenBLAS's inner
-    block is 384 on AVX-512; the head has 64). The input gradient lands in
-    (N, Cin, H, W) image by image, and the weight gradient sums the images
-    in order, each GEMM adding into it inside BLAS.
+    or folded channel-major. The forward is ``_head_field`` per group. The
+    input gradient lands in (N, Cin, H, W) image by image, and the weight
+    gradient sums the images in order, each GEMM adding into it inside BLAS.
     """
     n, cin, h, w = x.data.shape
     cout = weights.data.shape[0]
@@ -863,10 +859,8 @@ def _pointwise_conv(x, weights, bias, groups):
     xs = x.data.reshape(n, groups, cin_g, h * w)
     out_data = _empty((n, cout, h, w))
     outs = out_data.reshape(n, groups, cout_g, h * w)
-    for b in range(n):
-        out_data[b] = bias.data.reshape(cout, 1, 1)
-        for j in range(groups):
-            _gemm(wmat[j], xs[b, j], outs[b, j], 1)
+    for j in range(groups):
+        _head_field(xs[:, j], wmat[j], bias.data[j * cout_g:(j + 1) * cout_g], outs[:, j])
     xn, wn, bn, wshape = x._node, weights._node, bias._node, weights.data.shape
     xkept = xs if wn.requires_grad else None     # read only by the weight gradient
 
@@ -961,14 +955,14 @@ def _filter_window(xp, v, out):
     return out
 
 
-def _scatter_window(g, v, k, gxp, t0=0):
-    """_filter_window's adjoint in x: g * v[:, t] added onto tap t0+t's window of gxp, in order.
+def _scatter_window(g, v, k, gxp):
+    """_filter_window's adjoint in x: g * v[:, t] added onto tap t's window of gxp, in tap order.
 
-    g is (nb,1,h,w), v (nb,T,h,w) and gxp (nb,1,h+2r,w+2r), zeroed by the caller.
+    g is (nb,1,h,w), v (nb,k^2,h,w) and gxp (nb,1,h+2r,w+2r), zeroed by the caller.
     """
     h, w = g.shape[2:]
     for t in range(v.shape[1]):
-        _tap(gxp, t0 + t, k, h, w)[...] += g * v[:, t:t + 1]
+        _tap(gxp, t, k, h, w)[...] += g * v[:, t:t + 1]
     return gxp
 
 
@@ -1016,17 +1010,23 @@ def local_conv(x, v):
 # kpn_filter splits its field into blocks of about _BLOCK_VALUES values.
 # Each split is of a GEMM's M or N, never of its K, and keeps the whole
 # GEMM's bits only where OpenBLAS runs it on the same kernels. At one thread
-# (its SkylakeX kernels, 0.3.31) that takes three rules:
+# these rules keep them under each of OpenBLAS 0.3.31's kernel sets tested
+# (SkylakeX; Haswell, which Zen loads too; Sandybridge; Nehalem; Prescott):
 # - every split product does more than _SMALL_GEMM multiply-adds, as smaller
-#   ones run on small-matrix kernels;
+#   ones run on SkylakeX's small-matrix kernels;
 # - a band of pixels, the GEMMs' M, starts at a multiple of _GEMM_ROWS
-#   pixels and spans more than _GEMM_PANEL of them, so that its 16-row
-#   panels and its last, narrower one fall where the whole image's do;
-# - a block of taps, the head GEMM's N, rounds the image's last
-#   H*W % _GEMM_ROWS pixels otherwise, so the forward keeps their filters.
+#   pixels and spans more than _GEMM_PANEL of them, so that SkylakeX's
+#   16-row panels (every other set's divide 16) and its last, narrower one
+#   fall where the whole image's do;
+# - a block of taps, the GEMMs' N, starts at a multiple of _GEMM_TAPS taps,
+#   the N panel of Haswell's 4x8 kernel, which every other set's divides,
+#   and is never one tap (k^2 = 1 mod 8), as a one-row product is a gemv;
+# - a block of taps rounds the image's last H*W % _GEMM_ROWS pixels
+#   otherwise on SkylakeX, so the forward keeps their softmax filters.
 _SMALL_GEMM = 10 ** 6
 _GEMM_ROWS = 16
 _GEMM_PANEL = 192
+_GEMM_TAPS = 8
 
 
 def _parts(total, size, least, step=1):
@@ -1046,19 +1046,23 @@ def _bands(h, w, k2, c):
 
 
 def _tap_blocks(px, k2, c):
-    """Blocks of the k2 taps of a head of c features over px pixels, as [start, stop)."""
-    return _parts(k2, max(1, _BLOCK_VALUES // px), max(1, _SMALL_GEMM // (px * c)))
+    """Blocks of the k2 taps of a head of c features over px pixels, as [start, stop):
+    whole steps of _GEMM_TAPS taps, the last block taking the taps past the last step."""
+    steps = _parts(max(1, k2 // _GEMM_TAPS), max(1, _BLOCK_VALUES // (px * _GEMM_TAPS)),
+                   _SMALL_GEMM // (px * c * _GEMM_TAPS))
+    return [(_GEMM_TAPS * a, k2 if b == steps[-1][1] else _GEMM_TAPS * b) for a, b in steps]
 
 
 def _head_field(fd, wmat, bias, out):
-    """Rows wmat (T, C) of the 1x1 head with bias (T,) on features fd (nb, C, P), into out (nb, T, P).
+    """Rows wmat (T, C) of a 1x1 conv with bias (T,) on features fd (nb, C, P), into out (nb, T, P).
 
-    The bias goes in first and each image's GEMM adds into it, as
-    ``_pointwise_conv`` does. A band cut by ``_bands`` has the bits of the
+    The bias goes in first and each image's GEMM adds into it, so every value
+    is the product plus the bias rounded once, as adding the bias after gives,
+    while BLAS sums the C terms in one pass (OpenBLAS's inner block is 384 on
+    AVX-512; the head has 64). A band cut by ``_bands`` has the bits of the
     same values of the whole field, and so does a block of rows cut by
-    ``_tap_blocks`` but at the image's last H*W % 16 pixels. ``kpn_filter``
-    calls it once a band, and again in its backward only for filters it read
-    but did not keep: a one-band image's once, a kept field's never.
+    ``_tap_blocks`` but at the image's last H*W % 16 pixels; ``kpn_filter``
+    rebuilds in its backward only the filters it reads but did not keep.
     """
     out[...] = bias[:, None]
     for b in range(len(fd)):
@@ -1093,27 +1097,28 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     - the forward over bands of whole rows, each holding all k^2 filters of
       its pixels; the tape keeps each pixel's softmax max and exp-sum;
     - the backward's band pass over the same bands, for what needs every tap
-      of a pixel: the softmax's per-pixel sum_t g x_t s_t and the features'
-      gradient;
-    - its tap pass over blocks of taps, rows of the head's weights, for what
-      needs every pixel of a tap: the scatter of x's gradient, in tap order,
-      and the weights' and bias's gradients. The forward keeps for it the
-      filters of the image's last H*W % 16 pixels, which its head GEMM
-      rounds otherwise.
+      of a pixel: the softmax's per-pixel sum_t g x_t s_t, the features'
+      gradient, and the scatter of x's gradient, which adds a cell's taps in
+      tap order band after band, as a later tap reads the cell from a later
+      output row;
+    - for an image of several bands, its tap pass over blocks of taps, rows
+      of the head's weights, for what needs every pixel of a tap: the
+      weights' and bias's gradients. A band of all its image's rows does
+      that work from its own field gradient in one call.
 
-    Without softmax the field's gradient g x_t needs no field. A pass that
-    reads the filters, for the softmax or x's gradient, rebuilds them from
-    the head and the kept max and exp-sum, but for two rules:
-
-    - keeping: a whole field of at most ``_BLOCK_VALUES`` values, as at the
-      SMOKE config, is kept on the tape, the forward writing its bands into it;
-    - one band: a band of all its image's rows also does the tap pass's
-      work, from its own filters and field gradient, in the same tap blocks.
+    Without softmax the field's gradient g x_t needs no field. The band pass
+    rebuilds the filters it reads, for the softmax or x's gradient, from the
+    head and the kept max and exp-sum, and so does the tap pass for a
+    softmax head, the forward keeping for it the filters of the image's last
+    H*W % 16 pixels, which the tap blocks' head GEMM rounds otherwise. A
+    whole field of at most ``_BLOCK_VALUES`` values, as at the SMOKE config,
+    is kept on the tape instead, the forward writing its bands into it.
 
     A block is at most about ``_BLOCK_VALUES`` values, more where the
     smallest one whose GEMMs keep the bits (see ``_SMALL_GEMM``) is larger:
-    up to 16 rows of a band at odd widths, and larger blocks for a head of
-    under 4 features.
+    up to 16 rows of a band at odd widths, 8 or 9 taps of a field of over
+    ``_BLOCK_VALUES / 8`` pixels, and larger blocks for a head of under 4
+    features.
     """
     xd, fd, wd, bd = x.data, feats.data, weights.data, bias.data
     if xd.ndim != 4 or xd.shape[1] != 1:
@@ -1137,8 +1142,8 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
     # a field of one block has one band an image, so a band is a kept image
     kept = _empty((n, k2, px)) if reads and n * k2 * px <= _BLOCK_VALUES else None
     stats = np.empty((2, n, 1, px)) if softmax and kept is None else None
-    # the filters a block of taps reads at the last pixels, from the forward
-    tail = np.empty((n, k2, px % _GEMM_ROWS)) if reads and len(bands) > 1 else None
+    # the softmax filters a block of taps reads at the last pixels, from the forward
+    tail = np.empty((n, k2, px % _GEMM_ROWS)) if softmax and len(bands) > 1 else None
     for a in range(n):
         for i, e in bands:
             field = _empty((1, k2, (e - i) * w)) if kept is None else kept[a:a + 1]
@@ -1221,40 +1226,34 @@ def kpn_filter(x, feats, weights, bias, softmax=False):
                 _gemm(gv[0], fs[b].T, dw[t0:t1], b > 0)
 
         def band_pass(b, i, e):
-            """Image b's rows i..e, every tap of a pixel: the softmax's sum, the features' gradient.
-
-            A band of all the image's rows also does the tap pass's work from its
-            own filters and field gradient: x's scatter and the head's gradients.
-            """
+            """Image b's rows i..e, every tap of a pixel: the softmax's sum, x's scatter and
+            the features' gradient, and a band of all the image's rows the head's gradients."""
             one = e - i == h
-            v = rebuild(b, 0, k2, i, e) if inner is not None or one and gxp is not None else None
-            if one and gxp is not None:
-                _scatter_window(g[b:b + 1], v.reshape(1, k2, h, w), k, gxp[b:b + 1])
+            v = rebuild(b, 0, k2, i, e) if inner is not None or gxp is not None else None
+            if gxp is not None:
+                _scatter_window(g[b:b + 1, :, i:e], v.reshape(1, k2, e - i, w), k,
+                                gxp[b:b + 1, :, i:e + 2 * r])
             if inner is not None:
                 add_inner(b, i, e, v)
             if df is not None or one and head_grads:
                 gv = field_grad(b, 0, k2, i, e, v)
                 if one and head_grads:
-                    for t0, t1 in taps:
-                        tap_grads(b, t0, t1, gv[:, t0:t1])
+                    tap_grads(b, 0, k2, gv)
                 if df is not None:
                     np.matmul(wmat.T, gv[0], out=df[b, :, i * w:e * w])
 
         def tap_pass(b, t0, t1):
-            """Image b's taps t0..t1, every pixel of a tap: x's scatter, the head's gradients."""
+            """Image b's taps t0..t1, every pixel of a tap: the head's gradients."""
             v = None
-            if softmax or gxp is not None:
+            if softmax:
                 v = rebuild(b, t0, t1, 0, h)
                 v[0, :, px - tail.shape[2]:] = tail[b, t0:t1]
-            if gxp is not None:
-                _scatter_window(g[b:b + 1], v.reshape(1, t1 - t0, h, w), k, gxp[b:b + 1], t0)
-            if head_grads:
-                tap_grads(b, t0, t1, field_grad(b, t0, t1, 0, h, v))
+            tap_grads(b, t0, t1, field_grad(b, t0, t1, 0, h, v))
 
         for b in range(n):
             for i, e in bands:
                 band_pass(b, i, e)
-            if len(bands) > 1 and (gxp is not None or head_grads):
+            if len(bands) > 1 and head_grads:
                 for t0, t1 in taps:
                     tap_pass(b, t0, t1)
         if db is not None:

@@ -5,8 +5,8 @@ Python loops and float arithmetic only, so agreement is meaningful.
 ``kpn_field_oracle`` is the model as public ops with the filter field held
 whole, the way ``kpn_apply`` ran before its head and filtering became one op.
 ``read_minmax`` reads the sidecar that ``fileio.write_scaled_pgm`` writes,
-``traced`` measures what a call allocates, and ``one_blas_thread`` runs a
-block at one OpenBLAS thread.
+``traced`` measures what a call allocates, ``openblas`` opens the OpenBLAS
+that numpy ships, and ``one_blas_thread`` runs a block at one of its threads.
 """
 
 import contextlib
@@ -147,6 +147,17 @@ def traced(fn, *args, **kwargs):
     return Traced(value, peak - before, held - before)
 
 
+def openblas():
+    """The OpenBLAS that numpy ships and has loaded, opened by ``ctypes``, or None where it ships none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with the OpenBLAS that numpy ships at one thread, then restore its count.
@@ -155,18 +166,11 @@ def one_blas_thread():
     shape, so a product cut by M or N can round otherwise than the whole
     one. Where numpy ships no such library the block runs as it is.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    lib = None
-    for path in sorted(libs.glob("libscipy_openblas64_*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-            break
-        except (OSError, AttributeError):
-            lib = None
-    if lib is None:
+    lib = openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
         yield
         return
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     threads = get()
     put(1)
     try:

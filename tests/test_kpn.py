@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from structkpn.kpn import (KpnConfig, build_model, kpn_apply, denoise_image,
 from structkpn.losses import loss_weights, struct_loss
 from structkpn.tensor import (Tensor, ShapeError, backward, conv2d, grad_check, kpn_filter,
                               local_conv, make_op, mul, reduce_sum, softmax_vec)
-from helpers import kpn_field_oracle, naive_local_conv, one_blas_thread, traced
+from helpers import kpn_field_oracle, naive_local_conv, one_blas_thread, openblas, traced
 
 TINY = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2)
 
@@ -167,15 +171,62 @@ def test_kpn_filter_matches_head_softmax_local_conv(n, c, k, h, w, softmax, bloc
         assert same_bytes()
 
 
-@pytest.mark.parametrize("shape, block, forward, backward", [
-    ((4, 16, 5, 48, 48), None, 4, 0),     # a field of one block, kept on the tape
-    ((1, 3, 21, 40, 50), 1, 1, 1),        # one band and 2 blocks of taps
+def test_kpn_filter_keeps_its_bytes_under_every_blas_kernel_set():
+    # OpenBLAS picks its kernels by the CPU when it loads: an AVX-512 machine
+    # runs the SkylakeX ones, an AVX2 one the Haswell or Zen ones, an older
+    # one others, and each tiles a GEMM its own way. OPENBLAS_CORETYPE forces
+    # a set in a child process, which runs the explicit examples of the byte
+    # test above at one thread. A set the CPU cannot run kills its child, and
+    # one that loads a set already run (the name it reports) is not run again
+    if openblas() is None:
+        pytest.skip("numpy ships no OpenBLAS")
+    script = (
+        "import ctypes, sys\n"
+        "from hypothesis import Phase, settings\n"
+        "import helpers\n"
+        "settings.register_profile('explicit', phases=[Phase.explicit], database=None)\n"
+        "settings.load_profile('explicit')\n"
+        "core = helpers.openblas().scipy_openblas_get_corename64_\n"
+        "core.argtypes, core.restype = [], ctypes.c_char_p\n"
+        "name = core().decode()\n"
+        "print(name, flush=True)\n"
+        "if name not in sys.argv[1:]:\n"
+        "    import test_kpn\n"
+        "    test_kpn.test_kpn_filter_matches_head_softmax_local_conv()\n")
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    run, skipped = [], []
+    for coretype in ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Prescott"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        child = subprocess.run([sys.executable, "-c", script, *run], env=env,
+                               capture_output=True, text=True)
+        if child.returncode < 0:                 # killed by a signal, as SIGILL
+            skipped.append(f"{coretype} (signal {-child.returncode})")
+            continue
+        assert child.returncode == 0, (coretype, child.stdout, child.stderr[-4000:])
+        name = child.stdout.split()[0]
+        if name in run:
+            skipped.append(f"{coretype} (loads {name}, already run)")
+        else:
+            run.append(name)
+    print("kernel sets run:", ", ".join(run), "| skipped:", ", ".join(skipped) or "none")
+    assert run
+
+
+@pytest.mark.parametrize("shape, block, softmax, bands, backward", [
+    ((4, 16, 5, 48, 48), None, True, 1, 0),    # a field of one block, kept on the tape
+    ((1, 3, 21, 40, 50), 1, True, 1, 1),       # one band and 2 blocks of taps
+    ((1, 8, 21, 30, 100), None, False, 5, 5),  # 5 bands and 6 blocks of taps
+    ((1, 8, 21, 30, 100), None, True, 5, 11),
 ])
 def test_kpn_filter_rebuilds_its_filters_only_where_it_kept_none(monkeypatch, shape, block,
-                                                                 forward, backward):
+                                                                 softmax, bands, backward):
     # the head's GEMM runs once a band in the forward; a kept field is read
-    # back whole, and a one-band image rebuilds its filters once, for the
-    # band pass and the tap blocks' work together
+    # back whole, and a one-band image rebuilds its filters once, for all its
+    # gradients. Over several bands the band pass rebuilds them once a band,
+    # for x's gradient and the softmax's sums, and the tap pass once a block
+    # of taps for a softmax head only
     n, c, k, h, w = shape
     rng = np.random.default_rng(28)
     leaves = [Tensor(rng.normal(size=s), requires_grad=True)
@@ -189,11 +240,11 @@ def test_kpn_filter_rebuilds_its_filters_only_where_it_kept_none(monkeypatch, sh
         return head(*args)
 
     monkeypatch.setattr(tensor, "_head_field", counted)
-    assert len(tensor._bands(h, w, k * k, c)) == 1
-    out = kpn_filter(*leaves, softmax=True)
-    assert len(calls) == forward
+    assert len(tensor._bands(h, w, k * k, c)) == bands
+    out = kpn_filter(*leaves, softmax=softmax)
+    assert len(calls) == n * bands
     reduce_sum(mul(out, Tensor(rng.normal(size=(n, 1, h, w))))).backward()
-    assert len(calls) == forward + backward
+    assert len(calls) == n * bands + backward
     assert all(t.grad is not None for t in leaves)
 
 
@@ -203,9 +254,10 @@ def test_kpn_filter_rebuilds_its_filters_only_where_it_kept_none(monkeypatch, sh
     (255, 255, 21, 64, None), (40, 40, 5, 4, 1), (9, 9, 5, 4, 1)])
 def test_kpn_filter_blocks_keep_to_whole_gemm_kernels(monkeypatch, h, w, k, c, block):
     # the cuts that keep kpn_filter's bits: a band starts at a multiple of 16
-    # pixels and spans more than one 192-pixel panel block, and every split
-    # GEMM is above OpenBLAS's small-matrix bound; the rest is as even as the
-    # block size asks
+    # pixels and spans more than one 192-pixel panel block, a block of taps
+    # starts at a multiple of 8 taps, and every split GEMM is above
+    # OpenBLAS's small-matrix bound; the rest is as even as the block size
+    # asks, in whole 8-tap steps, the last block taking the k^2-th tap
     if block is not None:
         monkeypatch.setattr(tensor, "_BLOCK_VALUES", block)
     k2, px = k * k, h * w
@@ -214,6 +266,7 @@ def test_kpn_filter_blocks_keep_to_whole_gemm_kernels(monkeypatch, h, w, k, c, b
         assert parts[0][0] == 0 and parts[-1][1] == total
         assert all(e == i2 for (_, e), (i2, _) in zip(parts, parts[1:]))
     assert all(i * w % tensor._GEMM_ROWS == 0 for i, _ in bands)
+    assert all(t0 % tensor._GEMM_TAPS == 0 for t0, _ in taps)
     if len(bands) > 1:
         assert all((e - i) * w * k2 * c > tensor._SMALL_GEMM for i, e in bands)
         assert all((e - i) * w > tensor._GEMM_PANEL for i, e in bands)
@@ -224,7 +277,7 @@ def test_kpn_filter_blocks_keep_to_whole_gemm_kernels(monkeypatch, h, w, k, c, b
     if block is None and c >= 4:
         step = tensor._GEMM_ROWS // math.gcd(w, tensor._GEMM_ROWS)
         assert max(e - i for i, e in bands) * w * k2 <= max(2 * tensor._BLOCK_VALUES, 2 * step * w * k2)
-        assert max(t1 - t0 for t0, t1 in taps) * px <= 2 * tensor._BLOCK_VALUES
+        assert max(t1 - t0 for t0, t1 in taps) * px <= max(2 * tensor._BLOCK_VALUES, 9 * px)
 
 
 def test_kpn_filter_validation():
