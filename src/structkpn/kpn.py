@@ -17,9 +17,12 @@ skip.
 
 Training runs a micro-batch on the tape (``kpn_apply``). ``denoise_image``
 streams one image through the same layers in bands of whole rows, each 3x3
-conv carrying the 2 input rows it still needs from the band before, so its
-memory follows the band, not the image. Both read the one layer list of
-``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
+conv carrying the input rows it still needs from the band before and
+emitting at most a band's rows at a time, the backbone's lag after the last
+band included; an image wider than ``_STRIP_COLUMNS`` streams as vertical
+strips that overlap by the backbone's receptive radius. So its memory
+follows the band, not the image's height or width. Both read the one layer
+list of ``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
 each band's rows go through ``kpn_filter``'s own forward over a band of
 pixels, ``tensor._filter_band``, on ``kpn_filter``'s own bands.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, ShapeError, _bands, _conv_forward, _conv_taps, _filter_band,
-                     _head_field, add, conv2d, edge_pad, kpn_filter, relu)
+                     _head_field, _parts, add, conv2d, kpn_filter, relu)
 from .tensor import local_conv  # noqa: F401  perfbench/tracing.py imports it from here
 
 __all__ = [
@@ -175,80 +178,107 @@ def kpn_apply(params, x, cfg):
 
 # denoise_image streams the image through the network in bands of whole rows
 # of about this many pixels: a band of a 64-channel activation takes 1 MB,
-# whatever the image size, and its filter field is filtered in kpn_filter's
-# bands of about a block of tensor._BLOCK_VALUES values (2 MB). At 64
-# channels a band's 3x3 conv is one tensor._conv_forward block (64 x rows x
-# (W + 2) values within _BLOCK_VALUES) at every width from 2 to 4,094, so a
-# wider band would buy no GEMM shape, only memory.
+# whatever the image size, and every conv emits at most a band's rows at a
+# time, the backbone's lag after the last band included. At 64 channels a
+# band's 3x3 conv is one tensor._conv_forward block (64 x rows x (W + 2)
+# values within _BLOCK_VALUES) at every width from 2 to 4,094, so a wider
+# band would buy no GEMM shape, only memory. Each band's filter field is
+# filtered in kpn_filter's bands, of about a block of tensor._BLOCK_VALUES
+# values (2 MB) where the width allows.
 _BAND_PIXELS = 2048
+
+# An image wider than this many columns streams as vertical strips of at
+# most this many, each with the backbone's receptive radius of real columns
+# on either side, so that the rows each conv keeps between bands, and a band
+# of one row, stay narrow whatever the width. The recomputed halo columns
+# cost about 2 * 11 / _STRIP_COLUMNS of the conv work at the default config.
+# At 512, measured at the default config, an image of any width traces about
+# 17 MiB of allocations besides its output, against 25 MiB at 64x1024 with a
+# cap of 1024, and narrower strips saved under 1 MiB.
+_STRIP_COLUMNS = 512
 
 
 class _ConvRows:
     """A 3x3 conv fed rows top to bottom; it emits each output row once the
-    input row below it has arrived, so it runs one row behind its input.
+    input row below it has arrived, so it runs one row behind its input, and
+    it emits at most ``rows`` rows a push.
 
     It keeps the input rows from the one above its next output row onwards,
-    2 rows between bands, as that row's top halo. Only the image's first and
-    last rows replicate themselves as the halo, as conv2d's padding does.
+    2 rows between middle bands, as that row's top halo. Only the image's
+    first and last rows replicate themselves as the halo, as conv2d's
+    padding does. ``done`` is set once it has emitted its last row.
     """
 
-    def __init__(self, wdata, bdata, groups, w):
+    def __init__(self, wdata, bdata, groups, w, rows):
         self.wmat, self.chunks = _conv_taps(wdata, groups, w + 2)
-        self.bias, self.groups = bdata, groups
+        self.bias, self.groups, self.rows = bdata, groups, rows
         self.kept = np.empty((wdata.shape[1] * groups, 0, w))
         self.top = True                          # no output row emitted yet
+        self.done = False
 
     def push(self, x, last):
-        """Take the next input rows x (C,q,W); return the output rows (Cout,r,W) now ready."""
+        """Take the next input rows x (C,q,W), q >= 0, with last once the input has
+        ended; return the output rows (Cout,n,W) now ready, at most ``rows`` of them."""
         c, q, w = x.shape
-        top = self.top
-        p = top + self.kept.shape[1]             # xf's rows above x: the top's replica, kept
-        nout = p + q + last - 2                  # xf's rows less a halo row at either end
+        top, kept = self.top, self.kept
+        p = top + kept.shape[1]                  # xf's rows above x: the top's replica, kept
+        ready = p + q + last - 2                 # xf's rows less a halo row at either end
+        nout = min(ready, self.rows)
+        self.done = last and nout == ready
         cout = self.wmat.shape[0] * self.wmat.shape[1]
         if nout <= 0:
-            self.kept = np.concatenate((self.kept, x), axis=1)
+            self.kept = np.concatenate((kept, x), axis=1)
             return np.empty((cout, 0, w))
+        # xf is the first nout + 2 rows of the replica, kept, x and, once done, the
+        # bottom's replica: in a middle band all of kept and x
         xf = np.empty((c, nout + 2, w + 2))
-        xf[:, top:p, 1:-1] = self.kept
-        xf[:, p:p + q, 1:-1] = x
+        a, b = min(p, nout + 2), min(p + q, nout + 2)
+        xf[:, top:a, 1:-1] = kept[:, :a - top]
+        xf[:, a:b, 1:-1] = x[:, :b - a]
         if top:
             xf[:, 0] = xf[:, 1]
-        if last:
+        if b < nout + 2:
             xf[:, -1] = xf[:, -2]
         xf[:, :, 0] = xf[:, :, 1]
         xf[:, :, -1] = xf[:, :, -2]
         out = np.empty((1, cout, nout, w))
         _conv_forward(xf.reshape(self.groups, -1, 1, nout + 2, w + 2), self.wmat, self.chunks,
                       self.bias, out)
-        self.kept = xf[:, nout:nout + 2, 1:-1].copy()
+        cut = nout - top                         # the rows of kept and x from here on stay
+        self.kept = np.concatenate((kept[:, cut:], x[:, max(0, cut - kept.shape[1]):]), axis=1)
         self.top = False
         return out[0]
 
 
 def _stream_backbone(params, cfg, img, band):
-    """Yield (first row, (C,r,W) features) as the backbone clears each band of img.
+    """Yield (first row, (C,r,W) features), r <= band, as the backbone clears each band of img.
 
     Every conv runs one row behind its input and each "add" holds back its
     skip rows until the block's second conv has caught up with them, 2 rows
     later; relu and the add write in place, as no tape holds the bands.
+    After the last band, empty bands drain the backbone's lag, each conv
+    emitting at most a band's rows a push; a conv's input has ended once the
+    conv before it has emitted its last row.
     """
     h, w = img.shape
     steps = []
     for op, name, g in _backbone_layers(cfg):
         if op == "conv":
-            state = _ConvRows(params[name + ".w"], params[name + ".b"], g, w)
+            state = tail = _ConvRows(params[name + ".w"], params[name + ".b"], g, w, band)
         elif op == "skip":
             state = held = [np.empty((cfg.stem_channels, 0, w))]    # skip rows not yet added
         else:
             state = held if op == "add" else None
         steps.append((op, state))
-    row = 0
-    for i in range(0, h, band):
-        last = i + band >= h
+    row = i = 0
+    while not tail.done:
         x = img[None, i:i + band]
+        ended = i + band >= h
+        i += band
         for op, state in steps:
             if op == "conv":
-                x = state.push(x, last)
+                x = state.push(x, ended)
+                ended = state.done
             elif op == "relu":
                 np.maximum(x, 0.0, out=x)
             elif op == "skip":
@@ -266,22 +296,29 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
 
     The image streams through the network in bands of whole rows of about
     ``_BAND_PIXELS`` pixels, so no activation and no filter field is ever held
-    whole: a 256^2 image at the default config peaks at about 17.5 MiB of
-    allocations (tracemalloc) where the whole-image backbone took 139 MB. Each
-    3x3 conv keeps the last 2 rows of its input from the band before and emits
-    its output one row behind its input, each residual add holds back its skip
-    input 2 rows to meet its second conv, and only the image's top and bottom
-    rows replicate as conv2d's padding does. ``kpn_filter``'s forward over a
-    band, ``tensor._filter_band`` (the pointwise head, which needs no halo,
-    and the per-pixel filter), then runs on the bands ``tensor._bands`` cuts
-    from each band of features, as ``kpn_filter`` cuts an image, also in the
-    last, taller band the backbone's lag yields. The result is within 1e-12
-    of ``kpn_apply`` on the whole image (a band of features starts where the
-    backbone's lag puts it, so the GEMMs see other shapes and the last bits
-    can differ) and byte-identical across reruns at a fixed BLAS thread
-    count. kernels is a (P,k,k) array holding the filter of each (m, n) in
-    kernel_pixels (kpn only); tap (s,t) of a filter sits at [s+r, t+r].
-    Pixels are checked before the forward pass.
+    whole. Each 3x3 conv keeps the input rows from the band before that its
+    next output row needs, emits its output one row behind its input and at
+    most a band's rows at a time, so the backbone's lag leaves after the last
+    band in bands no taller than the others; each residual add holds back its
+    skip input to meet its second conv, and only the image's top and bottom
+    rows replicate as conv2d's padding does. An image wider than
+    ``_STRIP_COLUMNS`` streams as vertical strips of at most that many
+    columns, each with the backbone's receptive radius (a column a 3x3 conv,
+    11 at the default config) of real columns on either side, and each writes
+    only its own columns. At the default config the peak of allocations
+    (tracemalloc) is about 13 MiB at 256^2, where the whole-image backbone
+    took 139 MB, 17 MiB at 16x4096 and 24 MiB at 1024^2, 8 of it the output.
+    ``kpn_filter``'s forward over a band, ``tensor._filter_band`` (the
+    pointwise head, which needs no halo, and the per-pixel filter, which
+    reads the input's real columns within its radius), then runs on the bands
+    ``tensor._bands`` cuts from each band of a strip's own features, as
+    ``kpn_filter`` cuts an image. The result is within 1e-12 of ``kpn_apply``
+    on the whole image (a band or strip of features starts where the
+    backbone's lag or the strip puts it, so the GEMMs see other shapes and
+    the last bits can differ) and byte-identical across reruns at a fixed
+    BLAS thread count. kernels is a (P,k,k) array holding the filter of each
+    (m, n) in kernel_pixels (kpn only); tap (s,t) of a filter sits at
+    [s+r, t+r]. Pixels are checked before the forward pass.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
@@ -298,27 +335,33 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     wmat, bias = params["head.w"][:, :, 0, 0], params["head.b"]
     k = cfg.kernel_size
     r = k // 2
+    halo = sum(op == "conv" for op, _, _ in _backbone_layers(cfg))    # the receptive radius
     den = np.empty((h, w))
     kernels = np.empty((len(pixels), k, k))
-    band = max(1, _BAND_PIXELS // w)
-    for row, feats in _stream_backbone(params, cfg, img, band):
-        j = row + feats.shape[1]
-        fd = feats.reshape(feats.shape[0], -1)
-        if cfg.model_kind == "plain-cnn":
-            den[row:j] = img[row:j] + _head_field(fd[None], wmat, bias,
-                                                  np.empty((1, 1, fd.shape[1]))).reshape(-1, w)
-            continue
-        # the band's rows of the input, edge-padded by r as kpn_filter pads it
-        xp = edge_pad(img[np.clip(np.arange(row - r, j + r), 0, h - 1)], 0, r,
-                      np.empty((j - row + 2 * r, w + 2 * r)))
-        bands = _bands(j - row, w, k * k, len(fd))
-        buf = np.empty(k * k * max(e - i for i, e in bands) * w)
-        for i, e in bands:
-            field = buf[:k * k * (e - i) * w].reshape(1, k * k, -1)
-            _filter_band(xp[None, i:e + 2 * r], fd[None, :, i * w:e * w], wmat, bias,
-                         cfg.softmax_normalize_kernels, field, den[None, row + i:row + e])
-            for p, (m, n) in enumerate(pixels):
-                if row + i <= m < row + e:
-                    kernels[p] = field[0, :, (m - row - i) * w + n].reshape(k, k)
-        del buf, field                           # not held while the next band runs
+    for c0, c1 in _parts(w, _STRIP_COLUMNS, 0):
+        s0, s1 = max(0, c0 - halo), min(w, c1 + halo)
+        cw = c1 - c0
+        cols = np.clip(np.arange(c0 - r, c1 + r), 0, w - 1)
+        for row, feats in _stream_backbone(params, cfg, img[:, s0:s1],
+                                           max(1, _BAND_PIXELS // (s1 - s0))):
+            j = row + feats.shape[1]
+            fd = np.ascontiguousarray(feats[:, :, c0 - s0:c1 - s0]).reshape(len(feats), -1)
+            if cfg.model_kind == "plain-cnn":
+                den[row:j, c0:c1] = img[row:j, c0:c1] + _head_field(
+                    fd[None], wmat, bias, np.empty((1, 1, fd.shape[1]))).reshape(-1, cw)
+                continue
+            # the band's rows and the strip's columns of the input, edge-padded by r
+            # as kpn_filter pads it
+            xp = img[np.ix_(np.clip(np.arange(row - r, j + r), 0, h - 1), cols)]
+            bands = _bands(j - row, cw, k * k, len(fd))
+            buf = np.empty(k * k * max(e - i for i, e in bands) * cw)
+            for i, e in bands:
+                field = buf[:k * k * (e - i) * cw].reshape(1, k * k, -1)
+                _filter_band(xp[None, i:e + 2 * r], fd[None, :, i * cw:e * cw], wmat, bias,
+                             cfg.softmax_normalize_kernels, field,
+                             den[None, row + i:row + e, c0:c1])
+                for p, (m, n) in enumerate(pixels):
+                    if row + i <= m < row + e and c0 <= n < c1:
+                        kernels[p] = field[0, :, (m - row - i) * cw + n - c0].reshape(k, k)
+            del buf, field                       # not held while the next band runs
     return den, kernels

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structkpn import kpn
 from structkpn.cli import main, parse_config_file, ConfigError
 from structkpn.corpus import synth_corpus
 from structkpn.fileio import read_pgm, write_pgm
@@ -213,6 +214,36 @@ def test_denoise_kernel_dump_validation(tmp_path, capsys):
     rc = main(["denoise", "--ckpt", str(ckpt2), "--input", str(img),
                "--output", str(tmp_path / "z.pgm"), "--dump-kernels", "3,3"])
     assert rc == 1
+
+
+def test_denoise_dumps_kernels_across_column_strips(tmp_path, monkeypatch):
+    # a 40-wide image of noise, so that a short halo shows, against strips
+    # forced to 8 columns, each with a halo of 3 columns: the denoised image
+    # and the kernels dumped at pixels in the strips' halo columns are what
+    # one unstripped stream writes
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--count", "2", "--size", "48", "--seed", "8"])
+    cfg = write_cfg(tmp_path / "s.cfg", steps=0, val_interval=0)
+    ckpt = tmp_path / "s.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt)]) == 0
+    wide = write_pgm(tmp_path / "wide.pgm", np.random.default_rng(57).random((12, 40)))
+    pixels = [(0, 7), (5, 8), (6, 23), (11, 39)]
+    outputs = {}
+    for cap in (8, 512):
+        monkeypatch.setattr(kpn, "_STRIP_COLUMNS", cap)
+        out = tmp_path / f"den{cap}.pgm"
+        assert main(["denoise", "--ckpt", str(ckpt), "--input", str(wide), "--output", str(out),
+                     "--dump-kernels", ",".join(f"{m},{n}" for m, n in pixels)]) == 0
+        outputs[cap] = [read_pgm(out)] + [
+            (read_pgm(tmp_path / f"den{cap}.kernel_{m}_{n}.pgm"),
+             read_minmax(tmp_path / f"den{cap}.kernel_{m}_{n}.pgm.minmax.txt"))
+            for m, n in pixels]
+    den, *kernels = outputs[8]
+    assert den.shape == (12, 40)
+    assert np.allclose(den, outputs[512][0], rtol=0, atol=1 / 65535)
+    for (kern, span), (whole, whole_span) in zip(kernels, outputs[512][1:]):
+        assert np.allclose(kern, whole, rtol=0, atol=1 / 65535)
+        assert np.allclose(span, whole_span, rtol=0, atol=1e-12)
 
 
 def test_denoise_of_a_nan_checkpoint_exits_one(tmp_path, capsys):

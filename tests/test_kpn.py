@@ -549,6 +549,21 @@ def test_denoise_image_memory_does_not_grow_with_height():
     assert peak(512) - peak(64) <= (512 - 64) * 128 * 8 + 16 * 1024
 
 
+def test_denoise_image_memory_does_not_grow_with_width():
+    # past kpn._STRIP_COLUMNS the stream runs on strips of at most that many
+    # columns, so each conv's kept rows and a band's rows stay a strip wide.
+    # What still grows is the output, 8 bytes a pixel, and an inner strip's
+    # second halo of 11 columns (45 KiB here), so the peak may grow by the wider
+    # output's extra bytes and 64 KiB of slack (13.5 MiB before the strips)
+    cfg = KpnConfig(kernel_size=5, stem_channels=8)
+    params = build_model(cfg, seed=3)
+
+    def peak(w):
+        return traced(denoise_image, params, cfg, np.random.default_rng(53).random((16, w))).peak
+
+    assert peak(4096) - peak(1024) <= 16 * (4096 - 1024) * 8 + 64 * 1024
+
+
 def test_denoise_image_validation():
     cfg = KpnConfig(kernel_size=3, stem_channels=8, num_res_blocks=1, groups=2,
                     softmax_normalize_kernels=True)
@@ -568,18 +583,16 @@ def test_denoise_image_validation():
 
 
 def test_denoise_image_holds_one_band_of_the_filter_field():
-    k2 = 21 ** 2
-    band_bytes = k2 * max(1, kpn._BAND_PIXELS // 1024) * 1024 * 8
     cases = [
         # the whole k = 21 field of a 192^2 image is 130 MB; a band of it is a
         # block, 2 MB: the peak is 1.3 blocks (3.5 when a band was 7 MB)
         (192, 192, 1, 2 * tensor._BLOCK_VALUES * 8),
-        # 2-row backbone bands of a 1024-wide image: in the last band the 5
-        # blocks' 11-row lag leaves the backbone at once, and its field is
-        # still filtered a row (3.6 MB) at a time (0.91x one 2-row band's
-        # field; 1.38x with 2-row field bands, 6.94x when that feature band
-        # was filtered whole)
-        (24, 1024, 5, 2 * band_bytes),
+        # a 1024-wide image streams as 2 strips of 512 columns (523 with the
+        # 11-column halo) in 3-row backbone bands, which the drained lag never
+        # outgrows, and each band's field is filtered a row (1.8 MB) at a time:
+        # 3.4 MiB (6.3 MiB unstripped, when the last band left the 11-row lag
+        # at once)
+        (24, 1024, 5, 4 * 2 ** 20),
     ]
     for h, w, blocks, bound in cases:
         cfg = KpnConfig(kernel_size=21, stem_channels=8, num_res_blocks=blocks, groups=2)
@@ -588,6 +601,71 @@ def test_denoise_image_holds_one_band_of_the_filter_field():
         (den, _), peak, _ = traced(denoise_image, params, cfg, img)
         assert den.shape == img.shape
         assert peak < bound, (h, w, peak, bound)
+
+
+def test_denoise_image_odd_width_holds_what_an_even_one_does():
+    # at an odd width kpn_filter's bands must start on 16-row steps, so a
+    # 255-wide band of features, 8 rows, is filtered whole (7.2 MB of k = 21
+    # field, against 2-row field bands at 256). No backbone band is taller
+    # than the even width's, so the peak stays within 2.5 MiB of it (1.9 MiB);
+    # it was 7.6 MiB above it while the last backbone band came out 11 rows taller
+    cfg = KpnConfig()
+    params = build_model(cfg, seed=3)
+
+    def peak(w):
+        return traced(denoise_image, params, cfg, np.random.default_rng(55).random((64, w))).peak
+
+    assert peak(255) <= peak(256) + 2.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_stream_backbone_yields_no_band_taller_than_its_input_band(blocks):
+    # the shapes of test_denoise_image_stream_matches_kpn_apply: lags of 1, 3
+    # and 5 rows against bands of 1 to 20 rows, and images of 1 and 5 rows, no
+    # taller than the lag. Every band of features follows the one before and
+    # the last ends at the image's last row.
+    cfg = KpnConfig(kernel_size=5, stem_channels=8, num_res_blocks=blocks, groups=2)
+    params = build_model(cfg, seed=4)
+    w = 7
+    for h in (1, 5, 13):
+        img = np.random.default_rng(56).random((h, w))
+        for band in (1, 2, 3, 4, 20):
+            row = 0
+            for first, feats in kpn._stream_backbone(params, cfg, img, band):
+                assert first == row and feats.shape == (8, feats.shape[1], w)
+                assert 1 <= feats.shape[1] <= band, (h, band, first, feats.shape)
+                row += feats.shape[1]
+            assert row == h
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 120), st.integers(1, 12),
+       st.integers(0, 2), st.sampled_from([("kpn", False), ("kpn", True), ("plain-cnn", False)]),
+       st.sampled_from([3, 5]), st.integers(0, 2 ** 32 - 1))
+@example(9, 40, 20, 8, 2, ("kpn", True), 5, 0)     # 5 strips of 8 columns, 11-column halos
+@example(6, 13, 1, 1, 1, ("kpn", False), 3, 1)     # one-column strips in one-row bands
+def test_denoise_image_strips_and_bands_match_the_field_oracle(h, w, band_pixels, strip, blocks,
+                                                               kind, k, seed):
+    # strips forced narrower than the image; every pixel's filter is dumped, so
+    # the check covers the pixels in each strip's halo columns too
+    cfg = KpnConfig(kernel_size=k, stem_channels=8, num_res_blocks=blocks, groups=2,
+                    softmax_normalize_kernels=kind[1], model_kind=kind[0])
+    rng = np.random.default_rng(seed)
+    params = {name: rng.normal(0.0, 0.3, a.shape) for name, a in build_model(cfg, 4).items()}
+    img = rng.random((h, w))
+    pixels = [(m, n) for m in range(h) for n in range(w)] if kind[0] == "kpn" else []
+    v, yhat = kpn_field_oracle(params_to_tensors(params, requires_grad=False),
+                               Tensor(img[None, None]), cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kpn, "_BAND_PIXELS", band_pixels)
+        mp.setattr(kpn, "_STRIP_COLUMNS", strip)
+        den, kernels = denoise_image(params, cfg, img, pixels)
+        again = denoise_image(params, cfg, img, pixels)
+    assert np.allclose(den, yhat.data[0, 0], rtol=0, atol=1e-12)
+    if pixels:
+        field = v.data[0].reshape(k, k, h * w).transpose(2, 0, 1)
+        assert np.allclose(kernels, field, rtol=0, atol=1e-12)
+    assert den.tobytes() == again[0].tobytes() and kernels.tobytes() == again[1].tobytes()
 
 
 def test_denoise_image_kinds():
