@@ -22,9 +22,14 @@ emitting at most a band's rows at a time, the backbone's lag after the last
 band included; an image wider than ``_STRIP_COLUMNS`` streams as vertical
 strips that overlap by the backbone's receptive radius. So its memory
 follows the band, not the image's height or width. Both read the one layer
-list of ``_backbone_layers``. The stream's convs run ``tensor._conv_forward``, and
-each band's rows go through ``kpn_filter``'s own forward over a band of
-pixels, ``tensor._filter_band``, on ``kpn_filter``'s own bands.
+list of ``_backbone_layers``. The stream's convs run the tape conv2d's
+block-GEMM loop, ``tensor._conv_forward``, writing each band straight into
+the next conv's padded input, the one copy of it held; the weights are the
+caller's own arrays, with no copy when they are tap-major, as a model-only
+``training.load_checkpoint`` leaves them. Each band's rows then go through
+``kpn_filter``'s own forward over a band of pixels, ``tensor._filter_band``,
+on bands of rows whose head GEMMs keep the bits of the band's whole field,
+``tensor._widened_bands``.
 """
 
 import math
@@ -32,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, _bands, _conv_forward, _conv_taps, _filter_band,
-                     _head_field, _parts, add, conv2d, kpn_filter, relu)
+from .tensor import (Tensor, ShapeError, _conv_forward, _conv_taps, _filter_band,
+                     _head_field, _parts, _widened_bands, add, conv2d, kpn_filter, relu)
 from .tensor import local_conv  # noqa: F401  perfbench/tracing.py imports it from here
 
 __all__ = [
@@ -182,9 +187,10 @@ def kpn_apply(params, x, cfg):
 # time, the backbone's lag after the last band included. At 64 channels a
 # band's 3x3 conv is one tensor._conv_forward block (64 x rows x (W + 2)
 # values within _BLOCK_VALUES) at every width from 2 to 4,094, so a wider
-# band would buy no GEMM shape, only memory. Each band's filter field is
-# filtered in kpn_filter's bands, of about a block of tensor._BLOCK_VALUES
-# values (2 MB) where the width allows.
+# band would buy no GEMM shape, only memory. A narrower one costs time: at
+# 1,024, eval's throughput fell 7-20% for 1 MB of peak RSS, as every band
+# pays a push's fixed cost. Each band's filter field is filtered in bands of
+# about a block of tensor._BLOCK_VALUES values (2 MB) where the width allows.
 _BAND_PIXELS = 2048
 
 # An image wider than this many columns streams as vertical strips of at
@@ -192,9 +198,10 @@ _BAND_PIXELS = 2048
 # on either side, so that the rows each conv keeps between bands, and a band
 # of one row, stay narrow whatever the width. The recomputed halo columns
 # cost about 2 * 11 / _STRIP_COLUMNS of the conv work at the default config.
-# At 512, measured at the default config, an image of any width traces about
-# 17 MiB of allocations besides its output, against 25 MiB at 64x1024 with a
-# cap of 1024, and narrower strips saved under 1 MiB.
+# Measured at the default config when each push still copied its band, 512
+# kept an image of any width near 17 MiB of allocations besides its output,
+# against 25 MiB at 64x1024 with a cap of 1024, and narrower strips saved
+# under 1 MiB.
 _STRIP_COLUMNS = 512
 
 
@@ -203,90 +210,108 @@ class _ConvRows:
     input row below it has arrived, so it runs one row behind its input, and
     it emits at most ``rows`` rows a push.
 
-    It keeps the input rows from the one above its next output row onwards,
-    2 rows between middle bands, as that row's top halo. Only the image's
-    first and last rows replicate themselves as the halo, as conv2d's
-    padding does. ``done`` is set once it has emitted its last row.
+    Its padded input is the one copy of its input band: ``take`` makes it
+    afresh for each band, holding the rows kept from the one above the next
+    output row onwards (2 rows between middle bands) as that row's top halo,
+    room for the band, which the conv before writes straight in, and a spare
+    row. Only the image's first and last rows replicate themselves as the
+    halo, as conv2d's padding does. ``done`` is set once it has emitted its
+    last row.
     """
 
     def __init__(self, wdata, bdata, groups, w, rows):
         self.wmat, self.chunks = _conv_taps(wdata, groups, w + 2)
         self.bias, self.groups, self.rows = bdata, groups, rows
-        self.kept = np.empty((wdata.shape[1] * groups, 0, w))
+        self.kept = np.empty((wdata.shape[1] * groups, 0, w + 2))    # padded rows
         self.top = True                          # no output row emitted yet
+        self.emitted = 0                         # so xf's row j holds image row emitted - 1 + j
         self.done = False
 
-    def push(self, x, last):
-        """Take the next input rows x (C,q,W), q >= 0, with last once the input has
-        ended; return the output rows (Cout,n,W) now ready, at most ``rows`` of them."""
-        c, q, w = x.shape
-        top, kept = self.top, self.kept
-        p = top + kept.shape[1]                  # xf's rows above x: the top's replica, kept
-        ready = p + q + last - 2                 # xf's rows less a halo row at either end
-        nout = min(ready, self.rows)
-        self.done = last and nout == ready
-        cout = self.wmat.shape[0] * self.wmat.shape[1]
-        if nout <= 0:
-            self.kept = np.concatenate((kept, x), axis=1)
-            return np.empty((cout, 0, w))
-        # xf is the first nout + 2 rows of the replica, kept, x and, once done, the
-        # bottom's replica: in a middle band all of kept and x
-        xf = np.empty((c, nout + 2, w + 2))
-        a, b = min(p, nout + 2), min(p + q, nout + 2)
-        xf[:, top:a, 1:-1] = kept[:, :a - top]
-        xf[:, a:b, 1:-1] = x[:, :b - a]
-        if top:
-            xf[:, 0] = xf[:, 1]
-        if b < nout + 2:
-            xf[:, -1] = xf[:, -2]
-        xf[:, :, 0] = xf[:, :, 1]
-        xf[:, :, -1] = xf[:, :, -2]
-        out = np.empty((1, cout, nout, w))
-        _conv_forward(xf.reshape(self.groups, -1, 1, nout + 2, w + 2), self.wmat, self.chunks,
-                      self.bias, out)
-        cut = nout - top                         # the rows of kept and x from here on stay
-        self.kept = np.concatenate((kept[:, cut:], x[:, max(0, cut - kept.shape[1]):]), axis=1)
-        self.top = False
-        return out[0]
+    def take(self, q):
+        """The (C,q,W+2) room for the next q input rows, in a fresh padded input
+        below the top's replica row or the kept rows."""
+        c, kept, wp = self.kept.shape
+        p = self.top + kept
+        self.xf = np.empty((c, p + q + 1, wp))
+        self.xf[:, self.top:p] = self.kept
+        return self.xf[:, p:p + q]
+
+    def push(self, last, room):
+        """Run over the rows written into ``take``'s room, with last once the input has
+        ended: write the output rows now ready, at most ``rows`` of them, into room(n),
+        the next conv's ``take`` or any (Cout,n,W+2) array, and return that array."""
+        xf, top = self.xf, self.top
+        c, pq, wp = xf.shape
+        pq -= 1                                  # xf's rows above the spare one
+        ready = pq + last - 2                    # less a halo row at either end
+        nout = max(0, min(ready, self.rows))
+        self.done = last and ready <= self.rows
+        out = room(nout)
+        if nout:
+            if top:
+                xf[:, 0] = xf[:, 1]
+            if last:
+                xf[:, pq] = xf[:, pq - 1]
+            xf[:, :, 0] = xf[:, :, 1]
+            xf[:, :, -1] = xf[:, :, -2]
+            _conv_forward(xf[:, :nout + 2].reshape(self.groups, -1, 1, nout + 2, wp), self.wmat,
+                          self.chunks, self.bias, out)
+        self.kept = xf[:, max(top, nout):pq].copy()    # from the next output row's top halo on
+        self.top = top and not nout
+        self.emitted += nout
+        del self.xf
+        return out
 
 
 def _stream_backbone(params, cfg, img, band):
     """Yield (first row, (C,r,W) features), r <= band, as the backbone clears each band of img.
 
-    Every conv runs one row behind its input and each "add" holds back its
-    skip rows until the block's second conv has caught up with them, 2 rows
-    later; relu and the add write in place, as no tape holds the bands.
-    After the last band, empty bands drain the backbone's lag, each conv
-    emitting at most a band's rows a push; a conv's input has ended once the
-    conv before it has emitted its last row.
+    Every conv runs one row behind its input and writes its output straight
+    into the next conv's padded input, so a push holds its input and output
+    bands and nothing more. Each "add" reads its skip rows from the block's
+    first conv's input, which it holds until the block's second conv has
+    caught up with them: that input's top rows are the ones the first conv
+    kept, and the second conv's next row is never above them. relu and the
+    add write in place, as no tape holds the bands. After the last band,
+    empty bands drain the backbone's lag, each conv emitting at most a
+    band's rows a push; a conv's input has ended once the conv before it has
+    emitted its last row.
     """
     h, w = img.shape
-    steps = []
+    c = cfg.stem_channels
+    steps, convs = [], []
     for op, name, g in _backbone_layers(cfg):
         if op == "conv":
-            state = tail = _ConvRows(params[name + ".w"], params[name + ".b"], g, w, band)
+            state = _ConvRows(params[name + ".w"], params[name + ".b"], g, w, band)
+            convs.append(state)
         elif op == "skip":
-            state = held = [np.empty((cfg.stem_channels, 0, w))]    # skip rows not yet added
+            state = held = []                    # the block's input: its first conv's xf
         else:
             state = held if op == "add" else None
         steps.append((op, state))
+    rooms = [conv.take for conv in convs[1:]] + [lambda n: np.empty((c, n, w + 2))]
     row = i = 0
-    while not tail.done:
-        x = img[None, i:i + band]
+    while not convs[-1].done:
+        rows = img[None, i:i + band]
+        convs[0].take(rows.shape[1])[:, :, 1:-1] = rows
         ended = i + band >= h
         i += band
+        k = 0
         for op, state in steps:
             if op == "conv":
-                x = state.push(x, ended)
-                ended = state.done
+                x = state.push(ended, rooms[k])[:, :, 1:-1]
+                ended, k = state.done, k + 1
             elif op == "relu":
                 np.maximum(x, 0.0, out=x)
             elif op == "skip":
-                state[0] = np.concatenate((state[0], x), axis=1)
+                state[:] = convs[k].xf, convs[k].emitted - 1    # and the image row at its row 0
             else:
-                x += state[0][:, :x.shape[1]]
-                state[0] = state[0][:, x.shape[1]:].copy()    # frees the band it came from
+                xf, row0 = state
+                a = convs[k - 1].emitted - x.shape[1] - row0    # xf's row of the first row here
+                x += xf[:, a:a + x.shape[1], 1:-1]
+                del state[:], xf                 # the first conv's input goes
         if x.shape[1]:
+            x = np.ascontiguousarray(x)          # the head reads whole rows; the room goes
             yield row, x
             row += x.shape[1]
 
@@ -299,20 +324,26 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     whole. Each 3x3 conv keeps the input rows from the band before that its
     next output row needs, emits its output one row behind its input and at
     most a band's rows at a time, so the backbone's lag leaves after the last
-    band in bands no taller than the others; each residual add holds back its
-    skip input to meet its second conv, and only the image's top and bottom
-    rows replicate as conv2d's padding does. An image wider than
-    ``_STRIP_COLUMNS`` streams as vertical strips of at most that many
-    columns, each with the backbone's receptive radius (a column a 3x3 conv,
-    11 at the default config) of real columns on either side, and each writes
-    only its own columns. At the default config the peak of allocations
-    (tracemalloc) is about 13 MiB at 256^2, where the whole-image backbone
-    took 139 MB, 17 MiB at 16x4096 and 24 MiB at 1024^2, 8 of it the output.
-    ``kpn_filter``'s forward over a band, ``tensor._filter_band`` (the
-    pointwise head, which needs no halo, and the per-pixel filter, which
-    reads the input's real columns within its radius), then runs on the bands
-    ``tensor._bands`` cuts from each band of a strip's own features, as
-    ``kpn_filter`` cuts an image. The result is within 1e-12 of ``kpn_apply``
+    band in bands no taller than the others. A conv's GEMMs write its output
+    straight into the next conv's padded input, so a band is held once: a
+    conv holds its input and its output, and each residual add reads its
+    skip input from the block's first conv's input until its second conv
+    has caught up. Only the image's top and bottom rows replicate as
+    conv2d's padding does. An image wider than ``_STRIP_COLUMNS`` streams as
+    vertical strips of at most that many columns, each with the backbone's
+    receptive radius (a column a 3x3 conv, 11 at the default config) of real
+    columns on either side, and each writes only its own columns. The convs
+    read params' weights as they are, with no copy when they are tap-major,
+    as a model-only ``training.load_checkpoint`` leaves them. At the default
+    config, with such weights, the peak of allocations (tracemalloc) is about
+    7.6 MiB at 256^2, where the whole-image backbone took 139 MB, 11 MiB at
+    16x4096 and 18 MiB at 1024^2, 8 of it the output. ``kpn_filter``'s
+    forward over a band, ``tensor._filter_band`` (the pointwise head, which
+    needs no halo, and the per-pixel filter, which reads the input's real
+    columns within its radius), then runs on bands of about a block of field
+    values from each band of a strip's own features, their head GEMMs widened
+    to whole panels by ``tensor._widened_bands`` so that they keep the bits
+    of the band's field in one piece. The result is within 1e-12 of ``kpn_apply``
     on the whole image (a band or strip of features starts where the
     backbone's lag or the strip puts it, so the GEMMs see other shapes and
     the last bits can differ) and byte-identical across reruns at a fixed
@@ -331,7 +362,7 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
     for m, n in pixels:
         if not (0 <= m < h and 0 <= n < w):
             raise ValueError(f"denoise_image: pixel ({m}, {n}) outside the {h}x{w} image")
-    params = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in params.items()}
+    params = {name: np.asarray(a, dtype=np.float64) for name, a in params.items()}
     wmat, bias = params["head.w"][:, :, 0, 0], params["head.b"]
     k = cfg.kernel_size
     r = k // 2
@@ -349,19 +380,20 @@ def denoise_image(params, cfg, img, kernel_pixels=()):
             if cfg.model_kind == "plain-cnn":
                 den[row:j, c0:c1] = img[row:j, c0:c1] + _head_field(
                     fd[None], wmat, bias, np.empty((1, 1, fd.shape[1]))).reshape(-1, cw)
-                continue
-            # the band's rows and the strip's columns of the input, edge-padded by r
-            # as kpn_filter pads it
-            xp = img[np.ix_(np.clip(np.arange(row - r, j + r), 0, h - 1), cols)]
-            bands = _bands(j - row, cw, k * k, len(fd))
-            buf = np.empty(k * k * max(e - i for i, e in bands) * cw)
-            for i, e in bands:
-                field = buf[:k * k * (e - i) * cw].reshape(1, k * k, -1)
-                _filter_band(xp[None, i:e + 2 * r], fd[None, :, i * cw:e * cw], wmat, bias,
-                             cfg.softmax_normalize_kernels, field,
-                             den[None, row + i:row + e, c0:c1])
-                for p, (m, n) in enumerate(pixels):
-                    if row + i <= m < row + e and c0 <= n < c1:
-                        kernels[p] = field[0, :, (m - row - i) * cw + n - c0].reshape(k, k)
-            del buf, field                       # not held while the next band runs
+            else:
+                # the band's rows and the strip's columns of the input, edge-padded by r
+                # as kpn_filter pads it
+                xp = img[np.ix_(np.clip(np.arange(row - r, j + r), 0, h - 1), cols)]
+                bands = _widened_bands(j - row, cw, k * k, len(fd))
+                buf = np.empty(k * k * max(b - a for _, _, a, b in bands))
+                for i, e, a, b in bands:
+                    field = buf[:k * k * (b - a)].reshape(1, k * k, -1)
+                    _filter_band(xp[None, i:e + 2 * r], fd[None, :, a:b], wmat, bias,
+                                 cfg.softmax_normalize_kernels, field,
+                                 den[None, row + i:row + e, c0:c1], i * cw - a)
+                    for p, (m, n) in enumerate(pixels):
+                        if row + i <= m < row + e and c0 <= n < c1:
+                            kernels[p] = field[0, :, (m - row) * cw + n - c0 - a].reshape(k, k)
+                del buf, field
+            del feats, fd                        # not held while the next band runs
     return den, kernels

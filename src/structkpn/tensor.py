@@ -45,7 +45,8 @@ nothing: it runs one GEMM per image on the input as given. Its backward
 keeps no padded copy: it re-pads the input, which it keeps only for the
 weight gradient. The forward's core, ``_conv_forward``, takes a buffer its
 caller has padded, so ``kpn.denoise_image`` runs the same GEMMs on row bands
-that bring their own halo rows.
+that bring their own halo rows, and writes each band straight into the next
+conv's padded input.
 
 A conv GEMM that adds into its output goes through ``_gemm``,
 C = A B + beta C, the update BLAS computes natively: it calls the CBLAS
@@ -66,13 +67,14 @@ blocks of taps where a tap needs all its pixels (the head's gradients), cut
 where every kernel set of OpenBLAS keeps the whole GEMMs' bits at one thread
 (``_SMALL_GEMM``). Its backward rebuilds the filters it reads from the head,
 but a field of one block is kept on the tape. ``kpn.denoise_image`` cuts
-its bands with the same ``_bands`` and filters them with ``_filter_band``,
-the forward over one band. ``ssim_map`` is the per-pixel SSIM of the
-structure-aware loss as one op: its window means come from ``box_filter``, a
-numpy box filter that ``gradstats`` also uses, and its backward is the
-closed form through the box's adjoint. Every differentiable op lives in this
-module, so ``registered_ops()`` is a constant tuple of their names, complete
-once this module is imported.
+its bands with the same rules, starting on any row with each head GEMM
+widened to whole panels (``_widened_bands``), and filters them with
+``_filter_band``, the forward over one band. ``ssim_map`` is the per-pixel
+SSIM of the structure-aware loss as one op: its window means come from
+``box_filter``, a numpy box filter that ``gradstats`` also uses, and its
+backward is the closed form through the box's adjoint. Every differentiable
+op lives in this module, so ``registered_ops()`` is a constant tuple of
+their names, complete once this module is imported.
 """
 
 import bisect
@@ -666,9 +668,11 @@ def _conv_taps(wdata, groups, wp):
     """conv2d's weight matrix and tap chunks for a kernel over rows of pitch wp.
 
     Column t*Cin_g + c of the (groups, Cout_g, taps*Cin_g) matrix holds the
-    weight of input channel c at tap t, the row order of ``_tap_rows``. A
-    chunk is (its columns of that matrix, the flat shifts dy*wp + dx of its
-    taps); it holds one tap unless ``_MIN_GEMM_K`` asks for more.
+    weight of input channel c at tap t, the row order of ``_tap_rows``. The
+    matrix is a view of wdata when wdata is laid out that way, as
+    ``_tap_major`` leaves it, and a copy otherwise. A chunk is (its columns
+    of that matrix, the flat shifts dy*wp + dx of its taps); it holds one tap
+    unless ``_MIN_GEMM_K`` asks for more.
     """
     cout, cin_g, kh, kw = wdata.shape
     taps = kh * kw
@@ -676,9 +680,20 @@ def _conv_taps(wdata, groups, wp):
     step = -(-max(cout // groups, _MIN_GEMM_K) // cin_g)    # taps per chunk
     chunks = [(slice(t * cin_g, min(t + step, taps) * cin_g), shifts[t:t + step])
               for t in range(0, taps, step)]
-    wmat = wdata.reshape(groups, cout // groups, cin_g, taps).swapaxes(2, 3) \
-        .reshape(groups, cout // groups, taps * cin_g)
-    return wmat, chunks
+    wmat = np.ascontiguousarray(wdata.reshape(groups, cout // groups, cin_g, taps).swapaxes(2, 3))
+    return wmat.reshape(groups, cout // groups, taps * cin_g), chunks
+
+
+def _tap_major(wdata):
+    """A (Cout, Cin/g, kh, kw) conv weight with its values laid out tap-major.
+
+    The result equals wdata but is a view of a (Cout, kh*kw, Cin/g) buffer,
+    the order of ``_conv_taps``' weight matrix, so ``_conv_taps`` takes it
+    with no copy. A 1x1 weight is tap-major already and stays as it is.
+    """
+    cout, cin_g, kh, kw = wdata.shape
+    buf = np.ascontiguousarray(wdata.reshape(cout, cin_g, kh * kw).swapaxes(1, 2))
+    return buf.swapaxes(1, 2).reshape(wdata.shape)
 
 
 def _tap_rows(xf, ss, base, length, buf=None):
@@ -700,20 +715,29 @@ def _conv_forward(xf, wmat, chunks, bias, out):
     """conv2d's forward over a padded channel-major buffer, written into ``out``.
 
     xf is (groups, Cin/groups, N, Hp, Wp): N inputs, each already padded by
-    kh//2 rows and kw//2 columns; out is (N, Cout, H, W). The caller pads, so
-    a band of rows can bring its real neighbours as its top and bottom halo.
+    kh//2 rows and kw//2 columns. The caller pads, so a band of rows can
+    bring its real neighbours as its top and bottom halo. out is
+    (N, Cout, H, W), or, for one input and a square kernel, (Cout, H, Wp):
+    rows of the padded pitch, such as the next conv's padded input. This is
+    the one block-GEMM loop of conv2d and of ``kpn.denoise_image``'s stream.
     The output accumulates one 2-D GEMM per chunk of taps and group over
     blocks of about ``_BLOCK_VALUES`` output values of whole padded rows (a
     band of one image, or several whole images), group by group, so a
-    group's rows stay in cache across its taps: the first chunk's GEMM writes
-    them and each later one adds into them inside BLAS. Each block then
-    gets the bias and its cropped rows are copied into out. A chunk of
+    group's rows stay in cache across its taps: the first chunk's GEMM
+    writes them and each later one adds into them inside BLAS. Into an
+    (N, Cout, H, W) out, a block accumulates in a buffer, gets the bias and
+    has its cropped rows copied into out; columns between images are
+    computed and cropped away. A (Cout, H, Wp) out takes the GEMMs straight,
+    kw//2 columns in: pixel (i, j) lands at [:, i, j + kw//2], and each row's
+    Wp - W wrap-around columns on the pad columns, which the caller fills.
+    Either way every GEMM has the same shape and operands. A chunk of
     several taps is copied into one buffer. Both buffers are allocated once
     per call with ``_empty``, so a step's convs reuse them through the arena.
-    Columns between images are computed and cropped away.
     """
     groups, cin_g, n, hp, wp = xf.shape
-    _, cout, h, w = out.shape
+    cout, h = wmat.shape[0] * wmat.shape[1], out.shape[-2]
+    direct = out.ndim == 3
+    w = wp - (hp - h) if direct else out.shape[3]
     cout_g = cout // groups
     xf = xf.reshape(groups, cin_g, -1)
     # A block is whole padded rows: a band of rows of one image, or as many
@@ -727,7 +751,10 @@ def _conv_forward(xf, wmat, chunks, bias, out):
         per = 1
         band = pitch = -(-h // -(-rows * h * wp // _BLOCK_VALUES))   # split evenly
     widest = min(per, n) * pitch * wp
-    acc_buf = _empty((cout * widest,))
+    if direct:
+        into = out.reshape(groups, cout_g, -1, copy=False)[..., (wp - w) // 2:]
+    else:
+        acc_buf = _empty((cout * widest,))
     tap_buf = _empty((stacked * widest,)) if stacked else None
     for b in range(0, n, per):
         nb = min(per, n - b)
@@ -735,14 +762,18 @@ def _conv_forward(xf, wmat, chunks, bias, out):
             nr = min(band, h - i)
             base = (b * hp + i) * wp
             length = ((nb - 1) * pitch + nr) * wp - (wp - w)
-            block = acc_buf[:cout * nb * pitch * wp].reshape(cout, nb, pitch, wp)
-            acc = block.reshape(groups, cout_g, -1)[..., :length]
+            if direct:
+                acc = into[..., base:base + length]
+            else:
+                block = acc_buf[:cout * nb * pitch * wp].reshape(cout, nb, pitch, wp)
+                acc = block.reshape(groups, cout_g, -1)[..., :length]
             for j in range(groups):
                 for ks, ss in chunks:
                     taps = _tap_rows(xf[j], ss, base, length, tap_buf)
                     _gemm(wmat[j, :, ks], taps, acc[j], ks.start > 0)
             acc += bias.reshape(groups, cout_g, 1)
-            np.copyto(out[b:b + nb, :, i:i + nr], block[:, :, :nr, :w].transpose(1, 0, 2, 3))
+            if not direct:
+                np.copyto(out[b:b + nb, :, i:i + nr], block[:, :, :nr, :w].transpose(1, 0, 2, 3))
 
 
 def conv2d(x, weights, bias, groups=1):
@@ -1038,11 +1069,27 @@ def _parts(total, size, least, step=1):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _bands(h, w, k2, c):
-    """An (h, w) image's bands of whole rows for a head of c features and k2 filters, as [start, stop)."""
-    step = _GEMM_ROWS // math.gcd(w, _GEMM_ROWS)
+def _bands(h, w, k2, c, step=None):
+    """An (h, w) image's bands of whole rows for a head of c features and k2 filters, as [start, stop).
+
+    Each starts on a multiple of _GEMM_ROWS pixels, or on a multiple of
+    ``step`` rows when one is given.
+    """
+    step = step or _GEMM_ROWS // math.gcd(w, _GEMM_ROWS)
     least = max(_SMALL_GEMM // (k2 * c), _GEMM_PANEL) // w
     return _parts(h, max(1, _BLOCK_VALUES // (k2 * w)), least, step)
+
+
+def _widened_bands(h, w, k2, c):
+    """``_bands`` starting on any row, as (start, stop, a, b): the band's head GEMM runs
+    over pixels [a, b), its own widened to multiples of _GEMM_ROWS but at the image's end.
+
+    So every GEMM's panels fall where the whole image's do, and an odd width's
+    field is cut into bands of the rows an even width's are, not of 16 rows.
+    """
+    g = _GEMM_ROWS
+    return [(i, e, i * w // g * g, min(h * w, -(-e * w // g) * g))
+            for i, e in _bands(h, w, k2, c, 1)]
 
 
 def _tap_blocks(px, k2, c):
@@ -1070,17 +1117,18 @@ def _head_field(fd, wmat, bias, out):
     return out
 
 
-def _filter_band(xp, fd, wmat, bias, softmax, field, out):
+def _filter_band(xp, fd, wmat, bias, softmax, field, out, lead=0):
     """kpn_filter's forward over a band of pixels, all k^2 filters of each.
 
     The head's filters of features fd (nb, C, P) go into field (nb, k^2, P),
-    softmax-normalised when asked, and filter xp (nb, h+2r, w+2r), the band's
-    rows of the padded input, into out (nb, h, w). Returns the softmax's
-    per-pixel max and exp-sum, (nb, 1, P) each, or None.
+    softmax-normalised when asked, and those from pixel ``lead`` on filter
+    xp (nb, h+2r, w+2r), the band's rows of the padded input, into out
+    (nb, h, w). Returns the softmax's per-pixel max and exp-sum, (nb, 1, P)
+    each, or None.
     """
     _head_field(fd, wmat, bias, field)
     stats = _softmax(field, 1, field)[1:] if softmax else None
-    _filter_window(xp, field, out)
+    _filter_window(xp, field[..., lead:lead + out[0].size], out)
     return stats
 
 

@@ -29,7 +29,7 @@ from .kpn import (KpnConfig, build_model, check_param_shapes, denoise_image, kpn
                   params_to_tensors)
 from .losses import SsimConstants, l1_pixel, l2_pixel, loss_weights, struct_loss
 from .metrics import _check_ssim_size, psnr, ssim_image
-from .tensor import _BLOCK_VALUES, StepArena, Tensor, backward, mul, reduce_mean
+from .tensor import _BLOCK_VALUES, StepArena, Tensor, _tap_major, backward, mul, reduce_mean
 
 __all__ = [
     "TrainConfig",
@@ -405,7 +405,11 @@ def load_checkpoint(path, optimizer=True):
 
     With ``optimizer=False`` the Adam moments, two thirds of the payload,
     are seeked past rather than read, and ``adam_m`` and ``adam_v`` are
-    None: enough to run the model, not to save or resume it. Both reads
+    None: enough to run the model, not to save or resume it. Each conv
+    weight is then stored tap-major (``tensor._tap_major``), the usual
+    (Cout, Cin/g, kh, kw) array as a view of the order the convs hand BLAS,
+    so ``kpn.denoise_image`` reads it with no copy; a full load keeps C
+    order, so resuming and the tape's ``Tensor`` copy nothing. Both reads
     walk every record with the same checks (each record's rank and dims, its
     payload fitting in the file, every group's shapes against the config),
     so a file loads under both or fails under both with the same error.
@@ -429,8 +433,9 @@ def load_checkpoint(path, optimizer=True):
                 raise ValueError(f"{path}: unknown tensor section {name!r}")
             key = name[len(prefix):]
             if optimizer or prefix == "param.":
-                groups[prefix][key] = read_array(f, path)
-                shapes[prefix][key] = groups[prefix][key].shape
+                arr = read_array(f, path)
+                shapes[prefix][key] = arr.shape
+                groups[prefix][key] = arr if optimizer or arr.ndim != 4 else _tap_major(arr)
             else:
                 shapes[prefix][key] = skip_array(f, path)
 

@@ -6,7 +6,8 @@ Python loops and float arithmetic only, so agreement is meaningful.
 whole, the way ``kpn_apply`` ran before its head and filtering became one op.
 ``read_minmax`` reads the sidecar that ``fileio.write_scaled_pgm`` writes,
 ``traced`` measures what a call allocates, ``openblas`` opens the OpenBLAS
-that numpy ships, and ``one_blas_thread`` runs a block at one of its threads.
+that numpy ships, ``one_blas_thread`` runs a block at one of its threads, and
+``default_checkpoint`` saves a default-architecture model that denoises.
 """
 
 import contextlib
@@ -17,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from structkpn.kpn import build_model
 from structkpn.tensor import add, conv2d, local_conv, relu, softmax_vec
+from structkpn.training import Checkpoint, TrainConfig, init_adam, save_checkpoint
 
 
 def naive_local_conv(x, v):
@@ -177,3 +180,25 @@ def one_blas_thread():
         yield
     finally:
         put(threads)
+
+
+def default_checkpoint(path):
+    """Save a default-architecture checkpoint at path; returns (path, its params).
+
+    The backbone is ``build_model``'s He init and the head a normalised
+    Gaussian of sigma 0.5 in its bias, with its weights scaled by 1e-3 so the
+    filters stay near that blur. The params returned are the C-ordered arrays
+    that were saved.
+    """
+    cfg = TrainConfig(steps=0, val_interval=0)
+    model_cfg = cfg.kpn_config()
+    params = build_model(model_cfg, seed=0)
+    x = np.arange(model_cfg.kernel_size) - model_cfg.kernel_size // 2
+    blur = np.outer(np.exp(-x * x / 0.5), np.exp(-x * x / 0.5)).ravel()
+    params["head.b"] = blur / blur.sum()
+    params["head.w"] *= 1e-3
+    state = init_adam(params)
+    save_checkpoint(path, Checkpoint(config=cfg, step=0, params=params, adam_m=state.m,
+                                     adam_v=state.v,
+                                     rng_state=np.random.default_rng(0).bit_generator.state))
+    return path, params

@@ -9,11 +9,8 @@ from structkpn import kpn
 from structkpn.cli import main, parse_config_file, ConfigError
 from structkpn.corpus import synth_corpus
 from structkpn.fileio import read_pgm, write_pgm
-from structkpn.kpn import build_model
-from structkpn.training import (Checkpoint, init_adam, load_checkpoint, save_checkpoint,
-                                CURVE_HEADER,
-                                TrainConfig)
-from helpers import read_minmax, traced
+from structkpn.training import load_checkpoint, save_checkpoint, CURVE_HEADER, TrainConfig
+from helpers import default_checkpoint, read_minmax, traced
 
 
 def write_cfg(path, **overrides):
@@ -357,18 +354,7 @@ def test_truncated_checkpoint_exits_one(tmp_path, capsys):
 def test_eval_of_a_default_model_on_256_squared_stays_under_25_mib(tmp_path):
     # the stream holds bands of about 2,048 pixels, and eval never reads the
     # Adam moments, two thirds of the checkpoint's payload
-    cfg = TrainConfig(steps=0, val_interval=0)
-    model_cfg = cfg.kpn_config()
-    params = build_model(model_cfg, seed=0)             # a He-init backbone
-    x = np.arange(model_cfg.kernel_size) - model_cfg.kernel_size // 2
-    blur = np.outer(np.exp(-x * x / 0.5), np.exp(-x * x / 0.5)).ravel()
-    params["head.b"] = blur / blur.sum()                # a normalised Gaussian, sigma 0.5
-    params["head.w"] *= 1e-3                            # so the filters stay near that blur
-    state = init_adam(params)
-    ckpt = save_checkpoint(tmp_path / "m.ckpt", Checkpoint(
-        config=cfg, step=0, params=params, adam_m=state.m, adam_v=state.v,
-        rng_state=np.random.default_rng(0).bit_generator.state))
-    del params, state
+    ckpt = default_checkpoint(tmp_path / "m.ckpt")[0]    # a He-init backbone, a blur head
     synth_corpus(tmp_path / "data", 1, 256, seed=4)
     rc, peak, _ = traced(main, ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
                                 "--out", str(tmp_path / "e.csv")])

@@ -604,18 +604,39 @@ def test_denoise_image_holds_one_band_of_the_filter_field():
 
 
 def test_denoise_image_odd_width_holds_what_an_even_one_does():
-    # at an odd width kpn_filter's bands must start on 16-row steps, so a
-    # 255-wide band of features, 8 rows, is filtered whole (7.2 MB of k = 21
-    # field, against 2-row field bands at 256). No backbone band is taller
-    # than the even width's, so the peak stays within 2.5 MiB of it (1.9 MiB);
-    # it was 7.6 MiB above it while the last backbone band came out 11 rows taller
+    # a 255-wide band of features, 8 rows, has its field cut into the 2-row
+    # bands a 256-wide one has, each head GEMM widened by at most 15 pixels on
+    # either side to whole 16-pixel panels, so the peaks differ by those
+    # pixels' filters, 106 KiB at most (the 255-wide one traced 0.02 MiB less).
+    # Filtered whole, the band's 7.2 MB field put 1.9 MiB on the peak, and
+    # 3.9 MiB once the convs wrote into each other's inputs
     cfg = KpnConfig()
     params = build_model(cfg, seed=3)
 
     def peak(w):
         return traced(denoise_image, params, cfg, np.random.default_rng(55).random((64, w))).peak
 
-    assert peak(255) <= peak(256) + 2.5 * 2 ** 20
+    assert peak(255) <= peak(256) + 256 * 1024
+
+
+@pytest.mark.parametrize("h, w", [(16, 255), (24, 100), (60, 37)])
+def test_denoise_image_field_bands_keep_the_bits_of_the_whole_band(monkeypatch, h, w):
+    # a band's field is cut into bands of rows that may start on any row, as
+    # 2 of 255, 5 of 100 and 16 of 37 columns do here, but each head GEMM
+    # runs over whole 16-pixel panels, its rows' pixels widened, so every
+    # filter has the bits of the backbone band's field in one piece, which a
+    # block of 2^40 values gives
+    cfg = KpnConfig(softmax_normalize_kernels=True)
+    params = build_model(cfg, seed=3)
+    params["head.w"] = np.random.default_rng(59).normal(0.0, 0.05, params["head.w"].shape)
+    img = np.random.default_rng(60).random((h, w))
+    pixels = [(m, n) for m in range(h) for n in (0, w // 2, w - 1)]
+    with one_blas_thread():
+        den, kernels = denoise_image(params, cfg, img, pixels)
+        monkeypatch.setattr(tensor, "_BLOCK_VALUES", 2 ** 40)
+        whole, whole_kernels = denoise_image(params, cfg, img, pixels)
+    assert den.tobytes() == whole.tobytes()
+    assert kernels.tobytes() == whole_kernels.tobytes()
 
 
 @pytest.mark.parametrize("blocks", [0, 1, 2])

@@ -10,15 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structkpn import tensor, training
+from structkpn import kpn, tensor, training
 from structkpn.corpus import synth_corpus, synth_image
-from structkpn.kpn import KpnConfig
+from structkpn.kpn import KpnConfig, denoise_image, expected_param_shapes
 from structkpn.training import (TrainConfig, init_adam, adam_step,
                                 split_train_val, sample_patch_pairs,
                                 TrainingDiverged, train,
                                 save_checkpoint, load_checkpoint,
                                 write_curve_csv, CURVE_HEADER)
-from helpers import traced
+from helpers import default_checkpoint, one_blas_thread, traced
 
 TINY_KW = dict(kernel_size=5, stem_channels=8, num_res_blocks=1, groups=2,
                patch_size=32, batch_size=2, lr=1e-3, softmax_kernels=True, seed=3)
@@ -516,6 +516,47 @@ def test_checkpoint_arrays_must_match_config_shapes(tmp_path):
         save_checkpoint(path, bad)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
+
+
+def test_a_model_only_load_denoises_with_no_second_copy_of_the_weights(tmp_path):
+    # the load keeps each 3x3 weight tap-major, so every conv hands BLAS a view
+    # of it, and each conv's GEMMs write straight into the next conv's padded
+    # input: a 256^2 image at the default config traces 7.6 MiB (13.2 MiB with
+    # copied weights, a padded copy of each band and a block accumulator;
+    # 10.6 MiB with the weights' copies gone alone)
+    ckpt = load_checkpoint(default_checkpoint(tmp_path / "m.ckpt")[0], optimizer=False)
+    cfg = ckpt.config.kpn_config()
+    for name, (shape, groups) in expected_param_shapes(cfg).items():
+        if shape[2:] == (3, 3):
+            w = ckpt.params[name]
+            assert np.shares_memory(tensor._conv_taps(w, groups, 258)[0], w), name
+    img = np.random.default_rng(57).random((256, 256))
+    with one_blas_thread():
+        peak = traced(denoise_image, ckpt.params, cfg, img).peak
+    assert peak <= 10 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("h, w, strip", [(19, 37, None), (12, 40, 16)],
+                         ids=["odd-width", "strips"])
+def test_model_only_weights_denoise_to_the_bytes_of_c_ordered_ones(tmp_path, monkeypatch, h, w,
+                                                                   strip):
+    # the tap-major weights of a model-only load feed the GEMMs the same values
+    # in the same shapes as the C-ordered arrays that were saved; a full load,
+    # for resume and the tape's Tensor, keeps C order, so neither copies
+    path, saved = default_checkpoint(tmp_path / "m.ckpt")
+    full, lean = load_checkpoint(path), load_checkpoint(path, optimizer=False)
+    assert all(a.flags["C_CONTIGUOUS"] for a in full.params.values())
+    assert not lean.params["res0.conv1.w"].flags["C_CONTIGUOUS"]
+    if strip:
+        monkeypatch.setattr(kpn, "_STRIP_COLUMNS", strip)
+    cfg = full.config.kpn_config()
+    img = np.random.default_rng(58).random((h, w))
+    pixels = [(0, 0), (h // 2, strip or w // 2), (h // 2, (strip or 1) - 1), (h - 1, w - 1)]
+    with one_blas_thread():
+        den, kernels = denoise_image(lean.params, cfg, img, pixels)
+        want, want_kernels = denoise_image(saved, cfg, img, pixels)
+    assert den.tobytes() == want.tobytes()
+    assert kernels.tobytes() == want_kernels.tobytes()
 
 
 def test_train_is_deterministic_across_blas_thread_counts(tmp_path):
